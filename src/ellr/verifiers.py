@@ -16,6 +16,7 @@ A refused or ambiguous check never silently counts as a pass.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from math import comb, factorial
@@ -26,6 +27,7 @@ from .theta import (
     ThetaContext,
     LatticeParams,
     SeriesPolicy,
+    SingularParameterError,
     e_fn,
     theta1,
     theta_alpha,
@@ -47,6 +49,7 @@ from .linalg import (
 from .rmatrix import (
     AlgebraParams,
     HalfPeriodPoint,
+    TorsionParameterError,
     make_params,
     basis_ops,
     torsion_op,
@@ -97,6 +100,16 @@ class CheckResult:
     residual: float | None
     status: str
     wall_time: float
+
+    def __post_init__(self):
+        # numpy and mpmath scalars leave a check as Python floats: json cannot
+        # encode an mpf, and the CSV column would hold the numpy repr
+        if self.residual is not None:
+            self.residual = float(self.residual)
+        if isinstance(self.observed, numbers.Real) and not isinstance(
+            self.observed, numbers.Integral
+        ):
+            self.observed = float(self.observed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,8 +195,10 @@ def _refused(name, params, note, t0, **extra) -> CheckResult:
 
 
 def _guard(fn):
-    """Convert an AmbiguousRankError escaping a check into a single
-    ambiguous-status result rather than an exception."""
+    """Turn an exception escaping a check into a single result: an
+    AmbiguousRankError into an ambiguous status, a TorsionParameterError or
+    SingularParameterError (tau on a locus the statements exclude) into a
+    refused status."""
 
     def wrapper(params, *args, **kwargs):
         t0 = time.time()
@@ -196,27 +211,18 @@ def _guard(fn):
                     f"gap {exc.gap:.3e}", None, "ambiguous", time.time() - t0,
                 )
             ]
+        except (TorsionParameterError, SingularParameterError) as exc:
+            return [_refused(fn.__name__, params, str(exc), t0)]
 
     wrapper.__name__ = fn.__name__
     return wrapper
 
 
-# ---------------------------------------------------------------------------
-# R-matrix identity checks
-# ---------------------------------------------------------------------------
-
-
-def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
-    """Residuals of the two-parameter Yang-Baxter identity
-
-        R(u)_12 R(u+v)_23 R(v)_12 = R(v)_23 R(u+v)_12 R(u)_23
-
-    and of the braid-form identity for P.R(z) at random argument pairs."""
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
-    n = params.n
+def _site_embeddings(n: int, P):
+    """The embeddings e12, e13, e23 of an operator on V (x) V into V^{(x)3},
+    at sites (1,2), (1,3) and (2,3); P is the flip of V (x) V."""
     eye = np.eye(n)
-    P = basis_ops(params)["P"]
+    P23 = np.kron(eye, P)
 
     def e12(A):
         return np.kron(A, eye)
@@ -225,9 +231,27 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
         return np.kron(eye, A)
 
     def e13(A):
-        P23 = np.kron(eye, P)
         return P23 @ e12(A) @ P23
 
+    return e12, e13, e23
+
+
+# ---------------------------------------------------------------------------
+# R-matrix identity checks
+# ---------------------------------------------------------------------------
+
+
+@_guard
+def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
+    """Residuals of the two-parameter Yang-Baxter identity
+
+        R(u)_12 R(u+v)_23 R(v)_12 = R(v)_23 R(u+v)_12 R(u)_23
+
+    and of the braid-form identity for P.R(z) at random argument pairs."""
+    t0 = time.time()
+    rng = np.random.default_rng(seed)
+    P = basis_ops(params)["P"]
+    e12, e13, e23 = _site_embeddings(params.n, P)
     worst2 = worst1 = 0.0
     for _ in range(trials):
         u, v = _random_z(rng, 2)
@@ -254,6 +278,7 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
     ]
 
 
+@_guard
 def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """R(z)R(-z) is a scalar multiple of the identity; the scalar is 1 at
     z = 0 and vanishes at z = +-tau."""
@@ -283,6 +308,7 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     ]
 
 
+@_guard
 def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """The six quasi-periodicity / parameter-shift laws of R and the
     general torsion-shift conjugation with its scalar factor."""
@@ -606,7 +632,6 @@ def t_rank_table(params: AlgebraParams, d: int):
                 expected, rank, None,
                 "pass" if rank == expected else "fail", time.time() - td,
             ))
-    results[0].wall_time += 0.0
     return results
 
 
@@ -672,6 +697,7 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
     return results
 
 
+@_guard
 def mult_identity_check(params: AlgebraParams,
                         pairs=((1, 1), (1, 2), (2, 1), (2, 2)),
                         seed: int = 0):
@@ -854,6 +880,7 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     return results
 
 
+@_guard
 def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     """Weight-function operator family: value 1 at z = 0, the braid-form
     Yang-Baxter identity for the one-parameter family, and the relation
@@ -862,18 +889,7 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
-    eye = np.eye(n)
-
-    def e12(A):
-        return np.kron(A, eye)
-
-    def e23(A):
-        return np.kron(eye, A)
-
-    def e13(A):
-        P23 = np.kron(eye, P)
-        return P23 @ e12(A) @ P23
-
+    e12, e13, e23 = _site_embeddings(n, P)
     worst_rel = 0.0
     for z in _random_z(rng, trials):
         Sk = weight_op_k(params, -n * z)

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from ellr.linalg import exact_rank
+from ellr.linalg import exact_rank, exact_row_space_intersection
 from ellr.classical import (
     lambda_rows,
     sigma_rows,
@@ -45,6 +45,52 @@ def test_classical_w_dim_tables():
     assert [classical_w_dim(3, 3, l, 2 - l) for l in range(3)] == [1, 1, 17]
     assert [classical_w_dim(3, 4, l, 3 - l) for l in range(4)] == [0, 0, 12, 66]
     assert [classical_w_dim(2, 5, l, 4 - l) for l in range(5)] == [0, 0, 0, 4, 26]
+
+
+# sizes the graded oracle is compared with the flat spanning sets at
+FLAT_SIZES = ((2, 3), (3, 3), (3, 4), (2, 4), (2, 5))
+
+
+def _flat_w_dim(n, d, ell, r):
+    inter = exact_row_space_intersection(sigma_rows(n, d, ell), i_rows(n, d, r), n ** d)
+    return exact_rank(inter)
+
+
+def test_graded_w_dim_matches_flat():
+    for n, d in FLAT_SIZES:
+        for ell in range(d):
+            r = d - 1 - ell
+            assert classical_w_dim(n, d, ell, r) == _flat_w_dim(n, d, ell, r), (n, d, ell)
+
+
+def test_graded_sigma_cap_ranks_match_flat():
+    for n, d in FLAT_SIZES:
+        dims = classical_dims(n, d)
+        assert dims["sigma"] == {s: exact_rank(sigma_rows(n, d, s)) for s in range(d)}
+        assert dims["cap"] == {t: exact_rank(i_rows(n, d, t)) for t in range(d)}
+
+
+def test_graded_inclusion_exclusion_matches_flat():
+    for n, d in ((2, 3), (3, 3), (2, 4)):
+        dim = n ** d
+        for ell in range(1, d):
+            X = sigma_rows(n, d, ell - 1) if ell > 1 else []
+            Z = i_rows(n, d, d - 1 - ell)
+            YZ = exact_row_space_intersection(lambda_rows(n, d, ell), Z, dim)
+            flat = {
+                "dim_x_cap_z": exact_rank(exact_row_space_intersection(X, Z, dim)) if X else 0,
+                "dim_y_cap_z": exact_rank(YZ),
+                "dim_x_cap_y_cap_z": (
+                    exact_rank(exact_row_space_intersection(X, YZ, dim)) if X else 0
+                ),
+            }
+            out = inclusion_exclusion_check(n, d, ell)
+            assert {key: out[key] for key in flat} == flat, (n, d, ell)
+            assert out["lhs"] == _flat_w_dim(n, d, ell, d - 1 - ell)
+
+
+def test_lattice_dims_n3_d5():
+    assert [classical_w_dim(3, 5, l, 4 - l) for l in range(5)] == [0, 0, 3, 57, 222]
 
 
 def test_w_dim_requires_complementary_indices():

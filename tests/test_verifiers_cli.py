@@ -1,6 +1,7 @@
 """Verifier plumbing and CLI tests: statuses, refusal loci, report
 determinism, serialization round-trip, and exit codes."""
 
+import csv
 import json
 import math
 
@@ -35,6 +36,9 @@ def test_refusal_on_torsion_tau():
     assert results[0].status == "refused"
     results = V.hilbert_check(pt)
     assert results[0].status == "refused"
+    for check in (V.qybe_check, V.transform_check, V.inverse_pair_check,
+                  V.weight_family_check, V.mult_identity_check):
+        assert [r.status for r in check(pt)] == ["refused"], check.__name__
 
 
 def test_half_torsion_nullity_recorded_not_asserted():
@@ -188,6 +192,32 @@ def test_cli_csv_format(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["check", "transforms", "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text().startswith("name,status,residual")
+
+
+def test_cli_csv_residuals_parse_as_floats(tmp_path):
+    out = tmp_path / "det.csv"
+    assert main(["check", "det", "--format", "csv", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        float(row["residual"])
+
+
+def test_cli_extended_precision_det_emits_json(tmp_path):
+    out = tmp_path / "det.json"
+    code = main(["check", "det", "--precision", "extended", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert code == (0 if data["summary"]["fail"] == 0 else 1)
+    assert data["config"]["precision"] == "extended"
+    assert all(isinstance(r["residual"], float) for r in data["results"])
+
+
+def test_cli_torsion_tau_is_refused_not_usage_error(tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["check", "qybe", "--tau", "0,0", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [r["status"] for r in data["results"]] == ["refused"]
 
 
 def test_config_validation():
