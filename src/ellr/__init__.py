@@ -52,7 +52,7 @@ from .tensorops import (
     t_op,
     f_op,
     m_op,
-    relation_space,
+    embedded_image_sum,
 )
 from .classical import (
     classical_w_dim,

@@ -5,6 +5,9 @@ Rank decisions are only accepted when the singular-value gap across the cut
 exceeds ``RankPolicy.min_gap``; otherwise an :class:`AmbiguousRankError` is
 raised so callers can move the sample point instead of silently reporting a
 rank from a blurred spectrum.  Matrices are max-abs-normalized before the SVD.
+One SVD per call: :func:`spectrum` returns the certified rank, the gap, the
+image and the kernel together, and ``svd_rank``, ``kernel``, ``image``,
+``subspace_sum`` and ``subspace_intersect`` read from it.
 """
 
 from __future__ import annotations
@@ -63,54 +66,68 @@ class Subspace:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), 0.0)
 
 
-def _normalized_svd(M: np.ndarray):
+@dataclass(frozen=True)
+class Spectrum:
+    """One certified SVD of a matrix: the rank at the gap-certified cut, the
+    gap across it (inf when nothing is dropped), and orthonormal bases of the
+    image and the kernel at that cut."""
+
+    rank: int
+    gap: float
+    image: Subspace
+    kernel: Subspace
+
+    @staticmethod
+    def zero(nrows: int, ncols: int) -> "Spectrum":
+        return Spectrum(0, math.inf, Subspace.zero(nrows), Subspace.full(ncols))
+
+
+def _svd(M: np.ndarray, compute_uv: bool = True):
+    # the full V only for a wide matrix, where the kernel needs the rows of
+    # Vh beyond min(m, n); a tall stack never builds a square U
+    return np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1], compute_uv=compute_uv)
+
+
+def spectrum(M: np.ndarray, policy: RankPolicy | None = None) -> Spectrum:
+    """Rank, gap, image and kernel of M from a single SVD.
+
+    M is max-abs-normalized first.  The rank counts singular values above
+    ``policy.rel_threshold`` times the largest; the gap is the ratio of the
+    smallest kept to the largest dropped one.  Raises AmbiguousRankError when
+    gap < policy.min_gap.
+    """
+    policy = policy or RankPolicy()
     M = np.asarray(M, dtype=complex)
     scale = np.max(np.abs(M)) if M.size else 0.0
     if scale == 0.0 or not np.isfinite(scale):
         scale = 1.0
-    U, s, Vh = np.linalg.svd(M / scale)
-    return U, s, Vh
+    U, s, Vh = _svd(M / scale)
+    rank, gap = 0, math.inf
+    if s.size and s[0] > 0.0:
+        rank = int(np.sum(s > policy.rel_threshold * s[0]))
+        if rank < s.size and s[rank] > 0.0:
+            gap = float(s[rank - 1] / s[rank])
+    if gap < policy.min_gap:
+        raise AmbiguousRankError(rank, gap, policy.min_gap)
+    tol = policy.rel_threshold
+    return Spectrum(rank, gap, Subspace(M.shape[0], U[:, :rank], tol),
+                    Subspace(M.shape[1], Vh[rank:].conj().T, tol))
 
 
 def svd_rank(M: np.ndarray, policy: RankPolicy | None = None) -> tuple[int, float]:
-    """Numerical rank with gap certification.
-
-    Returns (rank, gap) where gap is the ratio of the smallest kept to the
-    largest dropped singular value (inf when nothing is dropped).  Raises
-    AmbiguousRankError when gap < policy.min_gap.
-    """
-    policy = policy or RankPolicy()
-    _, s, _ = _normalized_svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, math.inf
-    cut = policy.rel_threshold * s[0]
-    rank = int(np.sum(s > cut))
-    if rank == s.size or s[rank] == 0.0:
-        gap = math.inf
-    else:
-        gap = float(s[rank - 1] / s[rank]) if rank > 0 else math.inf
-    if gap < policy.min_gap:
-        raise AmbiguousRankError(rank, gap, policy.min_gap)
-    return rank, gap
+    """Certified (rank, gap) of M; see :func:`spectrum`."""
+    spec = spectrum(M, policy)
+    return spec.rank, spec.gap
 
 
 def kernel(M: np.ndarray, policy: RankPolicy | None = None) -> Subspace:
     """Orthonormal basis of the null space at the certified rank cut."""
-    policy = policy or RankPolicy()
-    M = np.asarray(M, dtype=complex)
-    rank, _ = svd_rank(M, policy)
-    _, _, Vh = _normalized_svd(M)
-    basis = Vh[rank:].conj().T
-    return Subspace(M.shape[1], basis, policy.rel_threshold)
+    return spectrum(M, policy).kernel
 
 
 def image(M: np.ndarray, policy: RankPolicy | None = None) -> Subspace:
     """Orthonormal basis of the column space at the certified rank cut."""
-    policy = policy or RankPolicy()
-    M = np.asarray(M, dtype=complex)
-    rank, _ = svd_rank(M, policy)
-    U, _, _ = _normalized_svd(M)
-    return Subspace(M.shape[0], U[:, :rank], policy.rel_threshold)
+    return spectrum(M, policy).image
 
 
 def _check_same_ambient(spaces):
@@ -122,14 +139,11 @@ def _check_same_ambient(spaces):
 
 def subspace_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
     """Sum of subspaces: concatenate bases and re-orthonormalize at the rank cut."""
-    policy = policy or RankPolicy()
     ambient = _check_same_ambient(spaces)
     stacked = np.hstack([S.basis for S in spaces])
     if stacked.shape[1] == 0:
         return Subspace.zero(ambient)
-    rank, _ = svd_rank(stacked, policy)
-    U, _, _ = _normalized_svd(stacked)
-    return Subspace(ambient, U[:, :rank], policy.rel_threshold)
+    return spectrum(stacked, policy).image
 
 
 def subspace_intersect(spaces, policy: RankPolicy | None = None) -> Subspace:
@@ -138,18 +152,17 @@ def subspace_intersect(spaces, policy: RankPolicy | None = None) -> Subspace:
     v lies in the intersection iff (I - P_i) v = 0 for every member, so the
     intersection is the kernel of the vertically stacked complements.
     """
-    policy = policy or RankPolicy()
     ambient = _check_same_ambient(spaces)
     eye = np.eye(ambient, dtype=complex)
     stacked = np.vstack([eye - S.projector() for S in spaces])
-    return kernel(stacked, policy)
+    return spectrum(stacked, policy).kernel
 
 
 def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
     """Principal angles (radians) between two subspaces, ascending."""
     if S1.dim == 0 or S2.dim == 0:
         return np.zeros(0)
-    s = np.linalg.svd(S1.basis.conj().T @ S2.basis, compute_uv=False)
+    s = _svd(S1.basis.conj().T @ S2.basis, compute_uv=False)
     return np.arccos(np.clip(s, 0.0, 1.0))[::-1][: min(S1.dim, S2.dim)]
 
 
@@ -198,15 +211,13 @@ def exact_rank(rows) -> int:
     return rank
 
 
-def exact_nullspace(rows):
-    """Integer basis (as rows) of {v : M v = 0} for an integer matrix M.
+def exact_nullspace(rows, ncols: int):
+    """Integer basis (as rows) of {v : M v = 0} for an integer matrix M with
+    ``ncols`` columns; with no rows it is the whole of Q^ncols.
 
     Gaussian elimination over Fractions, denominators cleared afterwards.
     """
     mat = [[Fraction(int(x)) for x in row] for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
     pivots = []
     row = 0
     for col in range(ncols):
@@ -244,12 +255,6 @@ def exact_row_space_intersection(rows_a, rows_b, ncols: int):
     Uses annihilators: the intersection is the annihilator of the sum of the
     two annihilators.
     """
-    ann_a = exact_nullspace(rows_a) if rows_a else [_unit(ncols, c) for c in range(ncols)]
-    ann_b = exact_nullspace(rows_b) if rows_b else [_unit(ncols, c) for c in range(ncols)]
-    return exact_nullspace(ann_a + ann_b)
-
-
-def _unit(ncols, c):
-    row = [0] * ncols
-    row[c] = 1
-    return row
+    ann_a = exact_nullspace(rows_a, ncols)
+    ann_b = exact_nullspace(rows_b, ncols)
+    return exact_nullspace(ann_a + ann_b, ncols)

@@ -9,7 +9,7 @@ index i*n + j (row-major).  All operators are dense complex matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,15 +143,13 @@ def torsion_op(params: AlgebraParams, a: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _theta_row(params: AlgebraParams, w, mp: bool = False):
-    """[theta_alpha(w) for alpha in Z_n] with the context's policy (or mpmath)."""
+def _theta_row(params: AlgebraParams, w):
+    """[theta_alpha(w) for alpha in Z_n] with the context's series policy."""
     ctx = params.theta
-    if mp:
-        ctx = ThetaContext(ctx.n, ctx.lattice, replace(ctx.policy, dps=ctx.policy.dps or 30))
     return [theta_alpha(alpha, w, ctx) for alpha in range(ctx.n)]
 
 
-def r_matrix(params: AlgebraParams, z, mp: bool = False):
+def r_matrix(params: AlgebraParams, z) -> np.ndarray:
     """The matrix of R_tau(z) on V ⊗ V.
 
     R(z)(x_i ⊗ x_j) = (prod_alpha theta_alpha(-z) / prod_{alpha>=1} theta_alpha(0))
@@ -163,18 +161,19 @@ def r_matrix(params: AlgebraParams, z, mp: bool = False):
     symbolically; this realizes the removable singularities exactly and makes
     the entries finite for every z.  R(0) = I ⊗ I exactly.
 
-    With mp=True the entries are computed in mpmath extended precision and
-    returned as an mpmath matrix (used for ill-conditioned determinants).
+    The result is a complex128 array.  A context whose ``SeriesPolicy.dps``
+    is set evaluates the theta values in mpmath, but the entries are still
+    stored in double precision.
     """
     n, k, tau = params.n, params.k, params.tau
     if params.tau_is_torsion():
         raise TorsionParameterError(
             "tau lies on (1/n)Lambda; use r_plus_limit for the limiting operators"
         )
-    th_mz = _theta_row(params, -z, mp)  # theta_alpha(-z)
-    th_mzt = _theta_row(params, -z + tau, mp)  # theta_alpha(-z + tau)
-    th_t = _theta_row(params, tau, mp)  # theta_alpha(tau)
-    th_0 = _theta_row(params, 0.0, mp)  # theta_alpha(0)
+    th_mz = _theta_row(params, -z)  # theta_alpha(-z)
+    th_mzt = _theta_row(params, -z + tau)  # theta_alpha(-z + tau)
+    th_t = _theta_row(params, tau)  # theta_alpha(tau)
+    th_0 = _theta_row(params, 0.0)  # theta_alpha(0)
     denom0 = th_0[1]
     for alpha in range(2, n):
         denom0 = denom0 * th_0[alpha]
@@ -188,12 +187,7 @@ def r_matrix(params: AlgebraParams, z, mp: bool = False):
             prod = th_mz[alpha] if prod is None else prod * th_mz[alpha]
         front_excl.append(prod)
 
-    if mp:
-        import mpmath
-
-        M = mpmath.zeros(n * n, n * n)
-    else:
-        M = np.zeros((n * n, n * n), dtype=complex)
+    M = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             col = i * n + j
@@ -302,7 +296,7 @@ def weight_op_k(params: AlgebraParams, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def det_closed_form(params: AlgebraParams, z, mp: bool = False):
+def det_closed_form(params: AlgebraParams, z):
     """Closed form for det R_tau(z):
 
     (prod_alpha theta_alpha(-z-tau)/theta_alpha(-tau))^{n(n-1)/2}
@@ -312,10 +306,10 @@ def det_closed_form(params: AlgebraParams, z, mp: bool = False):
     """
     n = params.n
     tau = params.tau
-    num1 = _theta_row(params, -z - tau, mp)
-    den1 = _theta_row(params, -tau, mp)
-    num2 = _theta_row(params, -z + tau, mp)
-    den2 = _theta_row(params, tau, mp)
+    num1 = _theta_row(params, -z - tau)
+    den1 = _theta_row(params, -tau)
+    num2 = _theta_row(params, -z + tau)
+    den2 = _theta_row(params, tau)
     p1 = num1[0] / den1[0]
     p2 = num2[0] / den2[0]
     for alpha in range(1, n):

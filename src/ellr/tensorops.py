@@ -4,7 +4,7 @@ Builds dense matrices on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
 multi-index ordering): embeddings of two-site operators, permutation
 operators, (anti)symmetrizers, the four telescoping chains of R-matrices,
 the cumulative operators T_d and F_d, the rectangular two-parameter arrays
-M_{a,b}, and the degree-d relation space of the associated quadratic
+M_{a,b}, and the embedded relation spaces of the associated quadratic
 algebra.
 
 Chains are indexed by one-based tensorand positions.  For an ascending
@@ -22,12 +22,18 @@ All chains degenerate to the identity when they span a single position.
 Everything is materialized densely; dimensions are capped at n^d <= 5^5.
 
 Chain products can span an enormous dynamic range (individual R factors
-reach 1e100 at desk scale), so every chain builder has a ``scaled`` mode
-that normalizes each factor and the running product to unit max-abs while
-accumulating the natural log of the removed scale.  Scaled mode returns a
-:class:`ScaledOp`; rank/kernel/image questions only need its matrix part,
-and identities between chain products compare matrix parts after matching
-the log scales.
+reach 1e100 at desk scale), so every chain builder returns a
+:class:`ScaledOp`: each R factor enters at unit max-abs and the natural log
+of the removed scale is accumulated separately.  Rank/kernel/image
+questions only need the matrix part, identities between chain products
+compare matrix parts after matching the log scales, and ``.dense()`` gives
+the plain matrix.
+
+The embedded relation spaces are sums and intersections of the copies
+V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} (the image
+or the kernel of R(+-tau)); their bases are Kronecker products of
+orthonormal bases, so the only rank decision below the sum or intersection
+is the one made on R(+-tau) itself.
 """
 
 from __future__ import annotations
@@ -38,7 +44,15 @@ import math
 import numpy as np
 
 from .rmatrix import AlgebraParams, r_matrix, r_plus_limit, HalfPeriodPoint
-from .linalg import RankPolicy, Subspace, image, subspace_sum, subspace_intersect
+from .linalg import (
+    RankPolicy,
+    Spectrum,
+    Subspace,
+    image,  # noqa: F401  (bound here for ellrbench's tracer test)
+    spectrum,
+    subspace_sum,
+    subspace_intersect,
+)
 
 MAX_TENSOR_DIM = 5 ** 5
 
@@ -181,39 +195,27 @@ def antisymmetrizer(n: int, d: int) -> np.ndarray:
     return sum(perm_sign(s) * perm_op(s, n, d) for s in itertools.permutations(range(d)))
 
 
-def _default_rfun(params: AlgebraParams):
-    return lambda z: r_matrix(params, z)
-
-
-def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts, rfun=None,
-              scaled: bool = False):
+def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
     """Ascending chain from position i to j with arguments ts = [t_i..t_{j-1}]."""
-    return _chain(params, d, i, j, ts, rfun, descending=False, reverse=False,
-                  scaled=scaled)
+    return _chain(params, d, i, j, ts, descending=False, reverse=False)
 
 
-def chain_asc_rev(params: AlgebraParams, d: int, i: int, j: int, ts, rfun=None,
-                  scaled: bool = False):
+def chain_asc_rev(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
     """Reversed ascending chain from i to j with ts = [t_i..t_{j-1}]."""
-    return _chain(params, d, i, j, ts, rfun, descending=False, reverse=True,
-                  scaled=scaled)
+    return _chain(params, d, i, j, ts, descending=False, reverse=True)
 
 
-def chain_desc(params: AlgebraParams, d: int, j: int, i: int, ts, rfun=None,
-               scaled: bool = False):
+def chain_desc(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
     """Descending chain from position j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _chain(params, d, i, j, list(ts)[::-1], rfun, descending=True, reverse=False,
-                  scaled=scaled)
+    return _chain(params, d, i, j, list(ts)[::-1], descending=True, reverse=False)
 
 
-def chain_desc_rev(params: AlgebraParams, d: int, j: int, i: int, ts, rfun=None,
-                   scaled: bool = False):
+def chain_desc_rev(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
     """Reversed descending chain from j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _chain(params, d, i, j, list(ts)[::-1], rfun, descending=True, reverse=True,
-                  scaled=scaled)
+    return _chain(params, d, i, j, list(ts)[::-1], descending=True, reverse=True)
 
 
-def _chain(params, d, i, j, ts, rfun, descending, reverse, scaled=False):
+def _chain(params, d, i, j, ts, descending, reverse) -> ScaledOp:
     """Core chain builder; ts is always in ascending index order [t_i..t_{j-1}]."""
     _check_dim(params.n, d)
     if not 1 <= i <= j <= d:
@@ -222,10 +224,9 @@ def _chain(params, d, i, j, ts, rfun, descending, reverse, scaled=False):
     ts = list(ts)
     if len(ts) != m:
         raise ValueError(f"chain from {i} to {j} needs {m} arguments, got {len(ts)}")
-    dim = params.n ** d
+    out = ScaledOp.identity(params.n ** d)
     if m == 0:
-        return ScaledOp.identity(dim) if scaled else np.eye(dim, dtype=complex)
-    rfun = rfun or _default_rfun(params)
+        return out
     # prefix[q] = t_i + ... + t_{i+q-1}; suffix[q] = t_{i+q} + ... + t_{j-1}
     prefix = list(itertools.accumulate(ts))
     total = prefix[-1]
@@ -248,19 +249,13 @@ def _chain(params, d, i, j, ts, rfun, descending, reverse, scaled=False):
         for q in range(m - 1, -1, -1):
             arg = total - (prefix[q - 1] if q > 0 else 0)
             factors.append((arg, i + q))
-    if scaled:
-        out = ScaledOp.identity(dim)
-        for arg, pos in factors:
-            fac = ScaledOp.wrap(rfun(arg))
-            out = out @ ScaledOp(embed_pair(fac.mat, pos, params.n, d), fac.log_scale)
-        return out
-    out = np.eye(dim, dtype=complex)
     for arg, pos in factors:
-        out = out @ embed_pair(rfun(arg), pos, params.n, d)
+        fac = ScaledOp.wrap(r_matrix(params, arg))
+        out = out @ ScaledOp(embed_pair(fac.mat, pos, params.n, d), fac.log_scale)
     return out
 
 
-def t_op(params: AlgebraParams, d: int, zs, rfun=None, scaled: bool = False):
+def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
     """Cumulative chain product T_d(z_1, ..., z_{d-1}).
 
     T_d is the left-to-right product over m = 2..d of the descending chain
@@ -271,23 +266,19 @@ def t_op(params: AlgebraParams, d: int, zs, rfun=None, scaled: bool = False):
     zs = list(zs)
     if len(zs) != max(d - 1, 0):
         raise ValueError(f"T_{d} needs {max(d - 1, 0)} arguments, got {len(zs)}")
-    dim = params.n ** d
-    out = ScaledOp.identity(dim) if scaled else np.eye(dim, dtype=complex)
-    if d <= 1:
-        return out
-    rfun = rfun or _default_rfun(params)
+    out = ScaledOp.identity(params.n ** d)
     for m in range(2, d + 1):
-        out = out @ chain_desc(params, d, m, 1, zs[: m - 1], rfun, scaled=scaled)
+        out = out @ chain_desc(params, d, m, 1, zs[: m - 1])
     return out
 
 
-def f_op(params: AlgebraParams, d: int, z, rfun=None, scaled: bool = False):
+def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
     """F_d(z) = T_d(z, ..., z)."""
-    return t_op(params, d, [z] * max(d - 1, 0), rfun, scaled=scaled)
+    return t_op(params, d, [z] * max(d - 1, 0))
 
 
-def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None, rfun=None,
-         validate: bool = False, scaled: bool = False):
+def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
+         validate: bool = False) -> ScaledOp:
     """Rectangular a-by-b array product M_{a,b}(z; x_1..x_{a-1}; y_1..y_{b-1}).
 
     Entry (row, col) of the array (rows top to bottom, columns left to
@@ -308,28 +299,20 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None, rfun=None,
     if len(xs) != max(a - 1, 0) or len(ys) != max(b - 1, 0):
         raise ValueError("M_{a,b} needs a-1 row increments and b-1 column increments")
     dim = params.n ** d
+    out = ScaledOp.identity(dim)
     if a == 0 or b == 0:
-        return ScaledOp.identity(dim) if scaled else np.eye(dim, dtype=complex)
-    rfun = rfun or _default_rfun(params)
+        return out
     # row product: row idx is the reversed ascending chain from a-idx to a+b-idx
-    out = ScaledOp.identity(dim) if scaled else np.eye(dim, dtype=complex)
     for idx in range(a):
         base = z + sum(xs[:idx])
-        out = out @ chain_asc_rev(params, d, a - idx, a + b - idx, [base] + ys, rfun,
-                                  scaled=scaled)
+        out = out @ chain_asc_rev(params, d, a - idx, a + b - idx, [base] + ys)
     if validate:
-        alt = ScaledOp.identity(dim) if scaled else np.eye(dim, dtype=complex)
+        alt = ScaledOp.identity(dim)
         # column product: column idx is the reversed descending chain a+1+idx -> 1+idx
         for idx in range(b):
             base = z + sum(ys[:idx])
-            alt = alt @ chain_desc_rev(params, d, a + 1 + idx, 1 + idx, [base] + xs, rfun,
-                                       scaled=scaled)
-        if scaled:
-            resid = scaled_residual(out, alt)
-        else:
-            scale = max(np.max(np.abs(out)), 1e-300)
-            resid = np.max(np.abs(out - alt)) / scale
-        if resid > 1e-8:
+            alt = alt @ chain_desc_rev(params, d, a + 1 + idx, 1 + idx, [base] + xs)
+        if scaled_residual(out, alt) > 1e-8:
             raise AssertionError("row-wise and column-wise assemblies of M_{a,b} disagree")
     return out
 
@@ -337,19 +320,23 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None, rfun=None,
 ZERO_OPERATOR_TOL = 1e-10
 
 
-def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None,
-                zero_tol: float = ZERO_OPERATOR_TOL):
-    """Certified (rank, gap) of a scaled chain product.
+def scaled_spectrum(op: ScaledOp, policy: RankPolicy | None = None) -> Spectrum:
+    """Certified spectrum (rank, gap, image, kernel) of a scaled chain product.
 
     Factors enter chains at unit max-abs, so a product whose matrix part
-    has cancelled below ``zero_tol`` is the zero operator; an SVD of such
-    pure cancellation noise would otherwise report a meaningless rank.
+    has cancelled below ``ZERO_OPERATOR_TOL`` is the zero operator; an SVD
+    of such pure cancellation noise would otherwise report a meaningless
+    rank.
     """
-    from .linalg import svd_rank
+    if op.max_abs() < ZERO_OPERATOR_TOL:
+        return Spectrum.zero(*op.mat.shape)
+    return spectrum(op.mat, policy)
 
-    if op.max_abs() < zero_tol:
-        return 0, math.inf
-    return svd_rank(op.mat, policy)
+
+def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
+    """Certified (rank, gap) of a scaled chain product; see :func:`scaled_spectrum`."""
+    spec = scaled_spectrum(op, policy)
+    return spec.rank, spec.gap
 
 
 def r_at_relation_point(params: AlgebraParams, sign: int = 1) -> np.ndarray:
@@ -365,56 +352,35 @@ def r_at_relation_point(params: AlgebraParams, sign: int = 1) -> np.ndarray:
     return r_matrix(params, sign * params.tau)
 
 
-def relation_pair_image(params: AlgebraParams, policy: RankPolicy | None = None) -> Subspace:
-    """Image of R(tau) on V^{(x)2}: the quadratic relation space."""
-    return image(r_at_relation_point(params, 1), policy)
+def embedded_copies(pair: Subspace, n: int, d: int) -> list:
+    """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of a
+    subspace W = ``pair`` of V^{(x)2}.
 
-
-def relation_space(params: AlgebraParams, d: int,
-                   policy: RankPolicy | None = None) -> Subspace:
-    """Degree-d relation space: sum over positions of the embedded image of
-    R(tau), i.e. Sum_i V^{(x)(i-1)} (x) im R(tau) (x) V^{(x)(d-i-1)}."""
-    _check_dim(params.n, d)
+    Each basis is the Kronecker product of identities with the orthonormal
+    basis of W, so it is exactly orthonormal and needs no SVD at size n^d.
+    """
+    _check_dim(n, d)
     if d < 2:
-        raise ValueError("relation space needs degree at least 2")
-    policy = policy or params.ranks
-    n = params.n
-    Rt = r_at_relation_point(params, 1)
-    pair = image(Rt, policy)
-    spaces = []
-    for pos in range(1, d):
-        emb = embed_pair(pair.basis @ pair.basis.conj().T, pos, n, d)
-        spaces.append(image(emb, policy))
-    return subspace_sum(spaces, policy)
+        raise ValueError("embedded copies need degree at least 2")
+    return [
+        Subspace(n ** d, np.kron(np.kron(np.eye(n ** (p - 1)), pair.basis),
+                                 np.eye(n ** (d - p - 1))), pair.tol_used)
+        for p in range(1, d)
+    ]
 
 
 def embedded_kernel_intersection(params: AlgebraParams, d: int, sign: int,
                                  policy: RankPolicy | None = None) -> Subspace:
     """Intersection over positions of V^{(x)s} (x) ker R(sign*tau) (x) V^{(x)t}."""
-    from .linalg import kernel
-
-    _check_dim(params.n, d)
-    if d < 2:
-        raise ValueError("kernel intersection needs degree at least 2")
     policy = policy or params.ranks
-    n = params.n
-    Rm = r_at_relation_point(params, sign)
-    ker_pair = kernel(Rm, policy)
-    proj = ker_pair.basis @ ker_pair.basis.conj().T
-    spaces = [image(embed_pair(proj, pos, n, d), policy) for pos in range(1, d)]
-    return subspace_intersect(spaces, policy)
+    pair = spectrum(r_at_relation_point(params, sign), policy).kernel
+    return subspace_intersect(embedded_copies(pair, params.n, d), policy)
 
 
 def embedded_image_sum(params: AlgebraParams, d: int, sign: int,
                        policy: RankPolicy | None = None) -> Subspace:
-    """Sum over positions of V^{(x)s} (x) im R(sign*tau) (x) V^{(x)t}."""
-    _check_dim(params.n, d)
-    if d < 2:
-        raise ValueError("image sum needs degree at least 2")
+    """Sum over positions of V^{(x)s} (x) im R(sign*tau) (x) V^{(x)t}; at
+    sign = +1 this is the degree-d relation space of the quadratic algebra."""
     policy = policy or params.ranks
-    n = params.n
-    Rm = r_at_relation_point(params, sign)
-    pair = image(Rm, policy)
-    proj = pair.basis @ pair.basis.conj().T
-    spaces = [image(embed_pair(proj, pos, n, d), policy) for pos in range(1, d)]
-    return subspace_sum(spaces, policy)
+    pair = spectrum(r_at_relation_point(params, sign), policy).image
+    return subspace_sum(embedded_copies(pair, params.n, d), policy)

@@ -40,7 +40,7 @@ from .linalg import (
     RankPolicy,
     Subspace,
     svd_rank,
-    kernel,
+    spectrum,
     image,
     subspace_sum,
     subspace_intersect,
@@ -67,14 +67,14 @@ from .tensorops import (
     ScaledOp,
     scaled_residual,
     scaled_rank,
-    embed_pair,
+    scaled_spectrum,
     symmetrizer,
     antisymmetrizer,
     t_op,
     f_op,
     m_op,
     r_at_relation_point,
-    relation_space,
+    embedded_copies,
     embedded_kernel_intersection,
     embedded_image_sum,
 )
@@ -515,25 +515,23 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
     series = [1, n]
     for d in range(2, d_max + 1):
         td = time.time()
-        F = f_op(params, d, -params.tau, scaled=True)
-        rank, gap = scaled_rank(F, params.ranks)
+        spec = scaled_spectrum(f_op(params, d, -params.tau), params.ranks)
+        rank = spec.rank
         expected = comb(n + d - 1, d)
         series.append(rank)
         results.append(CheckResult(
             "hilbert.rank", _echo(params, d=d), expected, rank,
             None, "pass" if rank == expected else "fail", time.time() - td,
         ))
-        ker = kernel(F.mat, params.ranks)
-        rel = relation_space(params, d)
-        eq, angle = subspace_equal(ker, rel, TOL_ANGLE)
+        rel = embedded_image_sum(params, d, 1)
+        eq, angle = subspace_equal(spec.kernel, rel, TOL_ANGLE)
         results.append(CheckResult(
             "hilbert.kernel_is_relation_space", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
             "pass" if eq else "fail", 0.0,
         ))
-        im = image(F.mat, params.ranks)
         cap = embedded_kernel_intersection(params, d, 1)
-        eq, angle = subspace_equal(im, cap, TOL_ANGLE)
+        eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
         results.append(CheckResult(
             "hilbert.image_is_kernel_intersection", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
@@ -560,8 +558,8 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     results = []
     for d in range(2, top + 1):
         td = time.time()
-        F = f_op(params, d, params.tau, scaled=True)
-        rank, gap = scaled_rank(F, params.ranks)
+        spec = scaled_spectrum(f_op(params, d, params.tau), params.ranks)
+        rank = spec.rank
         expected = comb(n, d)
         results.append(CheckResult(
             "dual.rank", _echo(params, d=d), expected, rank, None,
@@ -569,17 +567,15 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
         ))
         if expected == 0:
             continue
-        ker = kernel(F.mat, params.ranks)
         ksum = embedded_image_sum(params, d, -1)
-        eq, angle = subspace_equal(ker, ksum, TOL_ANGLE)
+        eq, angle = subspace_equal(spec.kernel, ksum, TOL_ANGLE)
         results.append(CheckResult(
             "dual.kernel_is_image_sum", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
             "pass" if eq else "fail", 0.0,
         ))
-        im = image(F.mat, params.ranks)
         cap = embedded_kernel_intersection(params, d, -1)
-        eq, angle = subspace_equal(im, cap, TOL_ANGLE)
+        eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
         results.append(CheckResult(
             "dual.image_is_kernel_intersection", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
@@ -625,8 +621,7 @@ def t_rank_table(params: AlgebraParams, d: int):
         cases = primary if table == "primary" else mirror
         for name, z, expected in cases:
             td = time.time()
-            T = t_op(params, d, args_of(z), scaled=True)
-            rank, _ = scaled_rank(T, params.ranks)
+            rank, _ = scaled_rank(t_op(params, d, args_of(z)), params.ranks)
             results.append(CheckResult(
                 f"t_table.{table}", _echo(params, d=d, case=name),
                 expected, rank, None,
@@ -682,7 +677,7 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
         raw, structural = [], []
         for eps in ladder:
             pe = make_params(n, k, eta=eta, tau=eps)
-            F = f_op(pe, d, sign * eps) / norm
+            F = f_op(pe, d, sign * eps).dense() / norm
             raw.append(float(np.linalg.norm(F - target) / np.linalg.norm(target)))
             structural.append(ray_distance(F, target))
         monotone = all(raw[i + 1] < raw[i] for i in range(len(raw) - 1))
@@ -711,10 +706,9 @@ def mult_identity_check(params: AlgebraParams,
     for (a, b) in pairs:
         worst = 0.0
         for s in (1, -1):
-            M = m_op(params, b, a, s * tau, scaled=True, validate=True)
-            FF = f_op(params, a, s * tau, scaled=True).kron(
-                f_op(params, b, s * tau, scaled=True))
-            resid = scaled_residual(M @ FF, f_op(params, a + b, s * tau, scaled=True))
+            M = m_op(params, b, a, s * tau, validate=True)
+            FF = f_op(params, a, s * tau).kron(f_op(params, b, s * tau))
+            resid = scaled_residual(M @ FF, f_op(params, a + b, s * tau))
             worst = max(worst, resid)
         results.append(CheckResult(
             "mult.identity", _echo(params, a=a, b=b),
@@ -726,12 +720,12 @@ def mult_identity_check(params: AlgebraParams,
     n = params.n
 
     def rand_image(a):
-        F = f_op(params, a, -tau, scaled=True)
+        F = f_op(params, a, -tau)
         v = F.mat @ (rng.standard_normal(n ** a) + 1j * rng.standard_normal(n ** a))
         return v / np.linalg.norm(v)
 
     def product(u, a, v, b):
-        M = m_op(params, b, a, -tau, scaled=True)
+        M = m_op(params, b, a, -tau)
         return M.mat @ np.kron(u, v), M.log_scale
 
     a, b, c = 1, 2, 1
@@ -764,22 +758,27 @@ def koszul_check(params: AlgebraParams, d: int):
                          "tau on excluded torsion locus", t0, d=d)]
     n = params.n
     policy = params.ranks
-    pair = image(r_at_relation_point(params, 1), policy)
-    proj = pair.basis @ pair.basis.conj().T
-    W = [image(embed_pair(proj, pos, n, d), policy) for pos in range(1, d)]
+    W = embedded_copies(spectrum(r_at_relation_point(params, 1), policy).image, n, d)
     ambient = Subspace.full(n ** d)
-
-    def Sig(ell):
-        return ambient if ell == 0 else subspace_sum(W[:ell], policy)
-
-    def Cap(r):
-        return ambient if r == 0 else subspace_intersect(W[d - 1 - r:], policy)
+    # Sig[ell] = W_1 + ... + W_ell and Cap[r] = W_{d-r} ^ ... ^ W_{d-1}, each
+    # built once; Sig[0] = Cap[0] is the whole space
+    Sig = [ambient] + [subspace_sum(W[:ell], policy) for ell in range(1, d)]
+    Cap = [ambient] + [subspace_intersect(W[d - 1 - r:], policy) for r in range(1, d)]
 
     results = []
     for ell in range(d):
         td = time.time()
         r = d - 1 - ell
-        dim = subspace_intersect([Sig(ell), Cap(r)], policy).dim
+        # the two end corners are Cap[d-1] and Sig[d-1] themselves
+        if ell == 0:
+            corner = Cap[r]
+        elif r == 0:
+            corner = Sig[ell]
+        else:
+            corner = subspace_intersect([Sig[ell], Cap[r]], policy)
+        if ell == 1:
+            sig1_cap = corner
+        dim = corner.dim
         expected = classical_w_dim(n, d, ell, r)
         results.append(CheckResult(
             "koszul.corner_dim", _echo(params, d=d, ell=ell, r=r),
@@ -791,12 +790,12 @@ def koszul_check(params: AlgebraParams, d: int):
     for ell in range(1, d - 1):
         r = d - ell - 1
         if ell == 1:
-            lhs = Cap(r + 1)
-            inner = Cap(r)
+            # with Sig_0 = 0 the right side is the corner Sig_1 ^ I_r
+            lhs, rhs = Cap[r + 1], sig1_cap
         else:
-            lhs = subspace_sum([Sig(ell - 1), Cap(r + 1)], policy)
-            inner = subspace_sum([Sig(ell - 1), Cap(r)], policy)
-        rhs = subspace_intersect([Sig(ell), inner], policy)
+            lhs = subspace_sum([Sig[ell - 1], Cap[r + 1]], policy)
+            inner = subspace_sum([Sig[ell - 1], Cap[r]], policy)
+            rhs = subspace_intersect([Sig[ell], inner], policy)
         results.append(CheckResult(
             "koszul.modular_triple", _echo(params, d=d, ell=ell),
             lhs.dim, rhs.dim, None, "pass" if lhs.dim == rhs.dim else "fail", 0.0,
@@ -817,14 +816,13 @@ def frobenius_check(params: AlgebraParams):
         return [_refused("frobenius.pairing_rank", params,
                          "tau on excluded torsion locus", t0)]
     results = []
-    Fs = f_op(params, n, params.tau, scaled=True)
+    Fs = f_op(params, n, params.tau)
     rank, _ = scaled_rank(Fs, params.ranks)
     results.append(CheckResult(
         "frobenius.top_rank_one", _echo(params), 1, rank, None,
         "pass" if rank == 1 else "fail", 0.0,
     ))
-    Fnext = f_op(params, n + 1, params.tau, scaled=True)
-    rank1, _ = scaled_rank(Fnext, params.ranks)
+    rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
     results.append(CheckResult(
         "frobenius.vanishing_above_top", _echo(params, d=n + 1), 0, rank1, None,
         "pass" if rank1 == 0 else "fail", 0.0,

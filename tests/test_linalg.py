@@ -10,6 +10,7 @@ from ellr.linalg import (
     RankPolicy,
     Subspace,
     svd_rank,
+    spectrum,
     kernel,
     image,
     subspace_sum,
@@ -46,6 +47,36 @@ def test_svd_rank_ambiguous_raises():
     M = np.diag([1.0, 1e-8, 1e-10])
     with pytest.raises(AmbiguousRankError):
         svd_rank(M, RankPolicy(rel_threshold=1e-9, min_gap=1e4))
+
+
+def _check_kernel_and_image(M, rank):
+    K, I = kernel(M), image(M)
+    nrows, ncols = M.shape
+    assert (K.ambient_dim, I.ambient_dim) == (ncols, nrows)
+    assert I.dim == rank and K.dim + rank == ncols
+    assert np.allclose(K.basis.conj().T @ K.basis, np.eye(K.dim), atol=1e-12)
+    assert np.allclose(I.basis.conj().T @ I.basis, np.eye(I.dim), atol=1e-12)
+    assert np.max(np.abs(M @ K.basis)) < 1e-9 * np.max(np.abs(M))
+    # the image basis spans the columns of M
+    resid = M - I.projector() @ M
+    assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(M))
+
+
+def test_kernel_and_image_of_wide_matrix():
+    # 3 x 7 of rank 2: the kernel (dim 5) needs rows of V^H beyond min(m, n)
+    _check_kernel_and_image(_random_rank(3, 7, 2), 2)
+
+
+def test_kernel_and_image_of_tall_matrix():
+    _check_kernel_and_image(_random_rank(9, 4, 2), 2)
+
+
+def test_spectrum_matches_its_readers():
+    M = _random_rank(6, 8, 3)
+    spec = spectrum(M)
+    assert (spec.rank, spec.gap) == svd_rank(M)
+    assert subspace_equal(spec.kernel, kernel(M))[0]
+    assert subspace_equal(spec.image, image(M))[0]
 
 
 def test_rank_policy_validation():
@@ -122,7 +153,7 @@ def test_exact_rank_matches_numpy():
 
 def test_exact_nullspace():
     rows = [[1, 1, 0], [0, 1, 1]]
-    basis = exact_nullspace(rows)
+    basis = exact_nullspace(rows, 3)
     assert len(basis) == 1
     v = np.array(basis[0])
     assert np.all(np.array(rows) @ v == 0)
@@ -135,6 +166,17 @@ def test_exact_row_space_intersection():
     assert exact_rank(inter) == 1
     v = np.array(inter[0])
     assert v[0] == 0 and v[2] == 0 and v[1] != 0
+
+
+def test_exact_nullspace_of_no_rows_is_the_whole_space():
+    assert exact_nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+def test_exact_intersection_of_full_rank_sets_is_the_whole_space():
+    # both annihilators are empty, so their sum is zero and its annihilator
+    # is all of Q^2
+    inter = exact_row_space_intersection([[1, 0], [0, 1]], [[1, 1], [1, -1]], 2)
+    assert exact_rank(inter) == 2
 
 
 def test_exact_intersection_with_empty_is_zero():

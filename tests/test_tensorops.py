@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ellr.linalg import svd_rank, image, kernel, subspace_equal
+from ellr.linalg import svd_rank, spectrum, image, kernel, subspace_equal
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
     ScaledOp,
@@ -28,8 +28,9 @@ from ellr.tensorops import (
     f_op,
     m_op,
     r_at_relation_point,
-    relation_space,
+    embedded_image_sum,
     embedded_kernel_intersection,
+    embedded_copies,
 )
 
 P31 = make_params(3, 1)
@@ -149,18 +150,18 @@ def test_chain_pins_d3():
     # all four chain variants over positions 1..3 with distinct arguments
     t1, t2 = ZS[0], ZS[1]
     R = lambda w: r_matrix(P31, w)
-    asc = chain_asc(P31, 3, 1, 3, [t1, t2])
+    asc = chain_asc(P31, 3, 1, 3, [t1, t2]).dense()
     assert _rel(asc, _E(R(t1 + t2), 1) @ _E(R(t2), 2)) < 1e-12
-    asc_r = chain_asc_rev(P31, 3, 1, 3, [t1, t2])
+    asc_r = chain_asc_rev(P31, 3, 1, 3, [t1, t2]).dense()
     assert _rel(asc_r, _E(R(t1), 1) @ _E(R(t1 + t2), 2)) < 1e-12
-    desc = chain_desc(P31, 3, 3, 1, [t1, t2])
+    desc = chain_desc(P31, 3, 3, 1, [t1, t2]).dense()
     assert _rel(desc, _E(R(t1 + t2), 2) @ _E(R(t2), 1)) < 1e-12
-    desc_r = chain_desc_rev(P31, 3, 3, 1, [t1, t2])
+    desc_r = chain_desc_rev(P31, 3, 3, 1, [t1, t2]).dense()
     assert _rel(desc_r, _E(R(t1), 2) @ _E(R(t1 + t2), 1)) < 1e-12
 
 
 def test_chain_trivial_and_errors():
-    assert np.allclose(chain_asc(P31, 3, 2, 2, []), np.eye(27))
+    assert np.allclose(chain_asc(P31, 3, 2, 2, []).dense(), np.eye(27))
     with pytest.raises(ValueError):
         chain_asc(P31, 3, 1, 3, [0.1])  # wrong argument count
     with pytest.raises(ValueError):
@@ -171,25 +172,25 @@ def test_t3_pin():
     z1, z2 = ZS[0], ZS[1]
     R = lambda w: r_matrix(P31, w)
     expect = _E(R(z1), 1) @ _E(R(z1 + z2), 2) @ _E(R(z2), 1)
-    assert _rel(t_op(P31, 3, [z1, z2]), expect) < 1e-12
+    assert _rel(t_op(P31, 3, [z1, z2]).dense(), expect) < 1e-12
 
 
 def test_f_op_is_t_op_with_equal_args():
     z = 0.21 - 0.04j
-    assert np.allclose(f_op(P31, 3, z), t_op(P31, 3, [z, z]))
+    assert np.allclose(f_op(P31, 3, z).dense(), t_op(P31, 3, [z, z]).dense())
 
 
 def test_t_factorizations():
     d = 4
     zs = ZS
     I1 = np.eye(3)
-    T = t_op(P31, d, zs)
-    Tl = t_op(P31, d - 1, zs[:-1])
-    Tr = t_op(P31, d - 1, zs[1:])
-    v1 = np.kron(Tl, I1) @ chain_desc(P31, d, d, 1, zs)
-    v2 = np.kron(I1, Tr) @ chain_asc(P31, d, 1, d, zs[::-1])
-    v3 = chain_asc_rev(P31, d, 1, d, zs) @ np.kron(Tr, I1)
-    v4 = chain_desc_rev(P31, d, d, 1, zs[::-1]) @ np.kron(I1, Tl)
+    T = t_op(P31, d, zs).dense()
+    Tl = t_op(P31, d - 1, zs[:-1]).dense()
+    Tr = t_op(P31, d - 1, zs[1:]).dense()
+    v1 = np.kron(Tl, I1) @ chain_desc(P31, d, d, 1, zs).dense()
+    v2 = np.kron(I1, Tr) @ chain_asc(P31, d, 1, d, zs[::-1]).dense()
+    v3 = chain_asc_rev(P31, d, 1, d, zs).dense() @ np.kron(Tr, I1)
+    v4 = chain_desc_rev(P31, d, d, 1, zs[::-1]).dense() @ np.kron(I1, Tl)
     for v in (v1, v2, v3, v4):
         assert _rel(T, v) < 1e-12
 
@@ -209,7 +210,7 @@ def test_m_op_hand_expansion_2x3():
     hand = (E(R(z), 2) @ E(R(z + y[0]), 3) @ E(R(z + y[0] + y[1]), 4)
             @ E(R(z + x[0]), 1) @ E(R(z + x[0] + y[0]), 2)
             @ E(R(z + x[0] + y[0] + y[1]), 3))
-    assert _rel(m_op(P31, a, b, z, xs=x, ys=y), hand) < 1e-12
+    assert _rel(m_op(P31, a, b, z, xs=x, ys=y).dense(), hand) < 1e-12
 
 
 def test_m_op_row_column_assemblies_agree():
@@ -220,12 +221,12 @@ def test_m_op_row_column_assemblies_agree():
 
 def test_m_op_default_increments_are_z():
     z = 0.19 - 0.03j
-    assert np.allclose(m_op(P31, 2, 2, z), m_op(P31, 2, 2, z, xs=[z], ys=[z]))
+    assert np.allclose(m_op(P31, 2, 2, z).dense(), m_op(P31, 2, 2, z, xs=[z], ys=[z]).dense())
 
 
 def test_m_op_degenerate_is_identity():
-    assert np.allclose(m_op(P31, 0, 2, 0.1), np.eye(9))
-    assert np.allclose(m_op(P31, 2, 0, 0.1), np.eye(9))
+    assert np.allclose(m_op(P31, 0, 2, 0.1).dense(), np.eye(9))
+    assert np.allclose(m_op(P31, 2, 0, 0.1).dense(), np.eye(9))
 
 
 def test_tmt_identity():
@@ -235,9 +236,10 @@ def test_tmt_identity():
     x = [0.11 + 0.02j, -0.07 + 0.05j]
     y = [0.13 - 0.03j]
     z = 0.09 + 0.04j
-    T = t_op(p, a + b, x + [z] + y)
-    M = m_op(p, a, b, z, xs=x[::-1], ys=y)
-    rhs = M @ np.kron(np.eye(n ** b), t_op(p, a, x)) @ np.kron(t_op(p, b, y), np.eye(n ** a))
+    T = t_op(p, a + b, x + [z] + y).dense()
+    M = m_op(p, a, b, z, xs=x[::-1], ys=y).dense()
+    rhs = (M @ np.kron(np.eye(n ** b), t_op(p, a, x).dense())
+           @ np.kron(t_op(p, b, y).dense(), np.eye(n ** a)))
     assert _rel(T, rhs) < 1e-12
 
 
@@ -247,14 +249,14 @@ def test_t_m_commutation_laws():
     x = [0.11 + 0.02j, -0.07 + 0.05j]
     y = [0.13 - 0.03j]
     z = 0.09 + 0.04j
-    M = m_op(p, a, b, z, xs=x[::-1], ys=y)
-    TLa = np.kron(t_op(p, a, x), np.eye(n ** b))
-    TRa = np.kron(np.eye(n ** b), t_op(p, a, x))
-    lhs1 = TLa @ m_op(p, a, b, z + sum(x), xs=[-v for v in x], ys=y)
+    M = m_op(p, a, b, z, xs=x[::-1], ys=y).dense()
+    TLa = np.kron(t_op(p, a, x).dense(), np.eye(n ** b))
+    TRa = np.kron(np.eye(n ** b), t_op(p, a, x).dense())
+    lhs1 = TLa @ m_op(p, a, b, z + sum(x), xs=[-v for v in x], ys=y).dense()
     assert _rel(lhs1, M @ TRa) < 1e-12
-    TLb = np.kron(t_op(p, b, y), np.eye(n ** a))
-    TRb = np.kron(np.eye(n ** a), t_op(p, b, y))
-    lhs2 = TRb @ m_op(p, a, b, z + sum(y), xs=x[::-1], ys=[-v for v in y][::-1])
+    TLb = np.kron(t_op(p, b, y).dense(), np.eye(n ** a))
+    TRb = np.kron(np.eye(n ** a), t_op(p, b, y).dense())
+    lhs2 = TRb @ m_op(p, a, b, z + sum(y), xs=x[::-1], ys=[-v for v in y][::-1]).dense()
     assert _rel(lhs2, M @ TLb) < 1e-12
 
 
@@ -263,9 +265,9 @@ def test_multiplication_identity():
     tau = P31.tau
     for (a, b) in ((1, 2), (2, 2)):
         for s in (1, -1):
-            M = m_op(P31, b, a, s * tau, scaled=True)
-            FF = f_op(P31, a, s * tau, scaled=True).kron(f_op(P31, b, s * tau, scaled=True))
-            resid = scaled_residual(M @ FF, f_op(P31, a + b, s * tau, scaled=True))
+            M = m_op(P31, b, a, s * tau)
+            FF = f_op(P31, a, s * tau).kron(f_op(P31, b, s * tau))
+            resid = scaled_residual(M @ FF, f_op(P31, a + b, s * tau))
             assert resid < 1e-10
 
 
@@ -275,7 +277,7 @@ def test_multiplication_identity():
 
 
 def test_embedded_relation_annihilates_f():
-    F = f_op(P31, 3, -P31.tau)
+    F = f_op(P31, 3, -P31.tau).dense()
     Rt = r_at_relation_point(P31, 1)
     scale = np.max(np.abs(Rt)) * np.max(np.abs(F))
     for pos in (1, 2):
@@ -286,27 +288,43 @@ def test_embedded_relation_annihilates_f():
 
 def test_f_rank_and_kernel():
     n, d = 3, 3
-    F = f_op(P31, d, -P31.tau, scaled=True)
+    F = f_op(P31, d, -P31.tau)
     rank, _ = scaled_rank(F, P31.ranks)
     assert rank == comb(n + d - 1, d)
     ker = kernel(F.mat, P31.ranks)
-    eq, angle = subspace_equal(ker, relation_space(P31, d), 1e-6)
+    eq, angle = subspace_equal(ker, embedded_image_sum(P31, d, 1), 1e-6)
     assert eq
 
 
 def test_f_dual_rank_and_vanishing():
     n = 3
-    r3, _ = scaled_rank(f_op(P31, 3, P31.tau, scaled=True), P31.ranks)
+    r3, _ = scaled_rank(f_op(P31, 3, P31.tau), P31.ranks)
     assert r3 == 1
-    r4, gap = scaled_rank(f_op(P31, 4, P31.tau, scaled=True), P31.ranks)
+    r4, gap = scaled_rank(f_op(P31, 4, P31.tau), P31.ranks)
     assert r4 == 0 and gap == math.inf
 
 
 def test_f_image_is_embedded_kernel_intersection():
-    F = f_op(P31, 3, -P31.tau, scaled=True)
+    F = f_op(P31, 3, -P31.tau)
     eq, angle = subspace_equal(image(F.mat, P31.ranks),
                                embedded_kernel_intersection(P31, 3, 1), 1e-6)
     assert eq
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_embedded_copies_match_embedded_projector_images(sign):
+    # reference: the image of the embedded orthogonal projector onto W
+    n, d = 3, 4
+    pair = spectrum(r_at_relation_point(P31, sign), P31.ranks)
+    for W in (pair.image, pair.kernel):
+        copies = embedded_copies(W, n, d)
+        assert len(copies) == d - 1
+        for pos, copy in enumerate(copies, start=1):
+            gram = copy.basis.conj().T @ copy.basis
+            assert np.allclose(gram, np.eye(copy.dim), atol=1e-13)
+            reference = image(embed_pair(W.projector(), pos, n, d), P31.ranks)
+            eq, angle = subspace_equal(copy, reference, 1e-6)
+            assert eq, (sign, pos, angle)
 
 
 def test_r_at_relation_point_generic_vs_torsion():

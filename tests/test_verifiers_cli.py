@@ -4,10 +4,13 @@ determinism, serialization round-trip, and exit codes."""
 import csv
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ellr.rmatrix import make_params
+from ellr import tensorops
 from ellr import verifiers as V
 from ellr.cli import main, emit, parse_report, build_report, resolve_config, UsageError
 
@@ -39,6 +42,41 @@ def test_refusal_on_torsion_tau():
     for check in (V.qybe_check, V.transform_check, V.inverse_pair_check,
                   V.weight_family_check, V.mult_identity_check):
         assert [r.status for r in check(pt)] == ["refused"], check.__name__
+
+
+@pytest.mark.parametrize("run", (
+    lambda: V.hilbert_check(P31, d_max=4),
+    lambda: V.dual_hilbert_check(P31),
+    lambda: V.koszul_check(P31, 4),
+), ids=("hilbert", "dual", "koszul"))
+def test_no_matrix_is_decomposed_twice(monkeypatch, run):
+    # every SVD input is keyed by its contents; the only repeats allowed are
+    # R(+-tau), which each embedded relation space evaluates afresh, and each
+    # evaluation may be decomposed once
+    svd, r_point = np.linalg.svd, tensorops.r_at_relation_point
+    decomposed, built = Counter(), Counter()
+
+    def key(a):
+        a = np.asarray(a, dtype=complex)
+        return a.shape, a.tobytes()
+
+    def counted_svd(a, *args, **kwargs):
+        decomposed[key(a)] += 1
+        return svd(a, *args, **kwargs)
+
+    def counted_r_point(params, sign=1):
+        R = r_point(params, sign)
+        built[key(R / np.max(np.abs(R)))] += 1  # normalized as the SVD sees it
+        return R
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for namespace in (tensorops, V):
+        monkeypatch.setattr(namespace, "r_at_relation_point", counted_r_point)
+    results = run()
+    assert all(r.status == "pass" for r in results)
+    assert decomposed and built
+    repeated = {k: c for k, c in decomposed.items() if c > max(built[k], 1)}
+    assert not repeated, [(k[0], c) for k, c in repeated.items()]
 
 
 def test_half_torsion_nullity_recorded_not_asserted():
