@@ -7,7 +7,6 @@ whole verification suite."""
 from .theta import (
     e_fn,
     LatticeParams,
-    SeriesPolicy,
     ThetaContext,
     theta1,
     theta_alpha,

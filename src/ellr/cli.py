@@ -19,7 +19,6 @@ import io
 import json
 import sys
 
-from .theta import SeriesPolicy
 from .rmatrix import DEFAULT_ETA, DEFAULT_TAU_OF_ETA, make_params
 from . import verifiers
 from .verifiers import CheckResult, Report, run_suite, ALL_CHECKS, VERSION
@@ -67,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=str, default=None, metavar="RE,IM")
         p.add_argument("--d-max", type=int, default=None, dest="d_max")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--precision", choices=["double", "extended"], default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--allow-ambiguous", action="store_true", default=None)
@@ -87,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 CONFIG_KEYS = {
-    "n", "k", "eta", "tau", "d_max", "seed", "precision", "checks",
+    "n", "k", "eta", "tau", "d_max", "seed", "checks",
     "allow_ambiguous", "format", "out", "timings",
 }
 
@@ -110,13 +108,13 @@ def resolve_config(args) -> dict:
     """Merge defaults, config file, and flags (flags win)."""
     cfg = {
         "n": 3, "k": 1, "eta": None, "tau": None, "d_max": 4, "seed": 0,
-        "precision": "double", "checks": None, "allow_ambiguous": False,
+        "checks": None, "allow_ambiguous": False,
         "format": "json", "out": None, "timings": False,
     }
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
-    for key in ("n", "k", "eta", "tau", "d_max", "seed", "precision",
-                "out", "format", "allow_ambiguous", "timings"):
+    for key in ("n", "k", "eta", "tau", "d_max", "seed", "out", "format",
+                "allow_ambiguous", "timings"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -126,8 +124,6 @@ def resolve_config(args) -> dict:
     cfg["eta"], cfg["tau"] = eta, tau
     if not 1 <= cfg["d_max"] <= MAX_D:
         raise UsageError(f"d_max must lie in 1..{MAX_D}")
-    if cfg["precision"] not in ("double", "extended"):
-        raise UsageError("precision must be 'double' or 'extended'")
     return cfg
 
 
@@ -148,16 +144,13 @@ def checks_for(args, cfg) -> list:
 
 
 def build_report(cfg, checks) -> Report:
-    policy = SeriesPolicy(dps=40) if cfg["precision"] == "extended" else None
-    params = make_params(cfg["n"], cfg["k"], eta=cfg["eta"], tau=cfg["tau"],
-                         policy=policy)
+    params = make_params(cfg["n"], cfg["k"], eta=cfg["eta"], tau=cfg["tau"])
     results = run_suite(params, checks, d_max=cfg["d_max"], seed=cfg["seed"])
     config_echo = {
         "n": cfg["n"], "k": cfg["k"],
         "eta": [cfg["eta"].real, cfg["eta"].imag],
         "tau": [cfg["tau"].real, cfg["tau"].imag],
-        "d_max": cfg["d_max"], "seed": cfg["seed"],
-        "precision": cfg["precision"], "checks": checks,
+        "d_max": cfg["d_max"], "seed": cfg["seed"], "checks": checks,
     }
     return Report(VERSION, config_echo, results).finalize()
 
@@ -204,7 +197,7 @@ def _header(cfg, checks) -> str:
     return (
         f"ellr {VERSION} | n={cfg['n']} k={cfg['k']} "
         f"eta={eta.real:+.6g}{eta.imag:+.6g}i tau={tau.real:+.6g}{tau.imag:+.6g}i "
-        f"d_max={cfg['d_max']} seed={cfg['seed']} precision={cfg['precision']}\n"
+        f"d_max={cfg['d_max']} seed={cfg['seed']}\n"
         f"defaults: eta=0.31+1.37i, tau=0.1234+0.4321*eta (generic parameters "
         f"are a precondition of every asserted identity)\n"
         f"checks: {' '.join(checks)}"

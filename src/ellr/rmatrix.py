@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import RankPolicy
 from .theta import (
     LatticeParams,
-    SeriesPolicy,
     SingularParameterError,
     ThetaContext,
     e_fn,
@@ -48,7 +47,7 @@ class HalfPeriodPoint:
 
 @dataclass
 class AlgebraParams:
-    """The tuple (n, k, tau, eta) plus series/rank policies.
+    """The tuple (n, k, tau, eta) plus the rank policy.
 
     Requires n >= 2, 1 <= k < n, gcd(n, k) = 1.  k_prime is the inverse of k
     mod n with 1 <= k_prime < n.
@@ -91,13 +90,12 @@ def make_params(
     k: int,
     eta: complex = DEFAULT_ETA,
     tau: complex | None = None,
-    policy: SeriesPolicy | None = None,
     ranks: RankPolicy | None = None,
 ) -> AlgebraParams:
     """Convenience constructor with the documented generic defaults."""
     if tau is None:
         tau = DEFAULT_TAU_OF_ETA(eta)
-    ctx = ThetaContext(n, LatticeParams(eta), policy or SeriesPolicy())
+    ctx = ThetaContext(n, LatticeParams(eta))
     return AlgebraParams(n, k, tau, ctx, ranks or RankPolicy())
 
 
@@ -144,7 +142,7 @@ def torsion_op(params: AlgebraParams, a: int, b: int) -> np.ndarray:
 
 
 def _theta_row(params: AlgebraParams, w):
-    """[theta_alpha(w) for alpha in Z_n] with the context's series policy."""
+    """[theta_alpha(w) for alpha in Z_n]."""
     ctx = params.theta
     return [theta_alpha(alpha, w, ctx) for alpha in range(ctx.n)]
 
@@ -161,9 +159,7 @@ def r_matrix(params: AlgebraParams, z) -> np.ndarray:
     symbolically; this realizes the removable singularities exactly and makes
     the entries finite for every z.  R(0) = I ⊗ I exactly.
 
-    The result is a complex128 array.  A context whose ``SeriesPolicy.dps``
-    is set evaluates the theta values in mpmath, but the entries are still
-    stored in double precision.
+    The result is a complex128 array.
     """
     n, k, tau = params.n, params.k, params.tau
     if params.tau_is_torsion():

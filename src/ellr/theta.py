@@ -5,14 +5,13 @@ theta_alpha(z) (alpha in Z_n), the Jacobi theta function with
 characteristics, and the torsion-indexed weight functions w_{(a,b)}(z), all from
 truncated exponential series.  Arguments are reduced toward the fundamental
 parallelogram with the exact quasi-periodicity laws before summing, so the
-series always converges fast and never overflows for large |Im z|.
+series converges fast unless Im(eta) is tiny, and never overflows for
+large |Im z|.
 
 All series use a symmetric index window that grows until the terms drop
-below ``rel_tol`` times the largest term seen so far.
-
-Setting ``SeriesPolicy.dps`` switches the scalar kernel to mpmath arithmetic
-with that many significant digits (used for ill-conditioned determinant
-checks); otherwise everything is double-precision complex.
+below ``REL_TOL`` times the largest term seen so far; a series that has not
+converged within ``MAX_INDEX`` terms raises ``TruncationError``.  All
+arithmetic is double-precision complex.
 """
 
 from __future__ import annotations
@@ -21,13 +20,15 @@ import cmath
 import threading
 from dataclasses import dataclass, field
 
-import mpmath
-
 TWO_PI_I = 2j * cmath.pi
 
+# truncation bounds shared by every theta series
+REL_TOL = 1e-15
+MAX_INDEX = 200
 
-class TruncationError(RuntimeError):
-    """Series failed to converge within the policy's index window."""
+
+class TruncationError(ValueError):
+    """Series failed to converge within MAX_INDEX terms (Im eta too small)."""
 
 
 class SingularParameterError(ValueError):
@@ -36,9 +37,12 @@ class SingularParameterError(ValueError):
 
 def e_fn(z):
     """e(z) = exp(2*pi*i*z)."""
-    if isinstance(z, (mpmath.mpf, mpmath.mpc)):
-        return mpmath.e ** (2j * mpmath.pi * z)
     return cmath.exp(TWO_PI_I * complex(z))
+
+
+def _e(w):
+    """e(w) for a complex w: the series terms' exponential, without e_fn's coercion."""
+    return cmath.exp(TWO_PI_I * w)
 
 
 @dataclass(frozen=True)
@@ -52,28 +56,12 @@ class LatticeParams:
             raise ValueError("lattice parameter must have positive imaginary part")
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation bounds for all theta series."""
-
-    rel_tol: float = 1e-15
-    max_index: int = 200
-    dps: int | None = None  # mpmath significant digits; None = double precision
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_index < 10:
-            raise ValueError("max_index must be at least 10")
-
-
 @dataclass
 class ThetaContext:
-    """Bundles n, the lattice, and the series policy; caches the factor constant."""
+    """Bundles n and the lattice; caches the factor constant."""
 
     n: int
     lattice: LatticeParams
-    policy: SeriesPolicy = field(default_factory=SeriesPolicy)
     _factor_c: complex | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -86,22 +74,7 @@ class ThetaContext:
         return self.lattice.eta
 
 
-def _wrap(z, policy: SeriesPolicy):
-    """Coerce z to the arithmetic type selected by the policy."""
-    if policy.dps is not None:
-        with mpmath.workdps(policy.dps):
-            return mpmath.mpc(z)
-    return complex(z)
-
-
-def _exp2pii(z, policy: SeriesPolicy):
-    if policy.dps is not None:
-        with mpmath.workdps(policy.dps):
-            return mpmath.e ** (2j * mpmath.pi * mpmath.mpc(z))
-    return cmath.exp(TWO_PI_I * z)
-
-
-def _reduce(z, eta, policy):
+def _reduce(z, eta):
     """Write z = z0 + s*eta + t with s, t integers and z0 near the base cell.
 
     Returns (z0, s, t).
@@ -109,27 +82,29 @@ def _reduce(z, eta, policy):
     zc, ec = complex(z), complex(eta)
     s = round(zc.imag / ec.imag)
     t = round((zc - s * ec).real)
-    z0 = _wrap(z, policy) - s * _wrap(eta, policy) - t
+    z0 = zc - s * ec - t
     return z0, s, t
 
 
-def _sym_series(term, policy: SeriesPolicy):
+def _sym_series(term):
     """Sum term(m) over a symmetric window m in [-M, M] grown adaptively."""
     total = term(0)
     biggest = abs(total)
     quiet = 0
-    for m in range(1, policy.max_index + 1):
+    for m in range(1, MAX_INDEX + 1):
         tp, tm = term(m), term(-m)
         total += tp + tm
         mag = max(abs(tp), abs(tm))
         biggest = max(biggest, mag, abs(total))
-        if mag <= policy.rel_tol * max(biggest, 1e-300):
+        if mag <= REL_TOL * max(biggest, 1e-300):
             quiet += 1
             if quiet >= 2:
                 return total
         else:
             quiet = 0
-    raise TruncationError("theta series did not converge within max_index terms")
+    raise TruncationError(
+        f"theta series did not converge within {MAX_INDEX} terms; Im(eta) is too small"
+    )
 
 
 def theta1(z, ctx: ThetaContext):
@@ -138,16 +113,15 @@ def theta1(z, ctx: ThetaContext):
     Satisfies theta(z+1) = theta(z) and theta(z+eta) = -e(-z) theta(z);
     vanishes exactly on the lattice.
     """
-    policy, eta = ctx.policy, ctx.eta
-    z0, s, t = _reduce(z, eta, policy)
-    etaw = _wrap(eta, policy)
+    eta = complex(ctx.eta)
+    z0, s, t = _reduce(z, eta)
 
     def term(m):
-        return (-1) ** (m & 1) * _exp2pii(m * z0 + 0.5 * m * (m - 1) * etaw, policy)
+        return (-1) ** (m & 1) * _e(m * z0 + 0.5 * m * (m - 1) * eta)
 
-    base = _sym_series(term, policy)
+    base = _sym_series(term)
     # theta(z0 + s*eta) = (-1)^s e(-s z0 - s(s-1) eta / 2) theta(z0)
-    factor = (-1) ** (s & 1) * _exp2pii(-s * z0 - 0.5 * s * (s - 1) * etaw, policy)
+    factor = (-1) ** (s & 1) * _e(-s * z0 - 0.5 * s * (s - 1) * eta)
     return factor * base
 
 
@@ -163,32 +137,27 @@ def theta_alpha(alpha: int, z, ctx: ThetaContext):
     """
     n = ctx.n
     alpha %= n
-    policy = ctx.policy
-    zw = _wrap(z, policy)
-    etaw = _wrap(ctx.eta, policy)
-    pref = _exp2pii(
-        alpha * zw + alpha / (2 * n) + alpha * (alpha - n) * etaw / (2 * n), policy
-    )
-    prod = pref
+    z, eta = complex(z), complex(ctx.eta)
+    prod = _e(alpha * z + alpha / (2 * n) + alpha * (alpha - n) * eta / (2 * n))
     for m in range(n):
-        prod *= theta1(zw + m / n + alpha * etaw / n, ctx)
+        prod *= theta1(z + m / n + alpha * eta / n, ctx)
     return prod
 
 
-def jacobi_theta(z, eta, policy: SeriesPolicy):
+def jacobi_theta(z, eta):
     """Jacobi theta: sum_m e(mz + m^2 eta / 2), with argument reduction."""
-    z0, s, t = _reduce(z, eta, policy)
-    etaw = _wrap(eta, policy)
+    z0, s, t = _reduce(z, eta)
+    eta = complex(eta)
 
     def term(m):
-        return _exp2pii(m * z0 + 0.5 * m * m * etaw, policy)
+        return _e(m * z0 + 0.5 * m * m * eta)
 
-    base = _sym_series(term, policy)
+    base = _sym_series(term)
     # theta(z0 + s*eta + t) = e(-s z0 - s^2 eta / 2) theta(z0)
-    return _exp2pii(-s * z0 - 0.5 * s * s * etaw, policy) * base
+    return _e(-s * z0 - 0.5 * s * s * eta) * base
 
 
-def theta_char(a: float, b: float, z, eta, policy: SeriesPolicy | None = None):
+def theta_char(a: float, b: float, z, eta):
     """Theta function with characteristics a, b:
 
     sum_m e((a+m)(z+b) + (a+m)^2 eta / 2)
@@ -197,25 +166,20 @@ def theta_char(a: float, b: float, z, eta, policy: SeriesPolicy | None = None):
     Periodicity: [a+1; b] = [a; b] and [a; b+1] = e(a) [a; b].
     Vanishes iff z in (1+eta)/2 - (a*eta + b) + Lambda.
     """
-    if policy is None:
-        policy = SeriesPolicy()
     # shift a into [-1/2, 1/2) using the exact a -> a+1 periodicity
     sa = round(a)
     a = a - sa
-    zw = _wrap(z, policy)
-    etaw = _wrap(eta, policy)
-    pref = _exp2pii(a * (zw + b) + 0.5 * a * a * etaw, policy)
-    return pref * jacobi_theta(zw + a * etaw + b, eta, policy)
+    zw, etaw = complex(z), complex(eta)
+    pref = _e(a * (zw + b) + 0.5 * a * a * etaw)
+    return pref * jacobi_theta(zw + a * etaw + b, eta)
 
 
-def theta_char_shift_check(a, b, s: int, t: int, z, eta, policy=None) -> float:
+def theta_char_shift_check(a, b, s: int, t: int, z, eta) -> float:
     """Relative residual of
     theta_char(z + s*eta + t) = e(a t - s (z+b) - s^2 eta / 2) * theta_char(z).
     """
-    if policy is None:
-        policy = SeriesPolicy()
-    lhs = theta_char(a, b, z + s * eta + t, eta, policy)
-    rhs = e_fn(a * t - s * (z + b) - 0.5 * s * s * eta) * theta_char(a, b, z, eta, policy)
+    lhs = theta_char(a, b, z + s * eta + t, eta)
+    rhs = e_fn(a * t - s * (z + b) - 0.5 * s * s * eta) * theta_char(a, b, z, eta)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
@@ -234,9 +198,9 @@ def factor_constant(ctx: ThetaContext):
     with ctx._lock:
         if ctx._factor_c is not None:
             return ctx._factor_c
-        n, eta, policy = ctx.n, ctx.eta, ctx.policy
+        n, eta = ctx.n, ctx.eta
         for alpha, z in _FACTOR_SAMPLES:
-            denom = theta_char(alpha / n + 0.5, 0.5, z, n * eta, policy)
+            denom = theta_char(alpha / n + 0.5, 0.5, z, n * eta)
             numer = e_fn(-0.5 * z) * theta_alpha(alpha, z / n, ctx)
             if abs(denom) > 1e-8 and abs(numer) > 1e-8:
                 ctx._factor_c = numer / denom
@@ -262,11 +226,11 @@ def w_fn(a: int, b: int, z, tau, ctx: ThetaContext):
     """Torsion-indexed weight w_{(a,b)}(z) = theta_char[a/n; b/n](z + xi) / theta_char[a/n; b/n](xi)
     with xi = tau + (1+eta)/2.  Depends on (a, b) only mod n; w_{(a,b)}(0) = 1.
     """
-    n, eta, policy = ctx.n, ctx.eta, ctx.policy
+    n, eta = ctx.n, ctx.eta
     xi = tau + 0.5 * (1 + eta)
-    denom = theta_char(a / n, b / n, xi, eta, policy)
+    denom = theta_char(a / n, b / n, xi, eta)
     if abs(denom) < 1e-12:
         raise SingularParameterError(
             "w_{(a,b)} denominator vanishes: tau lies on the singular locus"
         )
-    return theta_char(a / n, b / n, z + xi, eta, policy) / denom
+    return theta_char(a / n, b / n, z + xi, eta) / denom

@@ -26,7 +26,6 @@ import numpy as np
 from .theta import (
     ThetaContext,
     LatticeParams,
-    SeriesPolicy,
     SingularParameterError,
     e_fn,
     theta1,
@@ -75,8 +74,6 @@ from .tensorops import (
     m_op,
     r_at_relation_point,
     embedded_copies,
-    embedded_kernel_intersection,
-    embedded_image_sum,
 )
 from .classical import classical_w_dim, shuffle_identity_check
 
@@ -102,8 +99,8 @@ class CheckResult:
     wall_time: float
 
     def __post_init__(self):
-        # numpy and mpmath scalars leave a check as Python floats: json cannot
-        # encode an mpf, and the CSV column would hold the numpy repr
+        # numpy scalars leave a check as Python floats: the CSV column would
+        # otherwise hold the numpy repr, np.float64(...)
         if self.residual is not None:
             self.residual = float(self.residual)
         if isinstance(self.observed, numbers.Real) and not isinstance(
@@ -511,6 +508,7 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
         return [_refused("hilbert.rank", params,
                          "tau on excluded torsion locus", t0, d_max=d_max)]
     n = params.n
+    pair = spectrum(r_at_relation_point(params, 1), params.ranks)
     results = []
     series = [1, n]
     for d in range(2, d_max + 1):
@@ -523,14 +521,14 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
             "hilbert.rank", _echo(params, d=d), expected, rank,
             None, "pass" if rank == expected else "fail", time.time() - td,
         ))
-        rel = embedded_image_sum(params, d, 1)
+        rel = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
         eq, angle = subspace_equal(spec.kernel, rel, TOL_ANGLE)
         results.append(CheckResult(
             "hilbert.kernel_is_relation_space", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
             "pass" if eq else "fail", 0.0,
         ))
-        cap = embedded_kernel_intersection(params, d, 1)
+        cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
         eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
         results.append(CheckResult(
             "hilbert.image_is_kernel_intersection", _echo(params, d=d),
@@ -555,6 +553,7 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     top = min(d_max or (n + 1), n + 1)
     if tau_excluded(params, top):
         return [_refused("dual.rank", params, "tau on excluded torsion locus", t0)]
+    pair = spectrum(r_at_relation_point(params, -1), params.ranks)
     results = []
     for d in range(2, top + 1):
         td = time.time()
@@ -567,14 +566,14 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
         ))
         if expected == 0:
             continue
-        ksum = embedded_image_sum(params, d, -1)
+        ksum = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
         eq, angle = subspace_equal(spec.kernel, ksum, TOL_ANGLE)
         results.append(CheckResult(
             "dual.kernel_is_image_sum", _echo(params, d=d),
             f"principal angle < {TOL_ANGLE}", angle, angle,
             "pass" if eq else "fail", 0.0,
         ))
-        cap = embedded_kernel_intersection(params, d, -1)
+        cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
         eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
         results.append(CheckResult(
             "dual.image_is_kernel_intersection", _echo(params, d=d),
@@ -859,7 +858,7 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     ))
     if math.gcd(n - params.k, n) == 1:
         partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
-                              policy=params.theta.policy, ranks=params.ranks)
+                              ranks=params.ranks)
         A = image(r_matrix(params, params.tau).T, params.ranks)
         B = image(r_matrix(partner, -params.tau), params.ranks)
         eq, angle = subspace_equal(A, B, TOL_ANGLE)
@@ -943,7 +942,7 @@ def theta_property_check(n: int = 3, eta: complex = None, seed: int = 0):
     from .theta import theta_char
 
     for alpha, z in ((0, 0.21 + 0.11j), (1, -0.17 + 0.23j)):
-        lhs = theta_char(alpha / n + 0.5, 0.5, z, n * eta, ctx.policy)
+        lhs = theta_char(alpha / n + 0.5, 0.5, z, n * eta)
         rhs = e_fn(-0.5 * z) * theta_alpha(alpha, z / n, ctx) / c
         worst_c = max(worst_c, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     elapsed = time.time() - t0

@@ -5,11 +5,11 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ellr.theta import (
     e_fn,
     LatticeParams,
-    SeriesPolicy,
     ThetaContext,
     theta1,
     theta_alpha,
@@ -87,10 +87,9 @@ def test_theta_alpha_zero_locus(ctx):
 
 
 def test_jacobi_theta_shift():
-    policy = SeriesPolicy()
     z = 0.21 - 0.05j
-    lhs = jacobi_theta(z + ETA, ETA, policy)
-    rhs = e_fn(-z - 0.5 * ETA) * jacobi_theta(z, ETA, policy)
+    lhs = jacobi_theta(z + ETA, ETA)
+    rhs = e_fn(-z - 0.5 * ETA) * jacobi_theta(z, ETA)
     assert abs(lhs - rhs) < 1e-13 * abs(rhs)
 
 
@@ -111,9 +110,8 @@ def test_theta_char_zero_locus():
 
 def test_factorization_constant(ctx):
     c = factor_constant(ctx)
-    policy = ctx.policy
     for alpha, z in ((0, 0.31 + 0.12j), (1, -0.22 + 0.4j), (2, 0.05 - 0.17j)):
-        lhs = theta_char(alpha / 3 + 0.5, 0.5, z, 3 * ETA, policy)
+        lhs = theta_char(alpha / 3 + 0.5, 0.5, z, 3 * ETA)
         rhs = e_fn(-0.5 * z) * theta_alpha(alpha, z / 3, ctx) / c
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
@@ -134,15 +132,31 @@ def test_w_fn_unit_at_zero(ctx):
         assert abs(w_fn(a, b, 0.0, tau, ctx) - 1) < 1e-12
 
 
-def test_extended_precision_agrees():
-    ctx_d = ThetaContext(3, LatticeParams(ETA))
-    ctx_mp = ThetaContext(3, LatticeParams(ETA), SeriesPolicy(dps=40))
-    z = 0.27 - 0.13j
-    a = complex(theta_alpha(1, z, ctx_d))
-    b = complex(theta_alpha(1, z, ctx_mp))
-    assert abs(a - b) < 1e-13 * abs(a)
-
-
 def test_lattice_params_requires_upper_half_plane():
     with pytest.raises(ValueError):
         LatticeParams(0.3 - 0.2j)
+
+
+_unit = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(eta_re=_unit, eta_im=st.floats(0.3, 2.0), x=_unit, y=_unit,
+       n=st.integers(2, 5), alpha=st.integers(0, 4))
+def test_quasi_periodicity_property(eta_re, eta_im, x, y, n, alpha):
+    # z = x + y*eta ranges over the base cell; the laws hold to 1e-12
+    # relative wherever |theta1(z)| >= 1e-6
+    eta = complex(eta_re, eta_im)
+    ctx = ThetaContext(n, LatticeParams(eta))
+    z = x + y * eta
+    t = theta1(z, ctx)
+    assume(abs(t) >= 1e-6)
+
+    def rel(lhs, rhs):
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+    assert rel(theta1(z + 1, ctx), t) < 1e-12
+    assert rel(theta1(z + eta, ctx), -e_fn(-z) * t) < 1e-12
+    alpha %= n
+    ta = theta_alpha(alpha, z, ctx)
+    assert rel(theta_alpha(alpha, z + 1 / n, ctx), e_fn(alpha / n) * ta) < 1e-12

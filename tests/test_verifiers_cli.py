@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ellr.rmatrix import make_params
-from ellr import tensorops
 from ellr import verifiers as V
 from ellr.cli import main, emit, parse_report, build_report, resolve_config, UsageError
 
@@ -50,11 +49,9 @@ def test_refusal_on_torsion_tau():
     lambda: V.koszul_check(P31, 4),
 ), ids=("hilbert", "dual", "koszul"))
 def test_no_matrix_is_decomposed_twice(monkeypatch, run):
-    # every SVD input is keyed by its contents; the only repeats allowed are
-    # R(+-tau), which each embedded relation space evaluates afresh, and each
-    # evaluation may be decomposed once
-    svd, r_point = np.linalg.svd, tensorops.r_at_relation_point
-    decomposed, built = Counter(), Counter()
+    # every SVD input is keyed by its contents, and none may repeat
+    svd = np.linalg.svd
+    decomposed = Counter()
 
     def key(a):
         a = np.asarray(a, dtype=complex)
@@ -64,18 +61,11 @@ def test_no_matrix_is_decomposed_twice(monkeypatch, run):
         decomposed[key(a)] += 1
         return svd(a, *args, **kwargs)
 
-    def counted_r_point(params, sign=1):
-        R = r_point(params, sign)
-        built[key(R / np.max(np.abs(R)))] += 1  # normalized as the SVD sees it
-        return R
-
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    for namespace in (tensorops, V):
-        monkeypatch.setattr(namespace, "r_at_relation_point", counted_r_point)
     results = run()
     assert all(r.status == "pass" for r in results)
-    assert decomposed and built
-    repeated = {k: c for k, c in decomposed.items() if c > max(built[k], 1)}
+    assert decomposed
+    repeated = {k: c for k, c in decomposed.items() if c > 1}
     assert not repeated, [(k[0], c) for k, c in repeated.items()]
 
 
@@ -131,7 +121,6 @@ class _Args:
     tau = None
     d_max = None
     seed = None
-    precision = None
     out = None
     format = None
     allow_ambiguous = None
@@ -242,13 +231,21 @@ def test_cli_csv_residuals_parse_as_floats(tmp_path):
         float(row["residual"])
 
 
-def test_cli_extended_precision_det_emits_json(tmp_path):
-    out = tmp_path / "det.json"
-    code = main(["check", "det", "--precision", "extended", "--out", str(out)])
-    data = json.loads(out.read_text())
-    assert code == (0 if data["summary"]["fail"] == 0 else 1)
-    assert data["config"]["precision"] == "extended"
-    assert all(isinstance(r["residual"], float) for r in data["results"])
+def test_cli_rejects_removed_precision_flag(tmp_path, capsys):
+    assert main(["report", "all", "--precision", "extended"]) == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": "extended"}))
+    assert main(["check", "qybe", "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['precision']" in capsys.readouterr().err
+
+
+def test_cli_nonconverging_theta_series_is_usage_error(capsys):
+    # Im eta = 1e-4 needs more than the series' index window: one error
+    # line and exit 2, not a traceback
+    assert main(["check", "qybe", "--eta", "0.3,0.0001"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: theta series did not converge")
 
 
 def test_cli_torsion_tau_is_refused_not_usage_error(tmp_path):
