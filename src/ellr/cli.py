@@ -8,7 +8,9 @@ I/O errors.
 
 Serialized reports are byte-stable for a fixed (config, seed, version):
 measured wall times are zeroed in the output unless ``--timings`` is given,
-since they are the only non-deterministic field.
+since they are the only non-deterministic field.  A kept time is the wall
+time of one check group, on the group's first result in run order; the
+other results of the group read 0.0.
 """
 
 from __future__ import annotations

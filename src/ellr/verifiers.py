@@ -11,6 +11,18 @@ Statuses: ``pass`` / ``fail`` by the check's tolerance, ``ambiguous`` when
 a singular-value gap could not certify a rank, ``refused`` when the
 deformation parameter sits on a locus the underlying statements exclude.
 A refused or ambiguous check never silently counts as a pass.
+
+Two verdict rules cover almost every result: :func:`_within` passes a
+residual, angle or deviation iff it is strictly below its tolerance (a NaN
+fails), recording the value as both observation and residual;
+:func:`_equals` passes a rank, dimension or table iff it equals the
+expected value.  The few results that follow neither rule build their
+:class:`CheckResult` explicitly.
+
+Every check takes the :class:`AlgebraParams` first (the shuffle
+decomposition, which is parameter-free, takes none).  Wall times are taken
+in one place, :func:`run_suite`, once per check group; a check called
+directly reports 0.0.
 """
 
 from __future__ import annotations
@@ -24,19 +36,17 @@ from math import comb, factorial
 import numpy as np
 
 from .theta import (
-    ThetaContext,
-    LatticeParams,
     SingularParameterError,
     e_fn,
     theta1,
     theta_alpha,
+    theta_char,
     theta_char_shift_check,
     factor_constant,
     nearest_lattice_distance,
 )
 from .linalg import (
     AmbiguousRankError,
-    RankPolicy,
     Subspace,
     svd_rank,
     spectrum,
@@ -56,14 +66,12 @@ from .rmatrix import (
     sym_op,
     b_fn,
     f_fn,
-    r_plus_limit,
     weight_op,
     weight_op_k,
     det_closed_form,
     dual_transpose_check,
 )
 from .tensorops import (
-    ScaledOp,
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
@@ -96,7 +104,7 @@ class CheckResult:
     observed: object
     residual: float | None
     status: str
-    wall_time: float
+    wall_time: float = 0.0
 
     def __post_init__(self):
         # numpy scalars leave a check as Python floats: the CSV column would
@@ -150,6 +158,17 @@ def _status(residual, tol) -> str:
     return "pass" if residual < tol else "fail"
 
 
+def _within(name, echo, value, tol, what="residual") -> CheckResult:
+    """Pass iff value < tol; the value is both observation and residual."""
+    return CheckResult(name, echo, f"{what} < {tol}", value, value, _status(value, tol))
+
+
+def _equals(name, echo, expected, observed) -> CheckResult:
+    """Pass iff the observation equals the expected value exactly."""
+    return CheckResult(name, echo, expected, observed, None,
+                       "pass" if observed == expected else "fail")
+
+
 def _echo(params: AlgebraParams, **extra) -> dict:
     out = {
         "n": params.n,
@@ -184,11 +203,8 @@ def tau_excluded(params: AlgebraParams, m_max: int = 1) -> bool:
     )
 
 
-def _refused(name, params, note, t0, **extra) -> CheckResult:
-    return CheckResult(
-        name, _echo(params, **extra), note, "not attempted", None, "refused",
-        time.time() - t0,
-    )
+def _refused(name, params, note, **extra) -> CheckResult:
+    return CheckResult(name, _echo(params, **extra), note, "not attempted", None, "refused")
 
 
 def _guard(fn):
@@ -198,18 +214,13 @@ def _guard(fn):
     refused status."""
 
     def wrapper(params, *args, **kwargs):
-        t0 = time.time()
         try:
             return fn(params, *args, **kwargs)
         except AmbiguousRankError as exc:
-            return [
-                CheckResult(
-                    fn.__name__, _echo(params), "certified rank",
-                    f"gap {exc.gap:.3e}", None, "ambiguous", time.time() - t0,
-                )
-            ]
+            return [CheckResult(fn.__name__, _echo(params), "certified rank",
+                                f"gap {exc.gap:.3e}", None, "ambiguous")]
         except (TorsionParameterError, SingularParameterError) as exc:
-            return [_refused(fn.__name__, params, str(exc), t0)]
+            return [_refused(fn.__name__, params, str(exc))]
 
     wrapper.__name__ = fn.__name__
     return wrapper
@@ -245,7 +256,6 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
         R(u)_12 R(u+v)_23 R(v)_12 = R(v)_23 R(u+v)_12 R(u)_23
 
     and of the braid-form identity for P.R(z) at random argument pairs."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     P = basis_ops(params)["P"]
     e12, e13, e23 = _site_embeddings(params.n, P)
@@ -260,18 +270,10 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
         lhs1 = e12(Su) @ e13(Suv) @ e23(Sv)
         rhs1 = e23(Sv) @ e13(Suv) @ e12(Su)
         worst1 = max(worst1, _rel(lhs1 - rhs1, lhs1, rhs1))
-    elapsed = time.time() - t0
+    echo = _echo(params, trials=trials, seed=seed)
     return [
-        CheckResult(
-            "qybe.two_parameter", _echo(params, trials=trials, seed=seed),
-            f"residual < {TOL_RESIDUAL}", worst2, worst2,
-            _status(worst2, TOL_RESIDUAL), elapsed,
-        ),
-        CheckResult(
-            "qybe.braid_form", _echo(params, trials=trials, seed=seed),
-            f"residual < {TOL_RESIDUAL}", worst1, worst1,
-            _status(worst1, TOL_RESIDUAL), 0.0,
-        ),
+        _within("qybe.two_parameter", echo, worst2, TOL_RESIDUAL),
+        _within("qybe.braid_form", echo, worst1, TOL_RESIDUAL),
     ]
 
 
@@ -279,7 +281,6 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
 def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """R(z)R(-z) is a scalar multiple of the identity; the scalar is 1 at
     z = 0 and vanishes at z = +-tau."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     dim = params.n ** 2
     worst = 0.0
@@ -292,16 +293,11 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     vanish = float(
         np.max(np.abs(Rt @ Rmt)) / max(np.max(np.abs(Rt)) * np.max(np.abs(Rmt)), 1e-300)
     )
-    elapsed = time.time() - t0
     return [
-        CheckResult("inverse.scalar_product", _echo(params, trials=trials, seed=seed),
-                    f"residual < {TOL_TRANSFORM}", worst, worst,
-                    _status(worst, TOL_TRANSFORM), elapsed),
-        CheckResult("inverse.identity_at_zero", _echo(params),
-                    f"residual < 1e-10", at_zero, at_zero, _status(at_zero, 1e-10), 0.0),
-        CheckResult("inverse.vanishing_at_tau", _echo(params),
-                    f"residual < {TOL_RESIDUAL}", vanish, vanish,
-                    _status(vanish, TOL_RESIDUAL), 0.0),
+        _within("inverse.scalar_product", _echo(params, trials=trials, seed=seed),
+                worst, TOL_TRANSFORM),
+        _within("inverse.identity_at_zero", _echo(params), at_zero, 1e-10),
+        _within("inverse.vanishing_at_tau", _echo(params), vanish, TOL_RESIDUAL),
     ]
 
 
@@ -309,7 +305,6 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
 def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """The six quasi-periodicity / parameter-shift laws of R and the
     general torsion-shift conjugation with its scalar factor."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n, eta, tau = params.n, params.eta, params.tau
     ops = basis_ops(params)
@@ -365,12 +360,8 @@ def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
             R = r_matrix(params, z)
             lhs, rhs = law(z, R)
             worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-        results.append(
-            CheckResult(f"transform.{name}", _echo(params, trials=trials, seed=seed),
-                        f"residual < {TOL_TRANSFORM}", worst, worst,
-                        _status(worst, TOL_TRANSFORM), 0.0)
-        )
-    results[0].wall_time = time.time() - t0
+        results.append(_within(f"transform.{name}", _echo(params, trials=trials, seed=seed),
+                               worst, TOL_TRANSFORM))
     return results
 
 
@@ -379,9 +370,8 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """Closed-form determinant: ratio at generic points, value 1 at z = 0,
     independence of k, and the nullity-weighted count of determinant zeros
     (one torsion cell carries total nullity n^2)."""
-    t0 = time.time()
     if tau_excluded(params):
-        return [_refused("det.ratio", params, "tau on excluded torsion locus", t0)]
+        return [_refused("det.ratio", params, "tau on excluded torsion locus")]
     rng = np.random.default_rng(seed)
     n = params.n
     worst = 0.0
@@ -390,33 +380,21 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
         worst = max(worst, abs(ratio - 1))
     at_zero = abs(np.linalg.det(r_matrix(params, 0.0)) - 1.0)
     zk = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.05, 0.05))
-    other = params.with_k(n - params.k) if math.gcd(n - params.k, n) == 1 else None
-    k_resid = None
-    if other is not None:
-        d1 = np.linalg.det(r_matrix(params, zk))
-        d2 = np.linalg.det(r_matrix(other, zk))
-        k_resid = abs(d1 - d2) / max(abs(d1), abs(d2))
+    d1 = np.linalg.det(r_matrix(params, zk))
+    d2 = np.linalg.det(r_matrix(params.with_k(n - params.k), zk))
+    k_resid = abs(d1 - d2) / max(abs(d1), abs(d2))
     null_plus, _ = svd_rank(r_matrix(params, params.tau), params.ranks)
     null_minus, _ = svd_rank(r_matrix(params, -params.tau), params.ranks)
     zero_count = (n * n - null_plus) + (n * n - null_minus)
-    elapsed = time.time() - t0
-    out = [
-        CheckResult("det.ratio", _echo(params, trials=trials, seed=seed),
-                    f"|det/closed_form - 1| < {TOL_DET}", worst, worst,
-                    _status(worst, TOL_DET), elapsed),
-        CheckResult("det.normalized_at_zero", _echo(params),
-                    f"|det R(0) - 1| < {TOL_DET}", at_zero, at_zero,
-                    _status(at_zero, TOL_DET), 0.0),
+    return [
+        _within("det.ratio", _echo(params, trials=trials, seed=seed), worst, TOL_DET,
+                "|det/closed_form - 1|"),
+        _within("det.normalized_at_zero", _echo(params), at_zero, TOL_DET, "|det R(0) - 1|"),
+        _within("det.k_independence", _echo(params, other_k=n - params.k), k_resid, TOL_DET),
         CheckResult("det.zero_count_per_cell", _echo(params),
                     n * n, zero_count, float(abs(zero_count - n * n)),
-                    "pass" if zero_count == n * n else "fail", 0.0),
+                    "pass" if zero_count == n * n else "fail"),
     ]
-    if k_resid is not None:
-        out.insert(2, CheckResult(
-            "det.k_independence", _echo(params, other_k=n - params.k),
-            f"residual < {TOL_DET}", k_resid, k_resid, _status(k_resid, TOL_DET), 0.0,
-        ))
-    return out
 
 
 @_guard
@@ -424,7 +402,6 @@ def nullity_table(params: AlgebraParams):
     """Nullities of R on the two torsion-translated loci of its
     determinant zeros, over one full torsion cell, plus full rank at
     generic probes."""
-    t0 = time.time()
     n, eta, tau = params.n, params.eta, params.tau
     if nearest_lattice_distance(2 * n * tau, eta) < EXCLUSION_DISTANCE:
         # only an inequality is available on this locus; record, don't assert
@@ -435,9 +412,8 @@ def nullity_table(params: AlgebraParams):
         except AmbiguousRankError as exc:
             obs["nullity_at_tau"] = f"ambiguous (gap {exc.gap:.2e})"
         return [_refused("nullity.table", params,
-                         "tau on half-torsion locus: only a lower bound holds", t0,
+                         "tau on half-torsion locus: only a lower bound holds",
                          observed_nullities=obs)]
-    results = []
     expected_plus = comb(n + 1, 2)
     expected_minus = comb(n, 2)
     worst_gap = math.inf
@@ -457,28 +433,24 @@ def nullity_table(params: AlgebraParams):
         rank, gap = svd_rank(r_matrix(params, z), params.ranks)
         worst_gap = min(worst_gap, gap)
         ok = ok and rank == n * n
-    elapsed = time.time() - t0
-    results.append(CheckResult(
+    return [CheckResult(
         "nullity.table", _echo(params, cell=f"{n}x{n}"),
         {"at_tau_coset": expected_plus, "at_minus_tau_coset": expected_minus,
          "generic": 0},
         {"at_tau_coset": sorted(observed["plus"]),
          "at_minus_tau_coset": sorted(observed["minus"]),
          "min_gap": worst_gap},
-        None, "pass" if ok else "fail", elapsed,
-    ))
-    return results
+        None, "pass" if ok else "fail",
+    )]
 
 
 @_guard
 def twist_rank_check(params: AlgebraParams):
     """Rank invariance under torsion shifts: rank R(tau + zeta) = C(n,2)
     for every zeta in one torsion cell."""
-    t0 = time.time()
     n, eta, tau = params.n, params.eta, params.tau
     if tau_excluded(params, 2):
-        return [_refused("twist.rank_invariance", params,
-                         "tau on excluded torsion locus", t0)]
+        return [_refused("twist.rank_invariance", params, "tau on excluded torsion locus")]
     expected = comb(n, 2)
     observed = set()
     for a in range(n):
@@ -486,11 +458,9 @@ def twist_rank_check(params: AlgebraParams):
             zeta = HalfPeriodPoint(a, b).value(n, eta)
             rank, _ = svd_rank(r_matrix(params, tau + zeta), params.ranks)
             observed.add(rank)
-    elapsed = time.time() - t0
-    ok = observed == {expected}
     return [CheckResult("twist.rank_invariance", _echo(params, cell=f"{n}x{n}"),
                         expected, sorted(observed), None,
-                        "pass" if ok else "fail", elapsed)]
+                        "pass" if observed == {expected} else "fail")]
 
 
 # ---------------------------------------------------------------------------
@@ -503,43 +473,29 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
     """Degree-d corank structure of F_d(-tau): rank C(n+d-1,d) (polynomial
     Hilbert series), kernel equal to the degree-d relation space, image
     equal to the intersection of the embedded kernels of R(tau)."""
-    t0 = time.time()
     if tau_excluded(params, d_max):
         return [_refused("hilbert.rank", params,
-                         "tau on excluded torsion locus", t0, d_max=d_max)]
+                         "tau on excluded torsion locus", d_max=d_max)]
     n = params.n
     pair = spectrum(r_at_relation_point(params, 1), params.ranks)
     results = []
     series = [1, n]
     for d in range(2, d_max + 1):
-        td = time.time()
         spec = scaled_spectrum(f_op(params, d, -params.tau), params.ranks)
-        rank = spec.rank
-        expected = comb(n + d - 1, d)
-        series.append(rank)
-        results.append(CheckResult(
-            "hilbert.rank", _echo(params, d=d), expected, rank,
-            None, "pass" if rank == expected else "fail", time.time() - td,
-        ))
+        series.append(spec.rank)
+        results.append(_equals("hilbert.rank", _echo(params, d=d),
+                               comb(n + d - 1, d), spec.rank))
         rel = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
-        eq, angle = subspace_equal(spec.kernel, rel, TOL_ANGLE)
-        results.append(CheckResult(
-            "hilbert.kernel_is_relation_space", _echo(params, d=d),
-            f"principal angle < {TOL_ANGLE}", angle, angle,
-            "pass" if eq else "fail", 0.0,
-        ))
+        _, angle = subspace_equal(spec.kernel, rel, TOL_ANGLE)
+        results.append(_within("hilbert.kernel_is_relation_space", _echo(params, d=d),
+                               angle, TOL_ANGLE, "principal angle"))
         cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
-        eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
-        results.append(CheckResult(
-            "hilbert.image_is_kernel_intersection", _echo(params, d=d),
-            f"principal angle < {TOL_ANGLE}", angle, angle,
-            "pass" if eq else "fail", 0.0,
-        ))
+        _, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
+        results.append(_within("hilbert.image_is_kernel_intersection", _echo(params, d=d),
+                               angle, TOL_ANGLE, "principal angle"))
     expected_series = [comb(n + d - 1, d) for d in range(d_max + 1)]
-    results.append(CheckResult(
-        "hilbert.series", _echo(params, d_max=d_max), expected_series, series,
-        None, "pass" if series == expected_series else "fail", 0.0,
-    ))
+    results.append(_equals("hilbert.series", _echo(params, d_max=d_max),
+                           expected_series, series))
     return results
 
 
@@ -548,38 +504,26 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     """Degree-d structure of F_d(tau): rank C(n,d) (exterior Hilbert
     series), with total vanishing at d = n+1, and kernel/image described by
     R(-tau)."""
-    t0 = time.time()
     n = params.n
     top = min(d_max or (n + 1), n + 1)
     if tau_excluded(params, top):
-        return [_refused("dual.rank", params, "tau on excluded torsion locus", t0)]
+        return [_refused("dual.rank", params, "tau on excluded torsion locus")]
     pair = spectrum(r_at_relation_point(params, -1), params.ranks)
     results = []
     for d in range(2, top + 1):
-        td = time.time()
         spec = scaled_spectrum(f_op(params, d, params.tau), params.ranks)
-        rank = spec.rank
         expected = comb(n, d)
-        results.append(CheckResult(
-            "dual.rank", _echo(params, d=d), expected, rank, None,
-            "pass" if rank == expected else "fail", time.time() - td,
-        ))
+        results.append(_equals("dual.rank", _echo(params, d=d), expected, spec.rank))
         if expected == 0:
             continue
         ksum = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
-        eq, angle = subspace_equal(spec.kernel, ksum, TOL_ANGLE)
-        results.append(CheckResult(
-            "dual.kernel_is_image_sum", _echo(params, d=d),
-            f"principal angle < {TOL_ANGLE}", angle, angle,
-            "pass" if eq else "fail", 0.0,
-        ))
+        _, angle = subspace_equal(spec.kernel, ksum, TOL_ANGLE)
+        results.append(_within("dual.kernel_is_image_sum", _echo(params, d=d),
+                               angle, TOL_ANGLE, "principal angle"))
         cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
-        eq, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
-        results.append(CheckResult(
-            "dual.image_is_kernel_intersection", _echo(params, d=d),
-            f"principal angle < {TOL_ANGLE}", angle, angle,
-            "pass" if eq else "fail", 0.0,
-        ))
+        _, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
+        results.append(_within("dual.image_is_kernel_intersection", _echo(params, d=d),
+                               angle, TOL_ANGLE, "principal angle"))
     return results
 
 
@@ -589,10 +533,8 @@ def t_rank_table(params: AlgebraParams, d: int):
 
     T_d(z, -tau, ..., -tau) has four rank regimes in z; the mirrored table
     holds for T_d(tau, ..., tau, z)."""
-    t0 = time.time()
     if tau_excluded(params, d):
-        return [_refused("t_table.primary", params,
-                         "tau on excluded torsion locus", t0, d=d)]
+        return [_refused("t_table.primary", params, "tau on excluded torsion locus", d=d)]
     n, eta, tau = params.n, params.eta, params.tau
     zgen = 0.171 - 0.083j
     primary = [
@@ -619,18 +561,14 @@ def t_rank_table(params: AlgebraParams, d: int):
     ):
         cases = primary if table == "primary" else mirror
         for name, z, expected in cases:
-            td = time.time()
             rank, _ = scaled_rank(t_op(params, d, args_of(z)), params.ranks)
-            results.append(CheckResult(
-                f"t_table.{table}", _echo(params, d=d, case=name),
-                expected, rank, None,
-                "pass" if rank == expected else "fail", time.time() - td,
-            ))
+            results.append(_equals(f"t_table.{table}", _echo(params, d=d, case=name),
+                                   expected, rank))
     return results
 
 
-def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
-                m_range=(-1, 0, 1, 2),
+@_guard
+def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
                 ladder=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
     """Degeneration ladders.
 
@@ -640,12 +578,10 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
     dominated by a scalar phase that itself vanishes linearly, so the
     ladder asserts (a) monotone decay of the raw deviation and (b) the
     scalar-free deviation (distance to the target ray, which isolates the
-    structural error) below TOL_LIMIT at the smallest eps.
+    structural error) below TOL_LIMIT at the smallest eps.  The ladder
+    replaces params.tau, so the results do not depend on it.
     """
-    t0 = time.time()
-    from .rmatrix import DEFAULT_ETA
-
-    eta = DEFAULT_ETA if eta is None else eta
+    n, k = params.n, params.k
     results = []
 
     def ray_distance(A, B):
@@ -655,8 +591,7 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
     for m in m_range:
         raw, structural = [], []
         for eps in ladder:
-            pe = make_params(n, k, eta=eta, tau=eps)
-            R = r_matrix(pe, m * eps)
+            R = r_matrix(params.with_tau(eps), m * eps)
             S = sym_op(m, n)
             raw.append(float(np.linalg.norm(R - S) / np.linalg.norm(S)))
             structural.append(ray_distance(R, S))
@@ -667,7 +602,7 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
             {"n": n, "k": k, "m": m, "ladder": list(ladder)},
             f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
             {"raw": raw, "scalar_free": structural}, structural[-1],
-            "pass" if ok else "fail", 0.0,
+            "pass" if ok else "fail",
         ))
     norm = float(np.prod([factorial(m) for m in range(1, d)]))
     sym_t = symmetrizer(n, d)
@@ -675,8 +610,7 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
     for sign, target, label in ((-1, sym_t, "symmetrizer"), (1, anti_t, "antisymmetrizer")):
         raw, structural = [], []
         for eps in ladder:
-            pe = make_params(n, k, eta=eta, tau=eps)
-            F = f_op(pe, d, sign * eps).dense() / norm
+            F = f_op(params.with_tau(eps), d, sign * eps).dense() / norm
             raw.append(float(np.linalg.norm(F - target) / np.linalg.norm(target)))
             structural.append(ray_distance(F, target))
         monotone = all(raw[i + 1] < raw[i] for i in range(len(raw) - 1))
@@ -685,9 +619,8 @@ def limit_check(n: int = 3, k: int = 1, eta: complex = None, d: int = 3,
             f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)},
             f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
             {"raw": raw, "scalar_free": structural}, structural[-1],
-            "pass" if ok else "fail", 0.0,
+            "pass" if ok else "fail",
         ))
-    results[0].wall_time = time.time() - t0
     return results
 
 
@@ -699,7 +632,6 @@ def mult_identity_check(params: AlgebraParams,
     M_{b,a}(s*tau).(F_a(s*tau) (x) F_b(s*tau)) = F_{a+b}(s*tau) for both
     signs s, plus an associativity probe of the induced product on the
     images of F."""
-    t0 = time.time()
     results = []
     tau = params.tau
     for (a, b) in pairs:
@@ -709,11 +641,8 @@ def mult_identity_check(params: AlgebraParams,
             FF = f_op(params, a, s * tau).kron(f_op(params, b, s * tau))
             resid = scaled_residual(M @ FF, f_op(params, a + b, s * tau))
             worst = max(worst, resid)
-        results.append(CheckResult(
-            "mult.identity", _echo(params, a=a, b=b),
-            f"residual < {TOL_RESIDUAL}", worst, worst,
-            _status(worst, TOL_RESIDUAL), 0.0,
-        ))
+        results.append(_within("mult.identity", _echo(params, a=a, b=b),
+                               worst, TOL_RESIDUAL))
     # associativity of the induced product u*v = M_{b,a}(-tau)(u (x) v)
     rng = np.random.default_rng(seed)
     n = params.n
@@ -735,11 +664,8 @@ def mult_identity_check(params: AlgebraParams,
     rhs, r2 = product(u, a, vw, b + c)
     rhs = rhs * math.exp((r1 + r2) - (l1 + l2))
     assoc = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
-    results.append(CheckResult(
-        "mult.associativity_probe", _echo(params, split=[a, b, c], seed=seed),
-        f"residual < {TOL_RESIDUAL}", assoc, assoc, _status(assoc, TOL_RESIDUAL),
-        time.time() - t0,
-    ))
+    results.append(_within("mult.associativity_probe",
+                           _echo(params, split=[a, b, c], seed=seed), assoc, TOL_RESIDUAL))
     return results
 
 
@@ -751,10 +677,8 @@ def koszul_check(params: AlgebraParams, d: int):
     the embedded images of R(tau)) must equal the exact classical oracle
     value; the three-subspace modular condition is checked as a dimension
     equality."""
-    t0 = time.time()
     if tau_excluded(params, d):
-        return [_refused("koszul.corner_dim", params,
-                         "tau on excluded torsion locus", t0, d=d)]
+        return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
     n = params.n
     policy = params.ranks
     W = embedded_copies(spectrum(r_at_relation_point(params, 1), policy).image, n, d)
@@ -766,7 +690,6 @@ def koszul_check(params: AlgebraParams, d: int):
 
     results = []
     for ell in range(d):
-        td = time.time()
         r = d - 1 - ell
         # the two end corners are Cap[d-1] and Sig[d-1] themselves
         if ell == 0:
@@ -777,13 +700,8 @@ def koszul_check(params: AlgebraParams, d: int):
             corner = subspace_intersect([Sig[ell], Cap[r]], policy)
         if ell == 1:
             sig1_cap = corner
-        dim = corner.dim
-        expected = classical_w_dim(n, d, ell, r)
-        results.append(CheckResult(
-            "koszul.corner_dim", _echo(params, d=d, ell=ell, r=r),
-            expected, dim, None, "pass" if dim == expected else "fail",
-            time.time() - td,
-        ))
+        results.append(_equals("koszul.corner_dim", _echo(params, d=d, ell=ell, r=r),
+                               classical_w_dim(n, d, ell, r), corner.dim))
     # modular triple condition: Sig_{ell-1} + I_{r+1} = Sig_ell ^ (Sig_{ell-1} + I_r)
     # (inside this identity the empty sum Sig_0 is the zero space)
     for ell in range(1, d - 1):
@@ -795,10 +713,8 @@ def koszul_check(params: AlgebraParams, d: int):
             lhs = subspace_sum([Sig[ell - 1], Cap[r + 1]], policy)
             inner = subspace_sum([Sig[ell - 1], Cap[r]], policy)
             rhs = subspace_intersect([Sig[ell], inner], policy)
-        results.append(CheckResult(
-            "koszul.modular_triple", _echo(params, d=d, ell=ell),
-            lhs.dim, rhs.dim, None, "pass" if lhs.dim == rhs.dim else "fail", 0.0,
-        ))
+        results.append(_equals("koszul.modular_triple", _echo(params, d=d, ell=ell),
+                               lhs.dim, rhs.dim))
     return results
 
 
@@ -809,35 +725,24 @@ def frobenius_check(params: AlgebraParams):
     F_n(tau) has rank one and F_{n+1}(tau) vanishes; writing
     F_n(tau)(v_j (x) w_k) = c_{jk} F_n(tau)(x) for a reference x, the
     coefficient matrix for the split i | n-i has rank C(n,i)."""
-    t0 = time.time()
     n = params.n
     if tau_excluded(params, n + 1):
-        return [_refused("frobenius.pairing_rank", params,
-                         "tau on excluded torsion locus", t0)]
+        return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
     Fs = f_op(params, n, params.tau)
     rank, _ = scaled_rank(Fs, params.ranks)
-    results.append(CheckResult(
-        "frobenius.top_rank_one", _echo(params), 1, rank, None,
-        "pass" if rank == 1 else "fail", 0.0,
-    ))
+    results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
     rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
-    results.append(CheckResult(
-        "frobenius.vanishing_above_top", _echo(params, d=n + 1), 0, rank1, None,
-        "pass" if rank1 == 0 else "fail", 0.0,
-    ))
+    results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1), 0, rank1))
     F = Fs.mat
     xcol = int(np.argmax(np.linalg.norm(F, axis=0)))
     u = F[:, xcol]
     coeffs = (u.conj() @ F) / np.vdot(u, F[:, xcol])
     for i in range(n + 1):
         C = coeffs.reshape(n ** i, n ** (n - i))
-        r, gap = svd_rank(C, params.ranks)
-        results.append(CheckResult(
-            "frobenius.pairing_rank", _echo(params, split=f"{i}|{n - i}"),
-            comb(n, i), r, None, "pass" if r == comb(n, i) else "fail", 0.0,
-        ))
-    results[0].wall_time = time.time() - t0
+        r, _ = svd_rank(C, params.ranks)
+        results.append(_equals("frobenius.pairing_rank", _echo(params, split=f"{i}|{n - i}"),
+                               comb(n, i), r))
     return results
 
 
@@ -846,35 +751,22 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     """Transpose duality: R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z),
     and the induced match of relation spaces between the (n,k) algebra and
     its (n, n-k) partner."""
-    t0 = time.time()
     n = params.n
     rng = np.random.default_rng(seed)
-    results = []
     worst = max(dual_transpose_check(params, z) for z in _random_z(rng, 5))
-    results.append(CheckResult(
-        "dual_algebra.transpose_law", _echo(params, seed=seed),
-        f"residual < {TOL_TRANSFORM}", worst, worst, _status(worst, TOL_TRANSFORM),
-        time.time() - t0,
-    ))
-    if math.gcd(n - params.k, n) == 1:
-        partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
-                              ranks=params.ranks)
-        A = image(r_matrix(params, params.tau).T, params.ranks)
-        B = image(r_matrix(partner, -params.tau), params.ranks)
-        eq, angle = subspace_equal(A, B, TOL_ANGLE)
-        results.append(CheckResult(
-            "dual_algebra.relation_space_match",
-            _echo(params, partner_k=n - params.k),
-            f"principal angle < {TOL_ANGLE}", angle, angle,
-            "pass" if eq else "fail", 0.0,
-        ))
-    nullity, _ = svd_rank(r_matrix(params, params.tau), params.ranks)
-    nullity = n * n - nullity
-    results.append(CheckResult(
-        "dual_algebra.kernel_dim_at_tau", _echo(params), comb(n + 1, 2), nullity,
-        None, "pass" if nullity == comb(n + 1, 2) else "fail", 0.0,
-    ))
-    return results
+    partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
+                          ranks=params.ranks)
+    # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity
+    spec = spectrum(r_matrix(params, params.tau).T, params.ranks)
+    partner_image = image(r_matrix(partner, -params.tau), params.ranks)
+    _, angle = subspace_equal(spec.image, partner_image, TOL_ANGLE)
+    return [
+        _within("dual_algebra.transpose_law", _echo(params, seed=seed), worst, TOL_TRANSFORM),
+        _within("dual_algebra.relation_space_match", _echo(params, partner_k=n - params.k),
+                angle, TOL_ANGLE, "principal angle"),
+        _equals("dual_algebra.kernel_dim_at_tau", _echo(params), comb(n + 1, 2),
+                n * n - spec.rank),
+    ]
 
 
 @_guard
@@ -882,7 +774,6 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     """Weight-function operator family: value 1 at z = 0, the braid-form
     Yang-Baxter identity for the one-parameter family, and the relation
     tying the generalized family back to R."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
@@ -900,28 +791,21 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
         rhs = e23(Sv) @ e13(Suv) @ e12(Su)
         worst_qybe1 = max(worst_qybe1, _rel(lhs - rhs, lhs, rhs))
     at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
-    elapsed = time.time() - t0
     return [
-        CheckResult("weights.relation_to_r", _echo(params, trials=trials, seed=seed),
-                    f"residual < {TOL_RESIDUAL}", worst_rel, worst_rel,
-                    _status(worst_rel, TOL_RESIDUAL), elapsed),
-        CheckResult("weights.qybe_one_parameter", _echo(params, trials=trials),
-                    f"residual < {TOL_RESIDUAL}", worst_qybe1, worst_qybe1,
-                    _status(worst_qybe1, TOL_RESIDUAL), 0.0),
-        CheckResult("weights.swap_at_zero", _echo(params),
-                    f"residual < 1e-10", at_zero, at_zero, _status(at_zero, 1e-10), 0.0),
+        _within("weights.relation_to_r", _echo(params, trials=trials, seed=seed),
+                worst_rel, TOL_RESIDUAL),
+        _within("weights.qybe_one_parameter", _echo(params, trials=trials),
+                worst_qybe1, TOL_RESIDUAL),
+        _within("weights.swap_at_zero", _echo(params), at_zero, 1e-10),
     ]
 
 
-def theta_property_check(n: int = 3, eta: complex = None, seed: int = 0):
+@_guard
+def theta_property_check(params: AlgebraParams, seed: int = 0):
     """Quasi-periodicity of the theta kernel, the characteristic shift law,
     zero loci, and consistency of the order-n factorization constant."""
-    t0 = time.time()
-    from .rmatrix import DEFAULT_ETA
-
-    eta = DEFAULT_ETA if eta is None else eta
+    n, eta, ctx = params.n, params.eta, params.theta
     rng = np.random.default_rng(seed)
-    ctx = ThetaContext(n, LatticeParams(eta))
     worst = 0.0
     for _ in range(4):
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
@@ -939,41 +823,27 @@ def theta_property_check(n: int = 3, eta: complex = None, seed: int = 0):
     # factor constant agrees across its sample points
     c = factor_constant(ctx)
     worst_c = 0.0
-    from .theta import theta_char
-
     for alpha, z in ((0, 0.21 + 0.11j), (1, -0.17 + 0.23j)):
         lhs = theta_char(alpha / n + 0.5, 0.5, z, n * eta)
         rhs = e_fn(-0.5 * z) * theta_alpha(alpha, z / n, ctx) / c
         worst_c = max(worst_c, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    elapsed = time.time() - t0
     return [
-        CheckResult("theta.quasi_periodicity", {"n": n, "eta": [eta.real, eta.imag]},
-                    f"residual < {TOL_THETA}", worst, worst, _status(worst, TOL_THETA),
-                    elapsed),
-        CheckResult("theta.zero_locus", {"n": n},
-                    f"|values at zeros| < {TOL_THETA}", max(zero, alpha_zero),
-                    max(zero, alpha_zero), _status(max(zero, alpha_zero), TOL_THETA), 0.0),
-        CheckResult("theta.factorization_constant", {"n": n},
-                    f"residual < {TOL_THETA}", worst_c, worst_c,
-                    _status(worst_c, TOL_THETA), 0.0),
+        _within("theta.quasi_periodicity", {"n": n, "eta": [eta.real, eta.imag]},
+                worst, TOL_THETA),
+        _within("theta.zero_locus", {"n": n}, max(zero, alpha_zero), TOL_THETA,
+                "|values at zeros|"),
+        _within("theta.factorization_constant", {"n": n}, worst_c, TOL_THETA),
     ]
 
 
 def shuffle_decomposition_check(max_total: int = 4):
     """Exact group-algebra shuffle decomposition for all a+b <= max_total."""
-    t0 = time.time()
-    results = []
-    for total in range(2, max_total + 1):
-        for a in range(1, total):
-            b = total - a
-            ok = shuffle_identity_check(a, b)
-            results.append(CheckResult(
-                "shuffle.decomposition", {"a": a, "b": b}, True, ok, None,
-                "pass" if ok else "fail", 0.0,
-            ))
-    if results:
-        results[0].wall_time = time.time() - t0
-    return results
+    return [
+        _equals("shuffle.decomposition", {"a": a, "b": total - a}, True,
+                shuffle_identity_check(a, total - a))
+        for total in range(2, max_total + 1)
+        for a in range(1, total)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +852,13 @@ def shuffle_decomposition_check(max_total: int = 4):
 
 
 def run_suite(params: AlgebraParams, checks, d_max: int = 4, seed: int = 0) -> list:
-    """Run the named check groups against one parameter set."""
+    """Run the named check groups against one parameter set.
+
+    Each group is timed once; its wall time goes on its first result in run
+    order and every other result keeps 0.0.  The lambdas look the check
+    functions up at call time, so a check rebound on this module (a tracer,
+    a recorder) is the one that runs.
+    """
     dispatch = {
         "qybe": lambda: qybe_check(params, seed=seed),
         "transforms": lambda: transform_check(params, seed=seed),
@@ -993,13 +869,13 @@ def run_suite(params: AlgebraParams, checks, d_max: int = 4, seed: int = 0) -> l
         "dual": lambda: dual_hilbert_check(params, d_max=d_max + 1),
         "koszul": lambda: sum((koszul_check(params, d) for d in range(3, d_max + 1)), []),
         "frobenius": lambda: frobenius_check(params),
-        "limits": lambda: limit_check(params.n, params.k, params.eta),
+        "limits": lambda: limit_check(params),
         "twist": lambda: twist_rank_check(params),
         "t_table": lambda: sum((t_rank_table(params, d) for d in (3, 4)), []),
         "mult": lambda: mult_identity_check(params, seed=seed),
         "dual_algebra": lambda: dual_algebra_check(params, seed=seed),
         "weights": lambda: weight_family_check(params, seed=seed),
-        "theta": lambda: theta_property_check(params.n, params.eta, seed=seed),
+        "theta": lambda: theta_property_check(params, seed=seed),
         "shuffle": lambda: shuffle_decomposition_check(),
     }
     unknown = [c for c in checks if c not in dispatch]
@@ -1007,7 +883,11 @@ def run_suite(params: AlgebraParams, checks, d_max: int = 4, seed: int = 0) -> l
         raise ValueError(f"unknown checks: {unknown}")
     results = []
     for name in checks:
-        results.extend(dispatch[name]())
+        t0 = time.perf_counter()
+        group = dispatch[name]()
+        if group:
+            group[0].wall_time = time.perf_counter() - t0
+        results.extend(group)
     return results
 
 

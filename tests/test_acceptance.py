@@ -146,13 +146,15 @@ def test_criterion_11_limit_suite():
     # the pinned threshold is therefore asserted on the scalar-free deviation
     # (distance to the target ray) while monotone decay is asserted on the
     # raw deviation ladder.  See the limit checks' recorded ladders.
-    results, elapsed = _run(V.limit_check, 3, 1)
+    results, elapsed = _run(V.limit_check, make_params(3, 1))
     _assert_all_pass(results)
     for r in results:
         raw = r.observed["raw"]
         if r.params.get("m") != 0:
             assert all(b < a for a, b in zip(raw, raw[1:]))
         assert r.observed["scalar_free"][-1] < 1e-2
+    # the eps ladder replaces tau, so the tau of the params does not matter
+    assert V.limit_check(make_params(3, 1, tau=0.2)) == results
     assert elapsed < 30
 
 

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ellr.linalg import Subspace, subspace_equal
 from ellr.rmatrix import make_params
 from ellr import verifiers as V
 from ellr.cli import main, emit, parse_report, build_report, resolve_config, UsageError
@@ -67,6 +68,40 @@ def test_no_matrix_is_decomposed_twice(monkeypatch, run):
     assert decomposed
     repeated = {k: c for k, c in decomposed.items() if c > 1}
     assert not repeated, [(k[0], c) for k, c in repeated.items()]
+
+
+def test_each_check_group_is_timed_once_on_its_first_result():
+    groups = ["hilbert", "koszul", "t_table", "qybe", "shuffle"]
+    results = V.run_suite(P31, groups, d_max=3)
+    first = {}
+    for i, r in enumerate(results):
+        first.setdefault(r.name.split(".")[0], i)
+    assert list(first) == groups
+    for i, r in enumerate(results):
+        if i in first.values():
+            assert r.wall_time > 0, r.name
+        else:
+            assert r.wall_time == 0.0, (i, r.name)
+    # a check called directly is not timed
+    assert all(r.wall_time == 0.0 for r in V.hilbert_check(P31, 3))
+
+
+def _line_and_plane():
+    eye = np.eye(3, dtype=complex)
+    return Subspace(3, eye[:, :1], 0.0), Subspace(3, eye[:, :2], 0.0)
+
+
+@pytest.mark.parametrize("value, tol", (
+    (1e-8, 1e-8),
+    (math.nan, V.TOL_LIMIT),  # limit_check's ladders read NaN at n=2
+    (subspace_equal(*_line_and_plane(), V.TOL_ANGLE)[1], V.TOL_ANGLE),
+), ids=("at_tolerance", "nan", "angle_across_dimensions"))
+def test_value_not_strictly_below_tolerance_fails(value, tol):
+    res = V._within("synthetic", {}, value, tol)
+    assert res.status == "fail"
+    assert res.expected == f"residual < {tol}"
+    np.testing.assert_equal([res.observed, res.residual], [value, value])
+    assert V._within("synthetic", {}, tol / 2, tol).status == "pass"
 
 
 def test_half_torsion_nullity_recorded_not_asserted():
