@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -54,6 +55,7 @@ def _parse_complex_pair(text) -> complex:
     raise UsageError(f"expected a 're,im' pair, got {text!r}")
 
 
+@functools.cache  # one parser per process: each build leaves ~700 objects of cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellr",

@@ -8,6 +8,7 @@ index i*n + j (row-major).  All operators are dense complex matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .theta import (
     ThetaContext,
     e_fn,
     nearest_lattice_distance,
-    theta_alpha,
+    theta_alpha_rows,
     w_fn,
 )
 
@@ -45,12 +46,13 @@ class HalfPeriodPoint:
         return self.a / n + (self.b / n) * eta
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraParams:
     """The tuple (n, k, tau, eta) plus the rank policy.
 
     Requires n >= 2, 1 <= k < n, gcd(n, k) = 1.  k_prime is the inverse of k
-    mod n with 1 <= k_prime < n.
+    mod n with 1 <= k_prime < n.  Frozen, so the parameter-only parts of
+    r_matrix can be cached on the instance; with_tau and with_k build new ones.
     """
 
     n: int
@@ -68,7 +70,10 @@ class AlgebraParams:
             raise ValueError("n and k must be coprime")
         if self.theta.n != self.n:
             raise ValueError("theta context built for a different n")
-        self.k_prime = pow(self.k, -1, self.n)
+
+    @property
+    def k_prime(self) -> int:
+        return pow(self.k, -1, self.n)
 
     @property
     def eta(self) -> complex:
@@ -83,6 +88,18 @@ class AlgebraParams:
     def tau_is_torsion(self) -> bool:
         """True when tau is within TORSION_TOL of (1/n)Lambda."""
         return nearest_lattice_distance(self.n * self.tau, self.eta) / self.n < TORSION_TOL
+
+    @functools.cached_property
+    def _r_denominators(self) -> np.ndarray:
+        """[theta_alpha(tau) * prod_{beta>=1} theta_beta(0) for alpha in Z_n], the
+        parameter-only denominators of r_matrix.  Raises TorsionParameterError
+        (and so caches nothing) when tau is torsion."""
+        if self.tau_is_torsion():
+            raise TorsionParameterError(
+                "tau lies on (1/n)Lambda; use r_plus_limit for the limiting operators"
+            )
+        th_t, th_0 = theta_alpha_rows([self.tau, 0.0], self.theta)
+        return th_t * np.prod(th_0[1:])
 
 
 def make_params(
@@ -117,23 +134,20 @@ def basis_ops(params: AlgebraParams):
     for a in range(n):
         T[(a + 1) % n, a] = 1.0
         N[(-a) % n, a] = 1.0
-    P = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            P[j * n + i, i * n + j] = 1.0
-    return {"S": S, "T": T, "N": N, "P": P}
+    return {"S": S, "T": T, "N": N, "P": _swap(n)}
 
 
-def _int_matrix_power(M: np.ndarray, p: int) -> np.ndarray:
-    if p >= 0:
-        return np.linalg.matrix_power(M, p)
-    return np.linalg.matrix_power(np.linalg.inv(M), -p)
+def _swap(n: int) -> np.ndarray:
+    """The flip P(x_i ⊗ x_j) = x_j ⊗ x_i on V ⊗ V."""
+    flip = np.eye(n * n, dtype=complex).reshape(n, n, n, n).transpose(1, 0, 2, 3)
+    return flip.reshape(n * n, n * n)
 
 
 def torsion_op(params: AlgebraParams, a: int, b: int) -> np.ndarray:
     """The operator C = T^b S^{k a} attached to zeta = a/n + (b/n) eta."""
     ops = basis_ops(params)
-    return _int_matrix_power(ops["T"], b) @ _int_matrix_power(ops["S"], params.k * a)
+    # matrix_power inverts first for a negative power
+    return np.linalg.matrix_power(ops["T"], b) @ np.linalg.matrix_power(ops["S"], params.k * a)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +155,23 @@ def torsion_op(params: AlgebraParams, a: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _theta_row(params: AlgebraParams, w):
-    """[theta_alpha(w) for alpha in Z_n]."""
-    ctx = params.theta
-    return [theta_alpha(alpha, w, ctx) for alpha in range(ctx.n)]
+@functools.lru_cache(maxsize=32)
+def _r_indices(n: int, k: int):
+    """Index arrays of r_matrix for one (n, k).
+
+    The summand for (i, j, r) depends on d = j - i and r only, through
+    C[d, r] = front[d - r] * theta_{d + r(k-1)}(-z+tau) / den[k r].  Returns
+    the three gathers (d - r, d + r(k-1), k r) over the (d, r) grid, and for
+    every (i, j, r) its flat position in the n^2 x n^2 matrix and its (d, r)
+    entry of C.
+    """
+    d, r = np.indices((n, n))
+    i, j, rr = np.indices((n, n, n)).reshape(3, -1)
+    pos = (((j - rr) % n) * n + (i + rr) % n) * n * n + i * n + j  # row-major (row, col)
+    out = ((d - r) % n, (d + r * (k - 1)) % n, (k * r) % n, pos, ((j - i) % n) * n + rr)
+    for a in out:  # shared by every call: read-only
+        a.flags.writeable = False
+    return out
 
 
 def r_matrix(params: AlgebraParams, z) -> np.ndarray:
@@ -159,53 +186,26 @@ def r_matrix(params: AlgebraParams, z) -> np.ndarray:
     symbolically; this realizes the removable singularities exactly and makes
     the entries finite for every z.  R(0) = I ⊗ I exactly.
 
-    The result is a complex128 array.
+    The two z-dependent theta rows come from one theta_alpha_rows call; the
+    rows at tau and 0 are cached on params.  The result is a complex128 array.
     """
-    n, k, tau = params.n, params.k, params.tau
-    if params.tau_is_torsion():
-        raise TorsionParameterError(
-            "tau lies on (1/n)Lambda; use r_plus_limit for the limiting operators"
-        )
-    th_mz = _theta_row(params, -z)  # theta_alpha(-z)
-    th_mzt = _theta_row(params, -z + tau)  # theta_alpha(-z + tau)
-    th_t = _theta_row(params, tau)  # theta_alpha(tau)
-    th_0 = _theta_row(params, 0.0)  # theta_alpha(0)
-    denom0 = th_0[1]
-    for alpha in range(2, n):
-        denom0 = denom0 * th_0[alpha]
-    # product over alpha != s of theta_alpha(-z)
-    front_excl = []
-    for s in range(n):
-        prod = None
-        for alpha in range(n):
-            if alpha == s:
-                continue
-            prod = th_mz[alpha] if prod is None else prod * th_mz[alpha]
-        front_excl.append(prod)
-
-    M = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for r in range(n):
-                row = ((j - r) % n) * n + (i + r) % n
-                s = (j - i - r) % n
-                coef = (
-                    front_excl[s]
-                    * th_mzt[(j - i + r * (k - 1)) % n]
-                    / (denom0 * th_t[(k * r) % n])
-                )
-                M[row, col] += coef
-    return M
+    n = params.n
+    den = params._r_denominators
+    front_idx, mzt_idx, den_idx, pos, entry = _r_indices(n, params.k)
+    th_mz, th_mzt = theta_alpha_rows([-z, -z + params.tau], params.theta)
+    # front[s] = prod_{alpha != s} theta_alpha(-z), from prefix and suffix
+    # products: theta_s(-z) may vanish, so it is never divided out
+    before = np.cumprod(np.concatenate(([1.0], th_mz[:-1])))
+    after = np.cumprod(np.concatenate(([1.0], th_mz[:0:-1])))[::-1]
+    coef = (before * after)[front_idx] * th_mzt[mzt_idx] / den[den_idx]
+    M = np.zeros(n ** 4, dtype=complex)
+    M[pos] = coef.ravel()[entry]
+    return M.reshape(n * n, n * n)
 
 
 def sym_op(m: int, n: int) -> np.ndarray:
     """sym_m(v ⊗ v') = v ⊗ v' - m v' ⊗ v, i.e. the matrix I - m P."""
-    P = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            P[j * n + i, i * n + j] = 1.0
-    return np.eye(n * n, dtype=complex) - m * P
+    return np.eye(n * n, dtype=complex) - m * _swap(n)
 
 
 def b_fn(params: AlgebraParams, z) -> complex:
@@ -260,16 +260,23 @@ def _heisenberg_i(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
-def weight_op(params: AlgebraParams, z) -> np.ndarray:
-    """S(z) = sum_{(a,b) in Z_n^2} w_{(a,b)}(z) I_{(a,b)} ⊗ I_{(a,b)}^{-1}."""
+def _weight_sum(params: AlgebraParams, z, step: int) -> np.ndarray:
+    """sum_{(a,b) in Z_n^2} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(step*a, b)}; the
+    n^2 weights come from one array call of w_fn."""
     n = params.n
+    idx = np.arange(n)
+    w = w_fn(idx[:, None], idx, z, params.tau, params.theta)
     total = np.zeros((n * n, n * n), dtype=complex)
     for a in range(n):
         for b in range(n):
-            w = w_fn(a, b, z, params.tau, params.theta)
-            I_p = _heisenberg_i(n, a, b)
-            total += w * np.kron(I_p, np.linalg.inv(I_p))
+            J = _heisenberg_i(n, (step * a) % n, b)
+            total += w[a, b] * np.kron(J, np.linalg.inv(J))
     return total
+
+
+def weight_op(params: AlgebraParams, z) -> np.ndarray:
+    """S(z) = sum_{(a,b) in Z_n^2} w_{(a,b)}(z) I_{(a,b)} ⊗ I_{(a,b)}^{-1}."""
+    return _weight_sum(params, z, 1)
 
 
 def weight_op_k(params: AlgebraParams, z) -> np.ndarray:
@@ -277,14 +284,7 @@ def weight_op_k(params: AlgebraParams, z) -> np.ndarray:
     i.e. J x_i = omega^{i b} x_{i + k' a}.  Satisfies
     S_k(-n z) = n e(n(n+1) z / 2) P R_{n,k,tau}(z).
     """
-    n, kp = params.n, params.k_prime
-    total = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            w = w_fn(a, b, z, params.tau, params.theta)
-            J = _heisenberg_i(n, (-kp * a) % n, b)
-            total += w * np.kron(J, np.linalg.inv(J))
-    return total
+    return _weight_sum(params, z, -params.k_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +300,11 @@ def det_closed_form(params: AlgebraParams, z):
 
     Independent of k; equals 1 at z = 0.
     """
-    n = params.n
-    tau = params.tau
-    num1 = _theta_row(params, -z - tau)
-    den1 = _theta_row(params, -tau)
-    num2 = _theta_row(params, -z + tau)
-    den2 = _theta_row(params, tau)
-    p1 = num1[0] / den1[0]
-    p2 = num2[0] / den2[0]
-    for alpha in range(1, n):
-        p1 = p1 * num1[alpha] / den1[alpha]
-        p2 = p2 * num2[alpha] / den2[alpha]
-    return p1 ** (n * (n - 1) // 2) * p2 ** (n * (n + 1) // 2)
+    n, tau = params.n, params.tau
+    num1, den1, num2, den2 = theta_alpha_rows([-z - tau, -tau, -z + tau, tau], params.theta)
+    p1 = np.prod(num1 / den1)
+    p2 = np.prod(num2 / den2)
+    return complex(p1 ** (n * (n - 1) // 2) * p2 ** (n * (n + 1) // 2))
 
 
 def alt_norm_det_closed_form(params: AlgebraParams, z):
@@ -321,13 +314,9 @@ def alt_norm_det_closed_form(params: AlgebraParams, z):
     (-1)^{n^2(n-1)/2} e(n^3(n-1) tau / 2)
       * (prod_alpha theta_alpha(-z-tau) / prod_alpha theta_alpha(-z+tau))^{n(n-1)/2}.
     """
-    n = params.n
-    tau = params.tau
-    num = _theta_row(params, -z - tau)
-    den = _theta_row(params, -z + tau)
-    ratio = num[0] / den[0]
-    for alpha in range(1, n):
-        ratio = ratio * num[alpha] / den[alpha]
+    n, tau = params.n, params.tau
+    num, den = theta_alpha_rows([-z - tau, -z + tau], params.theta)
+    ratio = complex(np.prod(num / den))
     sign = (-1) ** ((n * n * (n - 1) // 2) % 2)
     return sign * e_fn(n**3 * (n - 1) * tau / 2) * ratio ** (n * (n - 1) // 2)
 
@@ -335,13 +324,8 @@ def alt_norm_det_closed_form(params: AlgebraParams, z):
 def alt_norm_prefactor(params: AlgebraParams, z):
     """prod_alpha theta_alpha(-z+tau)/theta_alpha(tau), the scalar relating
     R_tau(z) to the alternative normalization."""
-    n = params.n
-    num = _theta_row(params, -z + params.tau)
-    den = _theta_row(params, params.tau)
-    p = num[0] / den[0]
-    for alpha in range(1, n):
-        p = p * num[alpha] / den[alpha]
-    return p
+    num, den = theta_alpha_rows([-z + params.tau, params.tau], params.theta)
+    return complex(np.prod(num / den))
 
 
 def dual_transpose_check(params: AlgebraParams, z) -> float:

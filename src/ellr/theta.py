@@ -3,22 +3,31 @@
 Evaluates the order-1 theta function theta(z), the order-n family
 theta_alpha(z) (alpha in Z_n), the Jacobi theta function with
 characteristics, and the torsion-indexed weight functions w_{(a,b)}(z), all from
-truncated exponential series.  Arguments are reduced toward the fundamental
-parallelogram with the exact quasi-periodicity laws before summing, so the
-series converges fast unless Im(eta) is tiny, and never overflows for
-large |Im z|.
+truncated exponential series.  Every argument is first reduced with the
+exact quasi-periodicity laws to z0 with |Im z0| <= Im(eta)/2, so the series
+never overflows for large |Im z|.
 
-All series use a symmetric index window that grows until the terms drop
-below ``REL_TOL`` times the largest term seen so far; a series that has not
-converged within ``MAX_INDEX`` terms raises ``TruncationError``.  All
-arithmetic is double-precision complex.
+Every series, scalar or array, is one private array sum ``_series`` over
+a fixed index window m in [-M, M].  After the reduction the terms obey
+|term_m| <= exp(-pi Im(eta) (m^2 - 2|m|)) (Mumford, Tata Lectures on
+Theta I, ch. I), so M follows in O(1) from Im(eta): the smallest M whose
+first omitted term is below ``REL_TOL``.  A lattice that needs
+M > ``MAX_INDEX`` raises ``TruncationError`` when its ``ThetaContext`` is
+built, not partway through a series.  All arithmetic is complex128.
+
+theta_alpha keeps its product definition over n shifted copies of theta(z)
+rather than one series of its own, so the factorization constant and the
+theta-property check compare two independent evaluations.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import threading
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -28,7 +37,7 @@ MAX_INDEX = 200
 
 
 class TruncationError(ValueError):
-    """Series failed to converge within MAX_INDEX terms (Im eta too small)."""
+    """The index window for Im(eta) exceeds MAX_INDEX (Im eta too small)."""
 
 
 class SingularParameterError(ValueError):
@@ -40,9 +49,42 @@ def e_fn(z):
     return cmath.exp(TWO_PI_I * complex(z))
 
 
-def _e(w):
-    """e(w) for a complex w: the series terms' exponential, without e_fn's coercion."""
-    return cmath.exp(TWO_PI_I * w)
+def _window(eta) -> int:
+    """Half-width M of the index window m in [-M, M] for the lattice eta:
+    the smallest M with exp(-pi Im(eta) ((M+1)^2 - 2(M+1))) <= REL_TOL."""
+    tail = math.log(1 / REL_TOL) / (math.pi * complex(eta).imag)
+    if 1 + tail > MAX_INDEX ** 2:
+        raise TruncationError(
+            f"theta series did not converge within {MAX_INDEX} terms; Im(eta) is too small"
+        )
+    return math.ceil(math.sqrt(1 + tail))
+
+
+def _series(z, eta: complex, M: int, odd: int):
+    """sum_m (-1)^(odd m) e(m z + m (m - odd) eta / 2) for every entry of z.
+
+    odd = 1 gives theta(z), odd = 0 the Jacobi theta function.  Each entry is
+    written z = z0 + s*eta + t (s, t integers, |Im z0| <= Im(eta)/2), summed
+    at z0 over m in [-M, M+1] (the window [-M, M] closed under m -> 1 - m),
+    and carried back by (-1)^(odd s) e(-s z0 - s (s - odd) eta / 2).
+    """
+    z = np.asarray(z, dtype=complex)
+    s = np.round(z.imag / eta.imag)
+    z0 = z - s * eta
+    z0 = z0 - np.round(z0.real)
+    m = np.arange(-M, M + 2)
+    terms = (1 - 2 * (odd * m % 2)) * np.exp(
+        TWO_PI_I * (np.multiply.outer(z0, m) + 0.5 * m * (m - odd) * eta))
+    # the terms m and 1 - m are added first: for theta they cancel exactly
+    # at z0 = 0, so theta vanishes on the lattice to rounding of z0 alone
+    total = (terms[..., M + 1:] + terms[..., M::-1]).sum(axis=-1)
+    factor = (1 - 2 * (odd * s % 2)) * np.exp(TWO_PI_I * (-s * z0 - 0.5 * s * (s - odd) * eta))
+    return factor * total
+
+
+def _out(x):
+    """A 0-d result as a Python complex; arrays pass through."""
+    return complex(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -58,106 +100,71 @@ class LatticeParams:
 
 @dataclass
 class ThetaContext:
-    """Bundles n and the lattice; caches the factor constant."""
+    """Bundles n and the lattice; fixes the series window (TruncationError
+    past MAX_INDEX terms) and caches the factor constant."""
 
     n: int
     lattice: LatticeParams
+    window: int = field(init=False, repr=False, compare=False)
+    _shifts: np.ndarray = field(init=False, repr=False, compare=False)
+    _phases: np.ndarray = field(init=False, repr=False, compare=False)
     _factor_c: complex | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        n, eta = self.n, complex(self.eta)
+        self.window = _window(eta)
+        alpha = np.arange(n)
+        # theta_alpha(w) = e(alpha w + _phases[alpha]) prod_m theta(w + _shifts[alpha, m])
+        self._shifts = alpha / n + alpha[:, None] * eta / n
+        self._phases = alpha / (2 * n) + alpha * (alpha - n) * eta / (2 * n)
 
     @property
     def eta(self):
         return self.lattice.eta
 
 
-def _reduce(z, eta):
-    """Write z = z0 + s*eta + t with s, t integers and z0 near the base cell.
-
-    Returns (z0, s, t).
-    """
-    zc, ec = complex(z), complex(eta)
-    s = round(zc.imag / ec.imag)
-    t = round((zc - s * ec).real)
-    z0 = zc - s * ec - t
-    return z0, s, t
-
-
-def _sym_series(term):
-    """Sum term(m) over a symmetric window m in [-M, M] grown adaptively."""
-    total = term(0)
-    biggest = abs(total)
-    quiet = 0
-    for m in range(1, MAX_INDEX + 1):
-        tp, tm = term(m), term(-m)
-        total += tp + tm
-        mag = max(abs(tp), abs(tm))
-        biggest = max(biggest, mag, abs(total))
-        if mag <= REL_TOL * max(biggest, 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise TruncationError(
-        f"theta series did not converge within {MAX_INDEX} terms; Im(eta) is too small"
-    )
-
-
 def theta1(z, ctx: ThetaContext):
     """Order-1 theta function theta(z) = sum_m (-1)^m e(mz + m(m-1)eta/2).
 
     Satisfies theta(z+1) = theta(z) and theta(z+eta) = -e(-z) theta(z);
-    vanishes exactly on the lattice.
+    vanishes exactly on the lattice.  Elementwise over an array z.
     """
-    eta = complex(ctx.eta)
-    z0, s, t = _reduce(z, eta)
+    return _out(_series(z, complex(ctx.eta), ctx.window, 1))
 
-    def term(m):
-        return (-1) ** (m & 1) * _e(m * z0 + 0.5 * m * (m - 1) * eta)
 
-    base = _sym_series(term)
-    # theta(z0 + s*eta) = (-1)^s e(-s z0 - s(s-1) eta / 2) theta(z0)
-    factor = (-1) ** (s & 1) * _e(-s * z0 - 0.5 * s * (s - 1) * eta)
-    return factor * base
+def theta_alpha_rows(ws, ctx: ThetaContext) -> np.ndarray:
+    """The (len(ws), n) array of theta_alpha(w) for every w in ws and alpha in Z_n:
+
+    theta_alpha(w) = e(alpha w + alpha/2n + alpha(alpha-n) eta/2n)
+                     * prod_{m=0}^{n-1} theta1(w + m/n + alpha eta/n),
+
+    all theta1 factors taken in one series call.
+    """
+    w = np.asarray(ws, dtype=complex)[:, None]
+    pref = np.exp(TWO_PI_I * (np.arange(ctx.n) * w + ctx._phases))
+    return pref * theta1(w[:, :, None] + ctx._shifts, ctx).prod(axis=-1)
 
 
 def theta_alpha(alpha: int, z, ctx: ThetaContext):
-    """theta_alpha(z), alpha in Z_n: order-n theta function.
-
-    theta_alpha(z) = e(alpha z + alpha/2n + alpha(alpha-n) eta/2n)
-                     * prod_{m=0}^{n-1} theta1(z + m/n + alpha eta/n).
+    """theta_alpha(z), alpha in Z_n: order-n theta function (see theta_alpha_rows).
 
     The family is periodic in alpha with period n; alpha is reduced mod n.
     Quasi-periodicity: theta_alpha(z + 1/n) = e(alpha/n) theta_alpha(z).
     Zero locus: -(alpha/n)eta + (1/n)Z + Z eta.
     """
-    n = ctx.n
-    alpha %= n
-    z, eta = complex(z), complex(ctx.eta)
-    prod = _e(alpha * z + alpha / (2 * n) + alpha * (alpha - n) * eta / (2 * n))
-    for m in range(n):
-        prod *= theta1(z + m / n + alpha * eta / n, ctx)
-    return prod
+    return complex(theta_alpha_rows([z], ctx)[0, alpha % ctx.n])
 
 
 def jacobi_theta(z, eta):
-    """Jacobi theta: sum_m e(mz + m^2 eta / 2), with argument reduction."""
-    z0, s, t = _reduce(z, eta)
-    eta = complex(eta)
-
-    def term(m):
-        return _e(m * z0 + 0.5 * m * m * eta)
-
-    base = _sym_series(term)
-    # theta(z0 + s*eta + t) = e(-s z0 - s^2 eta / 2) theta(z0)
-    return _e(-s * z0 - 0.5 * s * s * eta) * base
+    """Jacobi theta: sum_m e(mz + m^2 eta / 2), with argument reduction.
+    Elementwise over an array z."""
+    return _out(_series(z, complex(eta), _window(eta), 0))
 
 
-def theta_char(a: float, b: float, z, eta):
+def theta_char(a, b, z, eta):
     """Theta function with characteristics a, b:
 
     sum_m e((a+m)(z+b) + (a+m)^2 eta / 2)
@@ -165,13 +172,14 @@ def theta_char(a: float, b: float, z, eta):
 
     Periodicity: [a+1; b] = [a; b] and [a; b+1] = e(a) [a; b].
     Vanishes iff z in (1+eta)/2 - (a*eta + b) + Lambda.
+    a, b and z broadcast against each other as numpy arrays.
     """
-    # shift a into [-1/2, 1/2) using the exact a -> a+1 periodicity
-    sa = round(a)
-    a = a - sa
-    zw, etaw = complex(z), complex(eta)
-    pref = _e(a * (zw + b) + 0.5 * a * a * etaw)
-    return pref * jacobi_theta(zw + a * etaw + b, eta)
+    # shift a into [-1/2, 1/2] using the exact a -> a+1 periodicity
+    a = np.asarray(a, dtype=float)
+    a = a - np.round(a)
+    z, eta = np.asarray(z, dtype=complex), complex(eta)
+    pref = np.exp(TWO_PI_I * (a * (z + b) + 0.5 * a * a * eta))
+    return _out(pref * _series(z + a * eta + b, eta, _window(eta), 0))
 
 
 def theta_char_shift_check(a, b, s: int, t: int, z, eta) -> float:
@@ -222,15 +230,19 @@ def nearest_lattice_distance(z, eta) -> float:
     return best
 
 
-def w_fn(a: int, b: int, z, tau, ctx: ThetaContext):
+def w_fn(a, b, z, tau, ctx: ThetaContext):
     """Torsion-indexed weight w_{(a,b)}(z) = theta_char[a/n; b/n](z + xi) / theta_char[a/n; b/n](xi)
     with xi = tau + (1+eta)/2.  Depends on (a, b) only mod n; w_{(a,b)}(0) = 1.
+    a and b may be integer arrays (broadcast together); numerators and
+    denominators are then taken in one theta_char call.
     """
     n, eta = ctx.n, ctx.eta
     xi = tau + 0.5 * (1 + eta)
-    denom = theta_char(a / n, b / n, xi, eta)
-    if abs(denom) < 1e-12:
+    ndim = np.broadcast(a, b).ndim
+    num, den = theta_char(np.divide(a, n), np.divide(b, n),
+                          np.reshape([z + xi, xi], (2,) + (1,) * ndim), eta)
+    if np.min(np.abs(den)) < 1e-12:
         raise SingularParameterError(
             "w_{(a,b)} denominator vanishes: tau lies on the singular locus"
         )
-    return theta_char(a / n, b / n, z + xi, eta) / denom
+    return _out(num / den)

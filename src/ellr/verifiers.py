@@ -867,7 +867,9 @@ def run_suite(params: AlgebraParams, checks, d_max: int = 4, seed: int = 0) -> l
         "nullity": lambda: nullity_table(params),
         "hilbert": lambda: hilbert_check(params, d_max=d_max),
         "dual": lambda: dual_hilbert_check(params, d_max=d_max + 1),
-        "koszul": lambda: sum((koszul_check(params, d) for d in range(3, d_max + 1)), []),
+        "koszul": lambda: (sum((koszul_check(params, d) for d in range(3, d_max + 1)), [])
+                           or [_refused("koszul.corner_dim", params, "koszul needs d >= 3",
+                                        d_max=d_max)]),
         "frobenius": lambda: frobenius_check(params),
         "limits": lambda: limit_check(params),
         "twist": lambda: twist_rank_check(params),

@@ -1,13 +1,15 @@
 """R-matrix unit tests: normalization, symmetry operators, transformation
 laws, determinant closed forms, torsion limits, and the duality laws."""
 
+import dataclasses
 import math
 from math import comb
 
 import numpy as np
 import pytest
 
-from ellr.theta import e_fn
+import ellr.theta as theta_module
+from ellr.theta import TruncationError, e_fn, theta_alpha
 from ellr.linalg import svd_rank
 from ellr.rmatrix import (
     DEFAULT_ETA,
@@ -214,3 +216,71 @@ def test_qybe_two_parameter(p31):
     lhs = np.kron(Ru, eye) @ np.kron(eye, Ruv) @ np.kron(Rv, eye)
     rhs = np.kron(eye, Rv) @ np.kron(Ruv, eye) @ np.kron(eye, Ru)
     assert _rel(lhs - rhs, lhs) < 1e-12
+
+
+def _reference_r(params, z):
+    """R_tau(z) entry by entry from the docstring formula, the factor
+    theta_{j-i-r}(-z) cancelled against the front product."""
+    n, k, tau, ctx = params.n, params.k, params.tau, params.theta
+    th_mz = [theta_alpha(a, -z, ctx) for a in range(n)]
+    th_mzt = [theta_alpha(a, -z + tau, ctx) for a in range(n)]
+    th_t = [theta_alpha(a, tau, ctx) for a in range(n)]
+    denom0 = math.prod(theta_alpha(a, 0.0, ctx) for a in range(1, n))
+    M = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                s = (j - i - r) % n
+                front = math.prod(th_mz[a] for a in range(n) if a != s)
+                M[((j - r) % n) * n + (i + r) % n, i * n + j] += (
+                    front * th_mzt[(j - i + r * (k - 1)) % n] / (denom0 * th_t[(k * r) % n])
+                )
+    return M
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_r_matrix_matches_entrywise_reference(n):
+    for k in range(1, n):
+        if math.gcd(n, k) != 1:
+            continue
+        p = make_params(n, k)
+        for z in (0.21 - 0.04j, -0.37 + 0.12j, 0.05 + 0.3j + p.eta):
+            R = r_matrix(p, z)
+            assert _rel(R - _reference_r(p, z), R) < 1e-13, (n, k, z)
+        assert np.max(np.abs(r_matrix(p, 0.0) - np.eye(n * n))) < 1e-12, (n, k)
+
+
+def test_nonconverging_lattice_is_refused_at_construction():
+    with pytest.raises(TruncationError, match="^theta series did not converge"):
+        make_params(3, 1, eta=0.3 + 1e-4j)
+
+
+def test_params_are_frozen_and_with_tau_is_fresh(p31):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p31.tau = 0.2
+    r_matrix(p31, 0.1)  # fills the cached parameter-only rows of p31
+    tau = 0.17 + 0.3j
+    moved = p31.with_tau(tau)
+    fresh = make_params(3, 1, tau=tau)
+    assert np.array_equal(moved._r_denominators, fresh._r_denominators)
+    assert not np.allclose(moved._r_denominators, p31._r_denominators)
+    assert np.array_equal(r_matrix(moved, 0.1), r_matrix(fresh, 0.1))
+
+
+def test_repeat_r_matrix_makes_one_series_evaluation(monkeypatch):
+    # a second build on the same params takes its two z-dependent theta rows
+    # in one series call: no recomputed tau/0 rows, no per-alpha calls
+    for n, k in ((3, 1), (5, 2)):
+        p = make_params(n, k)
+        r_matrix(p, 0.11 + 0.02j)
+        calls = []
+        series = theta_module._series
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape if hasattr(args[0], "shape") else ())
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "_series", counted)
+        r_matrix(p, -0.23 + 0.05j)
+        monkeypatch.undo()
+        assert calls == [(2, n, n)], (n, calls)

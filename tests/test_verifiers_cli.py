@@ -2,6 +2,7 @@
 determinism, serialization round-trip, and exit codes."""
 
 import csv
+import gc
 import json
 import math
 from collections import Counter
@@ -288,6 +289,35 @@ def test_cli_torsion_tau_is_refused_not_usage_error(tmp_path):
     assert main(["check", "qybe", "--tau", "0,0", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert [r["status"] for r in data["results"]] == ["refused"]
+
+
+@pytest.mark.parametrize("d_max", ("1", "2"))
+def test_cli_koszul_below_degree_three_is_refused(tmp_path, capsys, d_max):
+    # koszul starts at d = 3: a smaller d_max must not read as a vacuous pass
+    out = tmp_path / "k.json"
+    assert main(["koszul", "--d-max", d_max, "--out", str(out)]) == 0
+    assert "summary: 0 pass, 0 fail, 0 ambiguous, 1 refused" in capsys.readouterr().out
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["status"] == "refused" and "d >= 3" in result["expected"]
+
+
+def test_repeated_cli_calls_leave_no_parser_garbage(tmp_path):
+    # in-process callers run main() many times; the parser is built once, so
+    # a call leaves none of argparse's reference cycles for the collector
+    argv = ["check", "det", "--out", str(tmp_path / "d.json")]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kinds & {"ArgumentParser", "HelpFormatter", "_StoreAction"}, kinds
 
 
 def test_config_validation():
