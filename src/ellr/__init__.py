@@ -44,7 +44,6 @@ from .tensorops import (
     scaled_residual,
     scaled_rank,
     embed_pair,
-    embed_single,
     perm_op,
     symmetrizer,
     antisymmetrizer,

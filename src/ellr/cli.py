@@ -26,7 +26,15 @@ from .rmatrix import DEFAULT_ETA, DEFAULT_TAU_OF_ETA, make_params
 from . import verifiers
 from .verifiers import CheckResult, Report, run_suite, ALL_CHECKS, VERSION
 
+MAX_N = 5
 MAX_D = 5
+
+# every config key with its default; a flag of the same name overrides both
+DEFAULTS = {
+    "n": 3, "k": 1, "eta": None, "tau": None, "d_max": 4, "seed": 0,
+    "checks": None, "allow_ambiguous": False,
+    "format": "json", "out": None, "timings": False,
+}
 
 SUBCOMMAND_CHECKS = {
     "hilbert": ["hilbert"],
@@ -88,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_KEYS = {
-    "n", "k", "eta", "tau", "d_max", "seed", "checks",
-    "allow_ambiguous", "format", "out", "timings",
-}
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -102,7 +104,7 @@ def load_config(path: str) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         raise UsageError("config must be a flat JSON object")
-    unknown = set(raw) - CONFIG_KEYS
+    unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -110,24 +112,21 @@ def load_config(path: str) -> dict:
 
 def resolve_config(args) -> dict:
     """Merge defaults, config file, and flags (flags win)."""
-    cfg = {
-        "n": 3, "k": 1, "eta": None, "tau": None, "d_max": 4, "seed": 0,
-        "checks": None, "allow_ambiguous": False,
-        "format": "json", "out": None, "timings": False,
-    }
+    cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
-    for key in ("n", "k", "eta", "tau", "d_max", "seed", "out", "format",
-                "allow_ambiguous", "timings"):
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    # the desk envelope, checked before any parameters are built
+    for key, low, high in (("n", 2, MAX_N), ("d_max", 1, MAX_D)):
+        if not isinstance(cfg[key], int) or not low <= cfg[key] <= high:
+            raise UsageError(f"{key} must lie in {low}..{high}")
     eta = _parse_complex_pair(cfg["eta"]) if cfg["eta"] is not None else DEFAULT_ETA
     tau = (_parse_complex_pair(cfg["tau"]) if cfg["tau"] is not None
            else DEFAULT_TAU_OF_ETA(eta))
     cfg["eta"], cfg["tau"] = eta, tau
-    if not 1 <= cfg["d_max"] <= MAX_D:
-        raise UsageError(f"d_max must lie in 1..{MAX_D}")
     return cfg
 
 

@@ -8,6 +8,7 @@ index i*n + j (row-major).  All operators are dense complex matrices.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -311,14 +312,17 @@ def alt_norm_det_closed_form(params: AlgebraParams, z):
     """Closed form for the determinant of the alternative normalization
     R^alt(z) := R_tau(z) / prod_alpha (theta_alpha(-z+tau)/theta_alpha(tau)):
 
-    (-1)^{n^2(n-1)/2} e(n^3(n-1) tau / 2)
-      * (prod_alpha theta_alpha(-z-tau) / prod_alpha theta_alpha(-z+tau))^{n(n-1)/2}.
+    (-1)^m e(m n^2 tau)
+      * (prod_alpha theta_alpha(-z-tau) / prod_alpha theta_alpha(-z+tau))^m,  m = n(n-1)/2.
+
+    The three factors are combined in the exponent, exp(m (2 pi i n^2 tau +
+    log ratio)), since apart they underflow and overflow at n = 5.
     """
     n, tau = params.n, params.tau
     num, den = theta_alpha_rows([-z - tau, -z + tau], params.theta)
     ratio = complex(np.prod(num / den))
-    sign = (-1) ** ((n * n * (n - 1) // 2) % 2)
-    return sign * e_fn(n**3 * (n - 1) * tau / 2) * ratio ** (n * (n - 1) // 2)
+    m = n * (n - 1) // 2
+    return (-1) ** m * cmath.exp(m * (2j * cmath.pi * n * n * tau + cmath.log(ratio)))
 
 
 def alt_norm_prefactor(params: AlgebraParams, z):

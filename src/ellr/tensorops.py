@@ -1,7 +1,7 @@
 """Operators on tensor powers of the base vector space.
 
 Builds dense matrices on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
-multi-index ordering): embeddings of two-site operators, permutation
+multi-index ordering): the dense embedding of a two-site operator, permutation
 operators, (anti)symmetrizers, the four telescoping chains of R-matrices,
 the cumulative operators T_d and F_d, the rectangular two-parameter arrays
 M_{a,b}, and the embedded relation spaces of the associated quadratic
@@ -19,7 +19,11 @@ t_i, ..., t_{j-1}; partial sums are written Sum(p,q) = t_p + ... + t_q.
 Descending chains take their arguments in display order t_{j-1}, ..., t_i.
 All chains degenerate to the identity when they span a single position.
 
-Everything is materialized densely; dimensions are capped at n^d <= 5^5.
+Every chain, T_d, F_d and both assemblies of M_{a,b} is a list of
+(argument, position) factors handed to one product routine, which applies
+each R factor in place to the running product through a reshape of its
+columns; no n^d x n^d embedding is formed.  The products themselves are
+dense, and n^d is capped at MAX_TENSOR_DIM = 5^5 (read at call time).
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
@@ -71,10 +75,6 @@ class ScaledOp:
         self.log_scale = float(log_scale)
 
     @staticmethod
-    def identity(dim: int) -> "ScaledOp":
-        return ScaledOp(np.eye(dim, dtype=complex), 0.0)
-
-    @staticmethod
     def wrap(mat: np.ndarray) -> "ScaledOp":
         mat = np.asarray(mat, dtype=complex)
         s = float(np.max(np.abs(mat))) if mat.size else 0.0
@@ -124,21 +124,17 @@ def _check_dim(n: int, d: int):
 
 
 def embed_pair(op: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
-    """Embed a two-site operator at tensorands (pos, pos+1), pos one-based."""
+    """Embed a two-site operator at tensorands (pos, pos+1), pos one-based.
+
+    The dense reference for the in-place factors of chain products.  An
+    identity of dimension 1 is not kron'ed in, so an embedding into
+    V^{(x)3} costs one ``kron``."""
     _check_dim(n, d)
     if not 1 <= pos <= d - 1:
         raise ValueError(f"pair position {pos} out of range for degree {d}")
-    left = np.eye(n ** (pos - 1))
-    right = np.eye(n ** (d - pos - 1))
-    return np.kron(np.kron(left, op), right)
-
-
-def embed_single(op: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
-    """Embed a one-site operator at tensorand pos, one-based."""
-    _check_dim(n, d)
-    if not 1 <= pos <= d:
-        raise ValueError(f"position {pos} out of range for degree {d}")
-    return np.kron(np.kron(np.eye(n ** (pos - 1)), op), np.eye(n ** (d - pos)))
+    left, right = n ** (pos - 1), n ** (d - pos - 1)
+    out = np.kron(np.eye(left), op) if left > 1 else np.array(op)
+    return np.kron(out, np.eye(right)) if right > 1 else out
 
 
 def perm_op(sigma, n: int, d: int) -> np.ndarray:
@@ -152,23 +148,11 @@ def perm_op(sigma, n: int, d: int) -> np.ndarray:
     sigma = list(sigma)
     if sorted(sigma) != list(range(d)):
         raise ValueError("sigma must be a permutation of 0..d-1")
-    inv = [0] * d
-    for s, t in enumerate(sigma):
-        inv[t] = s
     dim = n ** d
-    M = np.zeros((dim, dim))
-    for idx in range(dim):
-        digits = []
-        t = idx
-        for _ in range(d):
-            digits.append(t % n)
-            t //= n
-        digits.reverse()
-        out = 0
-        for slot in range(d):
-            out = out * n + digits[inv[slot]]
-        M[out, idx] = 1.0
-    return M
+    # slot t of the output takes the input digit of slot inv(sigma)[t]: permute
+    # the identity's row digits by inv(sigma)
+    axes = list(np.argsort(sigma)) + [d]
+    return np.eye(dim).reshape((n,) * d + (dim,)).transpose(axes).reshape(dim, dim)
 
 
 def perm_sign(sigma) -> int:
@@ -195,81 +179,82 @@ def antisymmetrizer(n: int, d: int) -> np.ndarray:
     return sum(perm_sign(s) * perm_op(s, n, d) for s in itertools.permutations(range(d)))
 
 
+def _chain_factors(d: int, i: int, j: int, ts, descending: bool, reverse: bool) -> list:
+    """The ordered (argument, position) factors of a chain from i to j.
+
+    ts is in ascending index order [t_i..t_{j-1}].  Descending chains run
+    their positions downwards; the argument at position p is the prefix sum
+    Sum(i,p) when descending != reverse and the suffix sum Sum(p,j-1)
+    otherwise.
+    """
+    if not 1 <= i <= j <= d:
+        raise ValueError(f"chain endpoints ({i}, {j}) out of range for degree {d}")
+    ts = list(ts)
+    if len(ts) != j - i:
+        raise ValueError(f"chain from {i} to {j} needs {j - i} arguments, got {len(ts)}")
+    if descending != reverse:
+        sums = list(itertools.accumulate(ts))
+    else:
+        sums = list(itertools.accumulate(ts[::-1]))[::-1]
+    factors = list(zip(sums, range(i, j)))
+    return factors[::-1] if descending else factors
+
+
+def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
+    """The left-to-right product of R(arg)_{pos,pos+1} over ``factors``.
+
+    Each factor enters at unit max-abs and acts in place on the running
+    product: its columns are reshaped to (n^(pos-1), n^2, n^(d-pos-1)) and
+    the middle index is contracted with R, so no n^d x n^d embedding is
+    formed.
+    """
+    n = params.n
+    _check_dim(n, d)
+    dim = n ** d
+    out = np.eye(dim, dtype=complex)
+    log_scale = 0.0
+    for arg, pos in factors:
+        fac = ScaledOp.wrap(r_matrix(params, arg))
+        view = out.reshape(dim, n ** (pos - 1), n * n, n ** (d - pos - 1))
+        out = (fac.mat.T @ view).reshape(dim, dim)
+        log_scale += fac.log_scale
+    return ScaledOp(out, log_scale)
+
+
 def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
     """Ascending chain from position i to j with arguments ts = [t_i..t_{j-1}]."""
-    return _chain(params, d, i, j, ts, descending=False, reverse=False)
+    return _product(params, d, _chain_factors(d, i, j, ts, False, False))
 
 
 def chain_asc_rev(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
     """Reversed ascending chain from i to j with ts = [t_i..t_{j-1}]."""
-    return _chain(params, d, i, j, ts, descending=False, reverse=True)
+    return _product(params, d, _chain_factors(d, i, j, ts, False, True))
 
 
 def chain_desc(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
     """Descending chain from position j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _chain(params, d, i, j, list(ts)[::-1], descending=True, reverse=False)
+    return _product(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, False))
 
 
 def chain_desc_rev(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
     """Reversed descending chain from j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _chain(params, d, i, j, list(ts)[::-1], descending=True, reverse=True)
-
-
-def _chain(params, d, i, j, ts, descending, reverse) -> ScaledOp:
-    """Core chain builder; ts is always in ascending index order [t_i..t_{j-1}]."""
-    _check_dim(params.n, d)
-    if not 1 <= i <= j <= d:
-        raise ValueError(f"chain endpoints ({i}, {j}) out of range for degree {d}")
-    m = j - i
-    ts = list(ts)
-    if len(ts) != m:
-        raise ValueError(f"chain from {i} to {j} needs {m} arguments, got {len(ts)}")
-    out = ScaledOp.identity(params.n ** d)
-    if m == 0:
-        return out
-    # prefix[q] = t_i + ... + t_{i+q-1}; suffix[q] = t_{i+q} + ... + t_{j-1}
-    prefix = list(itertools.accumulate(ts))
-    total = prefix[-1]
-    factors = []
-    if not descending and not reverse:
-        # R(Sum(i,j-1))_{i,i+1} ... R(t_{j-1})_{j-1,j}
-        for q in range(m):
-            arg = total - (prefix[q - 1] if q > 0 else 0)
-            factors.append((arg, i + q))
-    elif not descending and reverse:
-        # R(t_i)_{i,i+1} R(Sum(i,i+1))_{i+1,i+2} ... R(Sum(i,j-1))_{j-1,j}
-        for q in range(m):
-            factors.append((prefix[q], i + q))
-    elif descending and not reverse:
-        # R(Sum(i,j-1))_{j-1,j} ... R(Sum(i,q))_{q,q+1} ... R(t_i)_{i,i+1}
-        for q in range(m - 1, -1, -1):
-            factors.append((prefix[q], i + q))
-    else:
-        # R(t_{j-1})_{j-1,j} R(Sum(j-2,j-1))_{j-2,j-1} ... R(Sum(i,j-1))_{i,i+1}
-        for q in range(m - 1, -1, -1):
-            arg = total - (prefix[q - 1] if q > 0 else 0)
-            factors.append((arg, i + q))
-    for arg, pos in factors:
-        fac = ScaledOp.wrap(r_matrix(params, arg))
-        out = out @ ScaledOp(embed_pair(fac.mat, pos, params.n, d), fac.log_scale)
-    return out
+    return _product(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, True))
 
 
 def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
     """Cumulative chain product T_d(z_1, ..., z_{d-1}).
 
     T_d is the left-to-right product over m = 2..d of the descending chain
-    from position m down to 1 with display arguments (z_1, ..., z_{m-1}).
-    T_0 and T_1 are the identity.
+    from position m down to 1 with display arguments (z_1, ..., z_{m-1}),
+    formed as one running product.  T_0 and T_1 are the identity.
     """
-    _check_dim(params.n, d)
     zs = list(zs)
     if len(zs) != max(d - 1, 0):
         raise ValueError(f"T_{d} needs {max(d - 1, 0)} arguments, got {len(zs)}")
-    out = ScaledOp.identity(params.n ** d)
-    for m in range(2, d + 1):
-        out = out @ chain_desc(params, d, m, 1, zs[: m - 1])
-    return out
+    return _product(params, d, [
+        factor for m in range(2, d + 1)
+        for factor in _chain_factors(d, 1, m, zs[: m - 1][::-1], True, False)
+    ])
 
 
 def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
@@ -293,25 +278,25 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
     one-argument shorthand M_{a,b}(z)).
     """
     d = a + b
-    _check_dim(params.n, d)
     xs = list(xs) if xs is not None else [z] * max(a - 1, 0)
     ys = list(ys) if ys is not None else [z] * max(b - 1, 0)
     if len(xs) != max(a - 1, 0) or len(ys) != max(b - 1, 0):
         raise ValueError("M_{a,b} needs a-1 row increments and b-1 column increments")
-    dim = params.n ** d
-    out = ScaledOp.identity(dim)
     if a == 0 or b == 0:
-        return out
-    # row product: row idx is the reversed ascending chain from a-idx to a+b-idx
-    for idx in range(a):
-        base = z + sum(xs[:idx])
-        out = out @ chain_asc_rev(params, d, a - idx, a + b - idx, [base] + ys)
+        return _product(params, d, [])
+    # row idx is the reversed ascending chain from a-idx to a+b-idx
+    out = _product(params, d, [
+        factor for idx in range(a)
+        for factor in _chain_factors(d, a - idx, a + b - idx,
+                                     [z + sum(xs[:idx])] + ys, False, True)
+    ])
     if validate:
-        alt = ScaledOp.identity(dim)
-        # column product: column idx is the reversed descending chain a+1+idx -> 1+idx
-        for idx in range(b):
-            base = z + sum(ys[:idx])
-            alt = alt @ chain_desc_rev(params, d, a + 1 + idx, 1 + idx, [base] + xs)
+        # column idx is the reversed descending chain a+1+idx -> 1+idx
+        alt = _product(params, d, [
+            factor for idx in range(b)
+            for factor in _chain_factors(d, 1 + idx, a + 1 + idx,
+                                         ([z + sum(ys[:idx])] + xs)[::-1], True, True)
+        ])
         if scaled_residual(out, alt) > 1e-8:
             raise AssertionError("row-wise and column-wise assemblies of M_{a,b} disagree")
     return out

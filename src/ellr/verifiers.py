@@ -71,7 +71,9 @@ from .rmatrix import (
     det_closed_form,
     dual_transpose_check,
 )
+from . import tensorops
 from .tensorops import (
+    embed_pair,
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
@@ -207,6 +209,13 @@ def _refused(name, params, note, **extra) -> CheckResult:
     return CheckResult(name, _echo(params, **extra), note, "not attempted", None, "refused")
 
 
+def _beyond_cap(n: int, d: int) -> str | None:
+    """The refusal note when n^d exceeds the dense cap (read from
+    :mod:`ellr.tensorops` at call time), else None."""
+    cap = tensorops.MAX_TENSOR_DIM
+    return f"n^d = {n ** d} exceeds the dense cap {cap}" if n ** d > cap else None
+
+
 def _guard(fn):
     """Turn an exception escaping a check into a single result: an
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
@@ -226,24 +235,6 @@ def _guard(fn):
     return wrapper
 
 
-def _site_embeddings(n: int, P):
-    """The embeddings e12, e13, e23 of an operator on V (x) V into V^{(x)3},
-    at sites (1,2), (1,3) and (2,3); P is the flip of V (x) V."""
-    eye = np.eye(n)
-    P23 = np.kron(eye, P)
-
-    def e12(A):
-        return np.kron(A, eye)
-
-    def e23(A):
-        return np.kron(eye, A)
-
-    def e13(A):
-        return P23 @ e12(A) @ P23
-
-    return e12, e13, e23
-
-
 # ---------------------------------------------------------------------------
 # R-matrix identity checks
 # ---------------------------------------------------------------------------
@@ -257,8 +248,10 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
 
     and of the braid-form identity for P.R(z) at random argument pairs."""
     rng = np.random.default_rng(seed)
+    n = params.n
     P = basis_ops(params)["P"]
-    e12, e13, e23 = _site_embeddings(params.n, P)
+    P23 = embed_pair(P, 2, n, 3)
+    e12, e23 = (lambda A: embed_pair(A, 1, n, 3)), (lambda A: embed_pair(A, 2, n, 3))
     worst2 = worst1 = 0.0
     for _ in range(trials):
         u, v = _random_z(rng, 2)
@@ -267,8 +260,9 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
         rhs = e23(Rv) @ e12(Ruv) @ e23(Ru)
         worst2 = max(worst2, _rel(lhs - rhs, lhs, rhs))
         Su, Sv, Suv = P @ Ru, P @ Rv, P @ Ruv
-        lhs1 = e12(Su) @ e13(Suv) @ e23(Sv)
-        rhs1 = e23(Sv) @ e13(Suv) @ e12(Su)
+        S13 = P23 @ e12(Suv) @ P23
+        lhs1 = e12(Su) @ S13 @ e23(Sv)
+        rhs1 = e23(Sv) @ S13 @ e12(Su)
         worst1 = max(worst1, _rel(lhs1 - rhs1, lhs1, rhs1))
     echo = _echo(params, trials=trials, seed=seed)
     return [
@@ -503,7 +497,8 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
 def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     """Degree-d structure of F_d(tau): rank C(n,d) (exterior Hilbert
     series), with total vanishing at d = n+1, and kernel/image described by
-    R(-tau)."""
+    R(-tau).  A degree past the dense cap (d = 6 at n = 5) is refused before
+    anything is built; the lower degrees still run."""
     n = params.n
     top = min(d_max or (n + 1), n + 1)
     if tau_excluded(params, top):
@@ -511,6 +506,9 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     pair = spectrum(r_at_relation_point(params, -1), params.ranks)
     results = []
     for d in range(2, top + 1):
+        if note := _beyond_cap(n, d):
+            results.append(_refused("dual.rank", params, note, d=d))
+            continue
         spec = scaled_spectrum(f_op(params, d, params.tau), params.ranks)
         expected = comb(n, d)
         results.append(_equals("dual.rank", _echo(params, d=d), expected, spec.rank))
@@ -724,7 +722,8 @@ def frobenius_check(params: AlgebraParams):
 
     F_n(tau) has rank one and F_{n+1}(tau) vanishes; writing
     F_n(tau)(v_j (x) w_k) = c_{jk} F_n(tau)(x) for a reference x, the
-    coefficient matrix for the split i | n-i has rank C(n,i)."""
+    coefficient matrix for the split i | n-i has rank C(n,i).  The
+    vanishing is refused when n^(n+1) exceeds the dense cap."""
     n = params.n
     if tau_excluded(params, n + 1):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
@@ -732,8 +731,12 @@ def frobenius_check(params: AlgebraParams):
     Fs = f_op(params, n, params.tau)
     rank, _ = scaled_rank(Fs, params.ranks)
     results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
-    rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
-    results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1), 0, rank1))
+    if note := _beyond_cap(n, n + 1):
+        results.append(_refused("frobenius.vanishing_above_top", params, note, d=n + 1))
+    else:
+        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
+        results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
+                               0, rank1))
     F = Fs.mat
     xcol = int(np.argmax(np.linalg.norm(F, axis=0)))
     u = F[:, xcol]
@@ -777,7 +780,8 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
-    e12, e13, e23 = _site_embeddings(n, P)
+    P23 = embed_pair(P, 2, n, 3)
+    e12, e23 = (lambda A: embed_pair(A, 1, n, 3)), (lambda A: embed_pair(A, 2, n, 3))
     worst_rel = 0.0
     for z in _random_z(rng, trials):
         Sk = weight_op_k(params, -n * z)
@@ -787,8 +791,9 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     for _ in range(trials):
         u, v = _random_z(rng, 2)
         Su, Sv, Suv = weight_op(params, u), weight_op(params, v), weight_op(params, u + v)
-        lhs = e12(Su) @ e13(Suv) @ e23(Sv)
-        rhs = e23(Sv) @ e13(Suv) @ e12(Su)
+        S13 = P23 @ e12(Suv) @ P23
+        lhs = e12(Su) @ S13 @ e23(Sv)
+        rhs = e23(Sv) @ S13 @ e12(Su)
         worst_qybe1 = max(worst_qybe1, _rel(lhs - rhs, lhs, rhs))
     at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
     return [

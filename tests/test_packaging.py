@@ -36,3 +36,16 @@ def test_runtime_dependencies_match_imports():
     declared = _declared_dependencies()
     assert third_party - declared == set(), "imported but not declared"
     assert declared - third_party == set(), "declared but never imported"
+
+
+def test_names_the_benchmark_tracer_binds_exist():
+    # ellrbench/test_tracer.py rebinds and restores these names; a rename
+    # would break the benchmark's self-test without failing here otherwise
+    import ellr
+    import ellr.linalg
+    import ellr.tensorops
+    import ellr.verifiers
+
+    assert ellr.linalg.svd_rank is ellr.verifiers.svd_rank is ellr.svd_rank
+    for name in ("r_matrix", "image", "t_op"):
+        assert callable(getattr(ellr.tensorops, name)), name

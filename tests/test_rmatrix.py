@@ -138,11 +138,15 @@ def test_det_k_independent(p31, p32):
     assert abs(d1 - d2) < 1e-10 * abs(d1)
 
 
-def test_alt_normalization_det_and_prefactor(p31):
-    z = 0.23 + 0.05j
-    pref = alt_norm_prefactor(p31, z)
-    lhs = np.linalg.det(r_matrix(p31, z) / pref)
-    assert abs(lhs / alt_norm_det_closed_form(p31, z) - 1) < 1e-9
+def test_alt_normalization_det_and_prefactor():
+    # n = 2 fixes the sign (-1)^{n(n-1)/2}; n = 5 needs the factors combined
+    # in the exponent, where e(m n^2 tau) alone underflows
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)):
+        p = make_params(n, k)
+        for z in (0.23 + 0.05j, 0.363 + 0.102j, 0.357 - 0.12j, -0.11 + 0.03j):
+            pref = alt_norm_prefactor(p, z)
+            lhs = np.linalg.det(r_matrix(p, z)) / pref ** (n * n)
+            assert abs(lhs / alt_norm_det_closed_form(p, z) - 1) < 1e-9, (n, k, z)
 
 
 def test_nullities_at_torsion_points(p31):

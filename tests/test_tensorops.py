@@ -2,6 +2,7 @@
 products and their factorizations, the rectangular array operator, the
 multiplication identity, and the annihilation/rank structure."""
 
+import itertools
 import math
 from math import comb
 
@@ -15,7 +16,6 @@ from ellr.tensorops import (
     scaled_residual,
     scaled_rank,
     embed_pair,
-    embed_single,
     perm_op,
     perm_sign,
     symmetrizer,
@@ -103,11 +103,18 @@ def test_embed_pair_is_swap_transposition():
         assert np.allclose(embed_pair(P, pos, n, d), perm_op(sigma, n, d))
 
 
-def test_embed_single_positions():
-    n, d = 2, 3
-    T = basis_ops(make_params(2, 1))["T"]
-    full = np.kron(np.kron(np.eye(n), T), np.eye(n))
-    assert np.allclose(embed_single(T, 2, n, d), full)
+def test_perm_op_moves_each_tensorand_to_its_slot():
+    # reference: the basis vector with digits (i_0..i_{d-1}) goes to the one
+    # whose digit in slot sigma[s] is i_s
+    for n, d in ((2, 1), (2, 3), (3, 2), (3, 4)):
+        digits = np.unravel_index(np.arange(n ** d), (n,) * d)
+        for sigma in itertools.permutations(range(d)):
+            moved = [None] * d
+            for s, t in enumerate(sigma):
+                moved[t] = digits[s]
+            expect = np.zeros((n ** d, n ** d))
+            expect[np.ravel_multi_index(moved, (n,) * d), np.arange(n ** d)] = 1.0
+            assert np.array_equal(perm_op(sigma, n, d), expect), (n, d, sigma)
 
 
 def test_perm_op_composition():
@@ -158,6 +165,26 @@ def test_chain_pins_d3():
     assert _rel(desc, _E(R(t1 + t2), 2) @ _E(R(t2), 1)) < 1e-12
     desc_r = chain_desc_rev(P31, 3, 3, 1, [t1, t2]).dense()
     assert _rel(desc_r, _E(R(t1), 2) @ _E(R(t1 + t2), 1)) < 1e-12
+
+
+def test_chain_products_form_no_embedding(monkeypatch):
+    # every factor acts in place on the running product: neither the dense
+    # embedding nor any Kronecker product is formed on the chain path
+    import ellr.tensorops as tops
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense embedding formed on the chain path")
+
+    monkeypatch.setattr(tops, "embed_pair", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    d, ts = 4, ZS
+    for build in (chain_asc, chain_asc_rev):
+        assert build(P31, d, 1, d, ts).mat.shape == (81, 81)
+    for build in (chain_desc, chain_desc_rev):
+        assert build(P31, d, d, 1, ts).mat.shape == (81, 81)
+    t_op(P31, d, ts)
+    f_op(P31, d, -P31.tau)
+    m_op(P31, 2, 2, 0.13 + 0.02j, validate=True)
 
 
 def test_chain_trivial_and_errors():

@@ -105,6 +105,23 @@ def test_value_not_strictly_below_tolerance_fails(value, tol):
     assert V._within("synthetic", {}, tol / 2, tol).status == "pass"
 
 
+def test_degrees_past_the_dense_cap_are_refused_up_front(monkeypatch):
+    # the cap is read at call time: at 27 = 3^3, d = 4 is refused and the
+    # lower degrees still run; nothing raises
+    import ellr.tensorops
+
+    monkeypatch.setattr(ellr.tensorops, "MAX_TENSOR_DIM", 27)
+    p = make_params(3, 1)
+    dual = {r.params["d"]: r for r in V.dual_hilbert_check(p) if r.name == "dual.rank"}
+    assert {d: r.status for d, r in dual.items()} == {2: "pass", 3: "pass", 4: "refused"}
+    assert "dense cap 27" in dual[4].expected
+    frob = {r.name: r for r in V.frobenius_check(p)}
+    assert frob["frobenius.vanishing_above_top"].status == "refused"
+    assert "dense cap 27" in frob["frobenius.vanishing_above_top"].expected
+    assert frob["frobenius.top_rank_one"].status == "pass"
+    assert frob["frobenius.pairing_rank"].status == "pass"
+
+
 def test_half_torsion_nullity_recorded_not_asserted():
     ph = make_params(3, 1, tau=1 / 6)
     (res,) = V.nullity_table(ph)
@@ -221,6 +238,21 @@ def test_cli_usage_errors():
     assert main(["check", "qybe", "--eta", "bogus"]) == 2
     assert main(["check", "qybe", "--d-max", "9"]) == 2
     assert main(["bogus-subcommand"]) == 2
+
+
+def test_cli_rejects_n_outside_the_desk_envelope(tmp_path, monkeypatch, capsys):
+    # checked before any parameters are built, from the flag or the config
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters built for an out-of-range n")
+
+    monkeypatch.setattr("ellr.cli.make_params", refuse)
+    assert main(["check", "qybe", "--n", "6"]) == 2
+    assert main(["check", "qybe", "--n", "1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6}))
+    assert main(["check", "qybe", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: n must lie in 2..5"] * 3
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
