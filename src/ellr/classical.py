@@ -24,14 +24,28 @@ lambda |- d (the letter multiplicities, sorted), with at most n parts.  The
 dimensions are therefore computed once per type, on the multinomial(lambda)
 words of one representative class, and weighted by the number of contents
 of that type.  This is an exact identity of integer dimensions, not an
-approximation: the same Bareiss/Fraction eliminations run on smaller
-matrices (at most 12 columns at n=3, d=4 instead of 81).
+approximation: each dimension is one integer rank on at most
+multinomial(lambda) columns (12 at n=3, d=4 instead of 81).
+
+Annihilators.  Every subspace above is cut out by functions on the words
+that are constant on orbits of slot permutations, so its annihilator is
+written down directly instead of eliminated for.  ann(L_pos) is spanned by
+the 0/1 indicators of the orbits {w, swap_pos(w)}; ann(Sig_ell), the
+intersection of ann(L_1), ..., ann(L_ell), by the indicators of the
+S_{ell+1}-orbits on slots 1..ell+1; and ann(I_r) is the sum of the
+ann(L_pos) over the positions of I_r.  Hence, on a block of N words,
+
+    dim(Sig_ell ^ I_r) = N - rank(ann(Sig_ell) rows + ann(L_{d-r}) rows
+                                  + ... + ann(L_{d-1}) rows),
+
+one fraction-free integer elimination of 0/1 rows per dimension.
 
 Conventions: an empty sum of subspaces (Sig_0) and an empty intersection
-(I_0) both denote the full ambient space, so the lattice dimension
-dim(Sig_ell ^ I_r) with ell + r = d - 1 reduces to dim I_{d-1} at ell = 0
-and to dim Sig_{d-1} at r = 0.  The flat spanning sets lambda_rows,
-sigma_rows and i_rows use the row-major multi-index basis of V^{(x)d}.
+(I_0) both denote the full ambient space (they contribute no annihilator
+rows), so the lattice dimension dim(Sig_ell ^ I_r) with ell + r = d - 1
+reduces to dim I_{d-1} at ell = 0 and to dim Sig_{d-1} at r = 0.  The flat
+spanning sets lambda_rows, sigma_rows and i_rows use the row-major
+multi-index basis of V^{(x)d}.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ import itertools
 from collections import Counter
 from math import comb, factorial, prod
 
-from .linalg import exact_rank, exact_row_space_intersection
+from .linalg import exact_nullspace, exact_rank
 
 MAX_CLASSICAL_DEGREE = 5
 MAX_SHUFFLE_SIZE = 6
@@ -76,33 +90,33 @@ def _pair_rows(words, pos: int):
     return rows
 
 
-def _ambient_rows(dim: int):
-    return [[1 if c == r else 0 for c in range(dim)] for r in range(dim)]
-
-
-def _sigma(words, s: int):
-    if s == 0:
-        return _ambient_rows(len(words))
-    return [row for pos in range(1, s + 1) for row in _pair_rows(words, pos)]
-
-
-def _cap(words, d: int, t: int):
-    if t == 0:
-        return _ambient_rows(len(words))
-    rows = _pair_rows(words, d - t)
-    for pos in range(d - t + 1, d):
-        rows = exact_row_space_intersection(rows, _pair_rows(words, pos), len(words))
+def _orbit_rows(words, first: int, last: int):
+    """0/1 indicator rows of the orbits of the permutations of slots
+    first..last (1-based) on `words`: two words share an orbit when they
+    agree outside those slots.  The rows span ann(L_pos) for
+    (first, last) = (pos, pos+1) and ann(Sig_ell) for (1, ell+1)."""
+    orbits = {}
+    for c, w in enumerate(words):
+        key = (w[:first - 1], tuple(sorted(w[first - 1:last])), w[last:])
+        orbits.setdefault(key, []).append(c)
+    rows = []
+    for cols in orbits.values():
+        row = [0] * len(words)
+        for c in cols:
+            row[c] = 1
+        rows.append(row)
     return rows
 
 
-def _w_dim(words, d: int, ell: int, r: int) -> int:
-    """dim(Sig_ell ^ I_r) inside the span of `words`."""
-    if ell == 0:
-        return exact_rank(_cap(words, d, r))
-    if r == 0:
-        return exact_rank(_sigma(words, ell))
-    inter = exact_row_space_intersection(_sigma(words, ell), _cap(words, d, r), len(words))
-    return exact_rank(inter)
+def _w_dim(words, ell: int, r: int) -> int:
+    """dim(Sig_ell ^ I_r) inside the span of `words`: their number minus the
+    rank of the annihilator rows of Sig_ell (none at ell = 0) and of
+    L_{d-r}, ..., L_{d-1} (none at r = 0)."""
+    d = len(words[0])
+    rows = _orbit_rows(words, 1, ell + 1) if ell else []
+    for pos in range(d - r, d):
+        rows += _orbit_rows(words, pos, pos + 1)
+    return len(words) - exact_rank(rows)
 
 
 def _all_words(n: int, d: int):
@@ -166,29 +180,21 @@ def sigma_rows(n: int, d: int, s: int):
     _check(n, d)
     if not 0 <= s <= d - 1:
         raise ValueError(f"sum index {s} out of range for degree {d}")
-    return _sigma(_all_words(n, d), s)
+    if s == 0:
+        return exact_nullspace([], n ** d)
+    words = _all_words(n, d)
+    return [row for pos in range(1, s + 1) for row in _pair_rows(words, pos)]
 
 
 def i_rows(n: int, d: int, t: int):
-    """Integer row basis of I_t = L_{d-t} ^ ... ^ L_{d-1}; t = 0 gives the ambient space."""
+    """Integer row basis of I_t = L_{d-t} ^ ... ^ L_{d-1}: the null space of
+    the annihilator rows of L_{d-t}, ..., L_{d-1}; t = 0 gives the ambient space."""
     _check(n, d)
     if not 0 <= t <= d - 1:
         raise ValueError(f"intersection index {t} out of range for degree {d}")
-    return _cap(_all_words(n, d), d, t)
-
-
-def classical_subspaces(n: int, d: int, which: str, index: int):
-    """Dispatcher for the classical integer spanning sets.
-
-    which = "pair" -> L_index; "sum" -> Sig_index; "cap" -> I_index.
-    """
-    if which == "pair":
-        return lambda_rows(n, d, index)
-    if which == "sum":
-        return sigma_rows(n, d, index)
-    if which == "cap":
-        return i_rows(n, d, index)
-    raise ValueError(f"unknown subspace family {which!r}")
+    words = _all_words(n, d)
+    ann = [row for pos in range(d - t, d) for row in _orbit_rows(words, pos, pos + 1)]
+    return exact_nullspace(ann, len(words))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,7 @@ def classical_w_dim(n: int, d: int, ell: int, r: int) -> int:
     _check(n, d)
     if ell + r != d - 1:
         raise ValueError("lattice dimension requires ell + r = d - 1")
-    return _graded(n, d, lambda words: _w_dim(words, d, ell, r))
+    return _graded(n, d, lambda words: _w_dim(words, ell, r))
 
 
 def inclusion_exclusion_check(n: int, d: int, ell: int) -> dict:
@@ -217,18 +223,15 @@ def inclusion_exclusion_check(n: int, d: int, ell: int) -> dict:
     _check(n, d)
     if not 1 <= ell <= d - 1:
         raise ValueError("inclusion-exclusion check needs 1 <= ell <= d-1")
-    lhs = xz = yz = xyz = 0
-    for count, words in _content_blocks(n, d):
-        dim = len(words)
-        X = _sigma(words, ell - 1) if ell > 1 else []
-        Y = _pair_rows(words, ell)
-        Z = _cap(words, d, d - 1 - ell)
-        YZ = exact_row_space_intersection(Y, Z, dim)
-        lhs += count * _w_dim(words, d, ell, d - 1 - ell)
-        yz += count * exact_rank(YZ)
-        if X:
-            xz += count * exact_rank(exact_row_space_intersection(X, Z, dim))
-            xyz += count * exact_rank(exact_row_space_intersection(X, YZ, dim))
+    # X ^ Z, Y ^ Z and X ^ Y ^ Z are lattice corners too: Y ^ Z = I_{r+1},
+    # and X = Sig_{ell-1} is the zero space (not Sig_0) at ell = 1
+    r = d - 1 - ell
+
+    def dim(s: int, t: int) -> int:
+        return _graded(n, d, lambda words: _w_dim(words, s, t))
+
+    lhs, yz = dim(ell, r), dim(0, r + 1)
+    xz, xyz = (dim(ell - 1, r), dim(ell - 1, r + 1)) if ell > 1 else (0, 0)
     rhs = xz + yz - xyz
     return {
         "lhs": lhs,
@@ -240,43 +243,26 @@ def inclusion_exclusion_check(n: int, d: int, ell: int) -> dict:
     }
 
 
-def _perm_rows(words, signed: bool):
-    """Integer matrix of the (anti)symmetrizer Sum_sigma (sgn) sigma on the span of `words`."""
-    d = len(words[0])
-    index = {w: c for c, w in enumerate(words)}
-    rows = [[0] * len(words) for _ in words]
-    for sigma in itertools.permutations(range(d)):
-        sign = 1
-        if signed:
-            inv = sum(
-                1
-                for a in range(d)
-                for b in range(a + 1, d)
-                if sigma[a] > sigma[b]
-            )
-            sign = -1 if inv & 1 else 1
-        for w in words:
-            rows[index[tuple(w[s] for s in sigma)]][index[w]] += sign
-    return rows
-
-
-def classical_hilbert(n: int, d: int, cross_check: bool = True) -> dict:
+def classical_hilbert(n: int, d: int) -> dict:
     """Dimensions of degree-d symmetric and exterior powers of C^n.
 
-    Returns {"poly_dim": C(n+d-1,d), "ext_dim": C(n,d)}; with cross_check
-    the binomials are verified against the exact rank of the integer
-    symmetrizer and antisymmetrizer matrices, summed over content classes.
+    Returns {"poly_dim": C(n+d-1,d), "ext_dim": C(n,d)}, with the binomials
+    verified against the oracle's own dimensions: S^d = V^{(x)d} / Sig_{d-1}
+    and Lambda^d = I_{d-1}, summed over content classes.
     """
     _check(n, d)
     poly_dim = comb(n + d - 1, d)
     ext_dim = comb(n, d)
-    if cross_check and d >= 1:
-        sym_rank = _graded(n, d, lambda words: exact_rank(_perm_rows(words, signed=False)))
-        anti_rank = _graded(n, d, lambda words: exact_rank(_perm_rows(words, signed=True)))
-        if sym_rank != poly_dim or anti_rank != ext_dim:
+    if d >= 1:
+        # dim S^d is the rank of ann(Sig_{d-1}), the S_d-orbit rows; at d = 1
+        # these are the identity rows, since the quotient is by the empty sum,
+        # the zero space, and not by the Sig_0 = ambient convention
+        sym_dim = _graded(n, d, lambda words: exact_rank(_orbit_rows(words, 1, d)))
+        anti_dim = _graded(n, d, lambda words: _w_dim(words, 0, d - 1))
+        if sym_dim != poly_dim or anti_dim != ext_dim:
             raise AssertionError(
-                f"(anti)symmetrizer ranks ({sym_rank}, {anti_rank}) disagree with "
-                f"binomials ({poly_dim}, {ext_dim})"
+                f"oracle dimensions ({sym_dim}, {anti_dim}) of S^d and Lambda^d "
+                f"disagree with binomials ({poly_dim}, {ext_dim})"
             )
     return {"poly_dim": poly_dim, "ext_dim": ext_dim}
 
@@ -324,8 +310,6 @@ def classical_dims(n: int, d: int) -> dict:
     """
     _check(n, d)
     w = {ell: classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)}
-    sig = {s: _graded(n, d, lambda words, s=s: exact_rank(_sigma(words, s)))
-           for s in range(d)}
-    cap = {t: _graded(n, d, lambda words, t=t: exact_rank(_cap(words, d, t)))
-           for t in range(d)}
+    sig = {s: _graded(n, d, lambda words, s=s: _w_dim(words, s, 0)) for s in range(d)}
+    cap = {t: _graded(n, d, lambda words, t=t: _w_dim(words, 0, t)) for t in range(d)}
     return {"w": w, "sigma": sig, "cap": cap}

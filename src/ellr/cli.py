@@ -119,10 +119,18 @@ def resolve_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    # the desk envelope, checked before any parameters are built
+    # the desk envelope and the config's types, checked before any
+    # parameters are built; a bool is not an integer here
     for key, low, high in (("n", 2, MAX_N), ("d_max", 1, MAX_D)):
-        if not isinstance(cfg[key], int) or not low <= cfg[key] <= high:
+        if type(cfg[key]) is not int or not low <= cfg[key] <= high:
             raise UsageError(f"{key} must lie in {low}..{high}")
+    for key in ("k", "seed"):
+        if type(cfg[key]) is not int:
+            raise UsageError(f"{key} must be an integer")
+    checks = cfg["checks"]
+    if checks not in (None, "all") and not (
+            isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+        raise UsageError('checks must be "all" or a list of check names')
     eta = _parse_complex_pair(cfg["eta"]) if cfg["eta"] is not None else DEFAULT_ETA
     tau = (_parse_complex_pair(cfg["tau"]) if cfg["tau"] is not None
            else DEFAULT_TAU_OF_ETA(eta))

@@ -187,6 +187,19 @@ def _rel(diff: np.ndarray, *refs) -> float:
     return float(np.max(np.abs(diff)) / scale)
 
 
+def _braid_residual(n: int, P23, Su, Sv, Suv) -> float:
+    """Relative residual of the braid-form Yang-Baxter identity
+
+        S(u)_12 S(u+v)_13 S(v)_23 = S(v)_23 S(u+v)_13 S(u)_12
+
+    on V^{(x)3}, with S_13 = P_23 S_12 P_23 and P23 the embedded swap."""
+    e12, e23 = embed_pair(Su, 1, n, 3), embed_pair(Sv, 2, n, 3)
+    S13 = P23 @ embed_pair(Suv, 1, n, 3) @ P23
+    lhs = e12 @ S13 @ e23
+    rhs = e23 @ S13 @ e12
+    return _rel(lhs - rhs, lhs, rhs)
+
+
 def _random_z(rng, count, re_width=0.45, im_width=0.08):
     return [
         complex(rng.uniform(-re_width, re_width), rng.uniform(-im_width, im_width))
@@ -259,11 +272,7 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
         lhs = e12(Ru) @ e23(Ruv) @ e12(Rv)
         rhs = e23(Rv) @ e12(Ruv) @ e23(Ru)
         worst2 = max(worst2, _rel(lhs - rhs, lhs, rhs))
-        Su, Sv, Suv = P @ Ru, P @ Rv, P @ Ruv
-        S13 = P23 @ e12(Suv) @ P23
-        lhs1 = e12(Su) @ S13 @ e23(Sv)
-        rhs1 = e23(Sv) @ S13 @ e12(Su)
-        worst1 = max(worst1, _rel(lhs1 - rhs1, lhs1, rhs1))
+        worst1 = max(worst1, _braid_residual(n, P23, P @ Ru, P @ Rv, P @ Ruv))
     echo = _echo(params, trials=trials, seed=seed)
     return [
         _within("qybe.two_parameter", echo, worst2, TOL_RESIDUAL),
@@ -781,7 +790,6 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     n = params.n
     P = basis_ops(params)["P"]
     P23 = embed_pair(P, 2, n, 3)
-    e12, e23 = (lambda A: embed_pair(A, 1, n, 3)), (lambda A: embed_pair(A, 2, n, 3))
     worst_rel = 0.0
     for z in _random_z(rng, trials):
         Sk = weight_op_k(params, -n * z)
@@ -791,10 +799,7 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     for _ in range(trials):
         u, v = _random_z(rng, 2)
         Su, Sv, Suv = weight_op(params, u), weight_op(params, v), weight_op(params, u + v)
-        S13 = P23 @ e12(Suv) @ P23
-        lhs = e12(Su) @ S13 @ e23(Sv)
-        rhs = e23(Sv) @ S13 @ e12(Su)
-        worst_qybe1 = max(worst_qybe1, _rel(lhs - rhs, lhs, rhs))
+        worst_qybe1 = max(worst_qybe1, _braid_residual(n, P23, Su, Sv, Suv))
     at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
     return [
         _within("weights.relation_to_r", _echo(params, trials=trials, seed=seed),

@@ -1,16 +1,19 @@
 """Exact classical oracle tests: subspace lattices, Hilbert dimensions,
 inclusion-exclusion, and the shuffle decomposition."""
 
-from math import comb, factorial
+import ast
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import ellr.classical
+import ellr.linalg
 from ellr.linalg import exact_rank, exact_row_space_intersection
 from ellr.classical import (
     lambda_rows,
     sigma_rows,
     i_rows,
-    classical_subspaces,
     classical_w_dim,
     inclusion_exclusion_check,
     classical_hilbert,
@@ -63,6 +66,18 @@ def test_graded_w_dim_matches_flat():
             assert classical_w_dim(n, d, ell, r) == _flat_w_dim(n, d, ell, r), (n, d, ell)
 
 
+def test_i_rows_span_the_chained_intersection():
+    for n, d in FLAT_SIZES:
+        for t in range(1, d):
+            chained = lambda_rows(n, d, d - t)
+            for pos in range(d - t + 1, d):
+                chained = exact_row_space_intersection(chained, lambda_rows(n, d, pos), n ** d)
+            rows = i_rows(n, d, t)
+            rank = exact_rank(rows)
+            assert rank == exact_rank(chained) == len(rows), (n, d, t)
+            assert exact_rank(rows + chained) == rank, (n, d, t)
+
+
 def test_graded_sigma_cap_ranks_match_flat():
     for n, d in FLAT_SIZES:
         dims = classical_dims(n, d)
@@ -89,6 +104,56 @@ def test_graded_inclusion_exclusion_matches_flat():
             assert out["lhs"] == _flat_w_dim(n, d, ell, d - 1 - ell)
 
 
+def _closed_form_w_dim(n, d, ell):
+    """dim(Sig_ell ^ I_{d-1-ell}) from the exactness of the Koszul complex
+    of S(V): the kernel of S^ell (x) Lambda^m -> S^{ell+1} (x) Lambda^{m-1},
+    m = d - ell, pulled back to V^{(x)ell} (x) Lambda^m."""
+    if ell == 0:
+        return comb(n, d)
+    m = d - ell
+    return n ** ell * comb(n, m) - sum(
+        (-1) ** j * comb(n + ell - j - 1, ell - j) * comb(n, m + j) for j in range(ell + 1)
+    )
+
+
+def test_w_dim_matches_the_closed_form():
+    for n in range(2, 6):
+        for d in range(2, 6):
+            dims = [classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)]
+            assert dims == [_closed_form_w_dim(n, d, ell) for ell in range(d)], (n, d)
+            if (n, d) == (5, 5):
+                assert dims == [1, 1, 124, 1026, 2999]
+
+
+def test_dimensions_need_no_fraction_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dimension went through a Fraction elimination")
+
+    for module in (ellr.linalg, ellr.classical):
+        for name in ("exact_nullspace", "exact_row_space_intersection"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    n, d = 3, 4
+    assert [classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)] == [0, 0, 12, 66]
+    assert classical_dims(n, d)["w"] == {0: 0, 1: 0, 2: 12, 3: 66}
+    assert all(inclusion_exclusion_check(n, d, ell)["equal"] for ell in range(1, d))
+    assert classical_hilbert(n, d) == {"poly_dim": comb(n + d - 1, d), "ext_dim": 0}
+
+
+def test_oracle_source_has_no_floats():
+    tree = ast.parse(Path(ellr.classical.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "numpy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy"
+        elif isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), node.value
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.Div), ast.unparse(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in ("float", "complex"), ast.unparse(node)
+
+
 def test_lattice_dims_n3_d5():
     assert [classical_w_dim(3, 5, l, 4 - l) for l in range(5)] == [0, 0, 3, 57, 222]
 
@@ -110,6 +175,8 @@ def test_classical_hilbert_cross_check():
     assert out == {"poly_dim": comb(5, 3), "ext_dim": 1}
     out2 = classical_hilbert(2, 4)
     assert out2 == {"poly_dim": 5, "ext_dim": 0}
+    # at d = 1 the quotient S^1 is by the zero space, not by Sig_0
+    assert classical_hilbert(4, 1) == {"poly_dim": 4, "ext_dim": 4}
 
 
 def test_classical_dims_consistency():
@@ -129,12 +196,6 @@ def test_shuffle_identity():
 def test_shuffle_size_guard():
     with pytest.raises(ValueError):
         shuffle_identity_check(4, 3)
-
-
-def test_subspace_dispatcher():
-    assert classical_subspaces(2, 3, "pair", 1) == lambda_rows(2, 3, 1)
-    with pytest.raises(ValueError):
-        classical_subspaces(2, 3, "bogus", 1)
 
 
 def test_degree_guard():

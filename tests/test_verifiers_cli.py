@@ -255,6 +255,26 @@ def test_cli_rejects_n_outside_the_desk_envelope(tmp_path, monkeypatch, capsys):
     assert err == ["error: n must lie in 2..5"] * 3
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"k": "1"}, "k must be an integer"),
+    ({"k": 1.5}, "k must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"d_max": True}, "d_max must lie in 1..5"),
+    ({"checks": 5}, 'checks must be "all" or a list of check names'),
+    ({"checks": ["qybe", 5]}, 'checks must be "all" or a list of check names'),
+])
+def test_cli_rejects_mistyped_config_values(config, message, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters built from a mistyped config")
+
+    monkeypatch.setattr("ellr.cli.make_params", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["report", "all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_cli_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "k": 2, "seed": 5}))
