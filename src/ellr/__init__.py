@@ -50,7 +50,6 @@ from .tensorops import (
     t_op,
     f_op,
     m_op,
-    embedded_image_sum,
 )
 from .classical import (
     classical_w_dim,

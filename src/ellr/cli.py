@@ -127,6 +127,13 @@ def resolve_config(args) -> dict:
     for key in ("k", "seed"):
         if type(cfg[key]) is not int:
             raise UsageError(f"{key} must be an integer")
+    for key in ("allow_ambiguous", "timings"):
+        if type(cfg[key]) is not bool:
+            raise UsageError(f"{key} must be true or false")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise UsageError("out must be a path string or null")
+    if cfg["format"] not in ("json", "csv"):
+        raise UsageError('format must be "json" or "csv"')
     checks = cfg["checks"]
     if checks not in (None, "all") and not (
             isinstance(checks, list) and all(isinstance(c, str) for c in checks)):

@@ -4,8 +4,8 @@ Builds dense matrices on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
 multi-index ordering): the dense embedding of a two-site operator, permutation
 operators, (anti)symmetrizers, the four telescoping chains of R-matrices,
 the cumulative operators T_d and F_d, the rectangular two-parameter arrays
-M_{a,b}, and the embedded relation spaces of the associated quadratic
-algebra.
+M_{a,b}, and the embedded copies from which the relation spaces of the
+associated quadratic algebra are built.
 
 Chains are indexed by one-based tensorand positions.  For an ascending
 chain from position i to position j the arguments are spectral parameters
@@ -33,11 +33,13 @@ questions only need the matrix part, identities between chain products
 compare matrix parts after matching the log scales, and ``.dense()`` gives
 the plain matrix.
 
-The embedded relation spaces are sums and intersections of the copies
+The embedded relation spaces are sums and intersections (formed with
+``linalg.subspace_sum`` / ``subspace_intersect``) of the copies
 V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} (the image
-or the kernel of R(+-tau)); their bases are Kronecker products of
-orthonormal bases, so the only rank decision below the sum or intersection
-is the one made on R(+-tau) itself.
+or the kernel of R(+-tau)); the degree-d relation space is the sum of the
+copies of im R(tau).  Their bases are Kronecker products of orthonormal
+bases, so the only rank decision below the sum or intersection is the one
+made on R(+-tau) itself.
 """
 
 from __future__ import annotations
@@ -47,15 +49,13 @@ import math
 
 import numpy as np
 
-from .rmatrix import AlgebraParams, r_matrix, r_plus_limit, HalfPeriodPoint
+from .rmatrix import AlgebraParams, r_matrix
 from .linalg import (
     RankPolicy,
     Spectrum,
     Subspace,
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
     spectrum,
-    subspace_sum,
-    subspace_intersect,
 )
 
 MAX_TENSOR_DIM = 5 ** 5
@@ -324,19 +324,6 @@ def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
     return spec.rank, spec.gap
 
 
-def r_at_relation_point(params: AlgebraParams, sign: int = 1) -> np.ndarray:
-    """R evaluated at sign*tau, switching to the exact torsion limit when
-    tau lies in (1/n)-lattice torsion."""
-    if params.tau_is_torsion():
-        n, eta = params.n, params.eta
-        zeta = complex(params.tau)
-        # decompose n*tau = aq + bq*eta with integers
-        bq = round(n * zeta.imag / complex(eta).imag)
-        aq = round((n * zeta - bq * eta).real)
-        return r_plus_limit(params, HalfPeriodPoint(aq, bq), sign)
-    return r_matrix(params, sign * params.tau)
-
-
 def embedded_copies(pair: Subspace, n: int, d: int) -> list:
     """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of a
     subspace W = ``pair`` of V^{(x)2}.
@@ -353,19 +340,3 @@ def embedded_copies(pair: Subspace, n: int, d: int) -> list:
         for p in range(1, d)
     ]
 
-
-def embedded_kernel_intersection(params: AlgebraParams, d: int, sign: int,
-                                 policy: RankPolicy | None = None) -> Subspace:
-    """Intersection over positions of V^{(x)s} (x) ker R(sign*tau) (x) V^{(x)t}."""
-    policy = policy or params.ranks
-    pair = spectrum(r_at_relation_point(params, sign), policy).kernel
-    return subspace_intersect(embedded_copies(pair, params.n, d), policy)
-
-
-def embedded_image_sum(params: AlgebraParams, d: int, sign: int,
-                       policy: RankPolicy | None = None) -> Subspace:
-    """Sum over positions of V^{(x)s} (x) im R(sign*tau) (x) V^{(x)t}; at
-    sign = +1 this is the degree-d relation space of the quadratic algebra."""
-    policy = policy or params.ranks
-    pair = spectrum(r_at_relation_point(params, sign), policy).image
-    return subspace_sum(embedded_copies(pair, params.n, d), policy)

@@ -82,7 +82,6 @@ from .tensorops import (
     t_op,
     f_op,
     m_op,
-    r_at_relation_point,
     embedded_copies,
 )
 from .classical import classical_w_dim, shuffle_identity_check
@@ -400,67 +399,55 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     ]
 
 
+def _cell_ranks(params: AlgebraParams, sign: int) -> list:
+    """Certified (rank, gap) of R(sign*tau + zeta) for every zeta in one
+    n x n torsion cell."""
+    n, eta = params.n, params.eta
+    return [svd_rank(r_matrix(params, sign * params.tau + HalfPeriodPoint(a, b).value(n, eta)),
+                     params.ranks)
+            for a in range(n) for b in range(n)]
+
+
 @_guard
 def nullity_table(params: AlgebraParams):
     """Nullities of R on the two torsion-translated loci of its
     determinant zeros, over one full torsion cell, plus full rank at
     generic probes."""
-    n, eta, tau = params.n, params.eta, params.tau
-    if nearest_lattice_distance(2 * n * tau, eta) < EXCLUSION_DISTANCE:
+    n = params.n
+    if tau_excluded(params, 2):
         # only an inequality is available on this locus; record, don't assert
         obs = {}
         try:
-            r_plus, _ = svd_rank(r_matrix(params, tau), params.ranks)
+            r_plus, _ = svd_rank(r_matrix(params, params.tau), params.ranks)
             obs["nullity_at_tau"] = n * n - r_plus
         except AmbiguousRankError as exc:
             obs["nullity_at_tau"] = f"ambiguous (gap {exc.gap:.2e})"
         return [_refused("nullity.table", params,
                          "tau on half-torsion locus: only a lower bound holds",
                          observed_nullities=obs)]
-    expected_plus = comb(n + 1, 2)
-    expected_minus = comb(n, 2)
-    worst_gap = math.inf
-    ok = True
-    observed = {"plus": set(), "minus": set()}
-    for a in range(n):
-        for b in range(n):
-            zeta = HalfPeriodPoint(a, b).value(n, eta)
-            for sign, key, exp in ((1, "plus", expected_plus), (-1, "minus", expected_minus)):
-                rank, gap = svd_rank(r_matrix(params, sign * tau + zeta), params.ranks)
-                worst_gap = min(worst_gap, gap)
-                nullity = n * n - rank
-                observed[key].add(nullity)
-                ok = ok and nullity == exp
-    rng = np.random.default_rng(11)
-    for z in _random_z(rng, 5):
-        rank, gap = svd_rank(r_matrix(params, z), params.ranks)
-        worst_gap = min(worst_gap, gap)
-        ok = ok and rank == n * n
-    return [CheckResult(
-        "nullity.table", _echo(params, cell=f"{n}x{n}"),
-        {"at_tau_coset": expected_plus, "at_minus_tau_coset": expected_minus,
-         "generic": 0},
-        {"at_tau_coset": sorted(observed["plus"]),
-         "at_minus_tau_coset": sorted(observed["minus"]),
-         "min_gap": worst_gap},
-        None, "pass" if ok else "fail",
-    )]
+    expected = {"at_tau_coset": comb(n + 1, 2), "at_minus_tau_coset": comb(n, 2)}
+    cells = {"at_tau_coset": _cell_ranks(params, 1),
+             "at_minus_tau_coset": _cell_ranks(params, -1)}
+    generic = [svd_rank(r_matrix(params, z), params.ranks)
+               for z in _random_z(np.random.default_rng(11), 5)]
+    observed = {key: sorted({n * n - rank for rank, _ in cell}) for key, cell in cells.items()}
+    observed["min_gap"] = min(gap for cell in [*cells.values(), generic] for _, gap in cell)
+    ok = (all(observed[key] == [expected[key]] for key in cells)
+          and all(rank == n * n for rank, _ in generic))
+    return [CheckResult("nullity.table", _echo(params, cell=f"{n}x{n}"),
+                        {**expected, "generic": 0}, observed, None,
+                        "pass" if ok else "fail")]
 
 
 @_guard
 def twist_rank_check(params: AlgebraParams):
     """Rank invariance under torsion shifts: rank R(tau + zeta) = C(n,2)
     for every zeta in one torsion cell."""
-    n, eta, tau = params.n, params.eta, params.tau
+    n = params.n
     if tau_excluded(params, 2):
         return [_refused("twist.rank_invariance", params, "tau on excluded torsion locus")]
     expected = comb(n, 2)
-    observed = set()
-    for a in range(n):
-        for b in range(n):
-            zeta = HalfPeriodPoint(a, b).value(n, eta)
-            rank, _ = svd_rank(r_matrix(params, tau + zeta), params.ranks)
-            observed.add(rank)
+    observed = {rank for rank, _ in _cell_ranks(params, 1)}
     return [CheckResult("twist.rank_invariance", _echo(params, cell=f"{n}x{n}"),
                         expected, sorted(observed), None,
                         "pass" if observed == {expected} else "fail")]
@@ -471,66 +458,78 @@ def twist_rank_check(params: AlgebraParams):
 # ---------------------------------------------------------------------------
 
 
+def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
+                 kernel_name: str, expected_rank):
+    """Degree-d structure of F_d(-sign*tau) for d = 2..top against the
+    relation spaces of R(sign*tau): rank ``expected_rank(d)``, kernel equal
+    to the sum of the embedded images of R(sign*tau) (result
+    ``kernel_name``), image equal to the intersection of its embedded
+    kernels.  R(sign*tau) is decomposed once.  A degree past the dense cap
+    is refused before anything is built, and a degree expected to vanish
+    gets no angles.  Returns the results and the rank per degree (None
+    where refused)."""
+    n, policy = params.n, params.ranks
+    pair = spectrum(r_matrix(params, sign * params.tau), policy)
+    results, ranks = [], []
+    for d in range(2, top + 1):
+        if note := _beyond_cap(n, d):
+            results.append(_refused(f"{label}.rank", params, note, d=d))
+            ranks.append(None)
+            continue
+        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), policy)
+        expected = expected_rank(d)
+        results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, spec.rank))
+        ranks.append(spec.rank)
+        if expected == 0:
+            continue
+        for name, found, copies in (
+            (kernel_name, spec.kernel, subspace_sum(embedded_copies(pair.image, n, d), policy)),
+            (f"{label}.image_is_kernel_intersection", spec.image,
+             subspace_intersect(embedded_copies(pair.kernel, n, d), policy)),
+        ):
+            _, angle = subspace_equal(found, copies, TOL_ANGLE)
+            results.append(_within(name, _echo(params, d=d), angle, TOL_ANGLE,
+                                   "principal angle"))
+    return results, ranks
+
+
 @_guard
 def hilbert_check(params: AlgebraParams, d_max: int = 4):
     """Degree-d corank structure of F_d(-tau): rank C(n+d-1,d) (polynomial
-    Hilbert series), kernel equal to the degree-d relation space, image
-    equal to the intersection of the embedded kernels of R(tau)."""
+    Hilbert series), kernel equal to the degree-d relation space (the image
+    of R(tau) embedded at every position), image equal to the intersection
+    of the embedded kernels of R(tau).  The series is refused when any
+    degree was."""
     if tau_excluded(params, d_max):
         return [_refused("hilbert.rank", params,
                          "tau on excluded torsion locus", d_max=d_max)]
     n = params.n
-    pair = spectrum(r_at_relation_point(params, 1), params.ranks)
-    results = []
-    series = [1, n]
-    for d in range(2, d_max + 1):
-        spec = scaled_spectrum(f_op(params, d, -params.tau), params.ranks)
-        series.append(spec.rank)
-        results.append(_equals("hilbert.rank", _echo(params, d=d),
-                               comb(n + d - 1, d), spec.rank))
-        rel = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
-        _, angle = subspace_equal(spec.kernel, rel, TOL_ANGLE)
-        results.append(_within("hilbert.kernel_is_relation_space", _echo(params, d=d),
-                               angle, TOL_ANGLE, "principal angle"))
-        cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
-        _, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
-        results.append(_within("hilbert.image_is_kernel_intersection", _echo(params, d=d),
-                               angle, TOL_ANGLE, "principal angle"))
-    expected_series = [comb(n + d - 1, d) for d in range(d_max + 1)]
-    results.append(_equals("hilbert.series", _echo(params, d_max=d_max),
-                           expected_series, series))
+    results, ranks = _f_structure(params, 1, d_max, "hilbert",
+                                  "hilbert.kernel_is_relation_space",
+                                  lambda d: comb(n + d - 1, d))
+    if None in ranks:
+        results.append(_refused("hilbert.series", params, "a degree was refused",
+                                d_max=d_max))
+    else:
+        results.append(_equals("hilbert.series", _echo(params, d_max=d_max),
+                               [comb(n + d - 1, d) for d in range(d_max + 1)],
+                               [1, n] + ranks))
     return results
 
 
 @_guard
 def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     """Degree-d structure of F_d(tau): rank C(n,d) (exterior Hilbert
-    series), with total vanishing at d = n+1, and kernel/image described by
-    R(-tau).  A degree past the dense cap (d = 6 at n = 5) is refused before
-    anything is built; the lower degrees still run."""
+    series of the Koszul dual), with total vanishing at d = n+1, and
+    kernel/image described by R(-tau).  A degree past the dense cap (d = 6
+    at n = 5) is refused before anything is built; the lower degrees still
+    run."""
     n = params.n
     top = min(d_max or (n + 1), n + 1)
     if tau_excluded(params, top):
         return [_refused("dual.rank", params, "tau on excluded torsion locus")]
-    pair = spectrum(r_at_relation_point(params, -1), params.ranks)
-    results = []
-    for d in range(2, top + 1):
-        if note := _beyond_cap(n, d):
-            results.append(_refused("dual.rank", params, note, d=d))
-            continue
-        spec = scaled_spectrum(f_op(params, d, params.tau), params.ranks)
-        expected = comb(n, d)
-        results.append(_equals("dual.rank", _echo(params, d=d), expected, spec.rank))
-        if expected == 0:
-            continue
-        ksum = subspace_sum(embedded_copies(pair.image, n, d), params.ranks)
-        _, angle = subspace_equal(spec.kernel, ksum, TOL_ANGLE)
-        results.append(_within("dual.kernel_is_image_sum", _echo(params, d=d),
-                               angle, TOL_ANGLE, "principal angle"))
-        cap = subspace_intersect(embedded_copies(pair.kernel, n, d), params.ranks)
-        _, angle = subspace_equal(spec.image, cap, TOL_ANGLE)
-        results.append(_within("dual.image_is_kernel_intersection", _echo(params, d=d),
-                               angle, TOL_ANGLE, "principal angle"))
+    results, _ = _f_structure(params, -1, top, "dual", "dual.kernel_is_image_sum",
+                              lambda d: comb(n, d))
     return results
 
 
@@ -574,6 +573,22 @@ def t_rank_table(params: AlgebraParams, d: int):
     return results
 
 
+def _ladder(name, echo, pairs, exempt_decay=False) -> CheckResult:
+    """The ladder rule over (operator, target) pairs, one per eps from the
+    largest down: the raw relative deviation decays monotonically (unless
+    ``exempt_decay``) and the scalar-free deviation, the distance to the
+    target ray, is below TOL_LIMIT at the smallest eps."""
+    raw, structural = [], []
+    for A, B in pairs:
+        raw.append(float(np.linalg.norm(A - B) / np.linalg.norm(B)))
+        c = np.vdot(B, A) / np.vdot(B, B)
+        structural.append(float(np.linalg.norm(A - c * B) / np.linalg.norm(B)))
+    monotone = exempt_decay or all(raw[i + 1] < raw[i] for i in range(len(raw) - 1))
+    return CheckResult(name, echo, f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
+                       {"raw": raw, "scalar_free": structural}, structural[-1],
+                       "pass" if monotone and structural[-1] < TOL_LIMIT else "fail")
+
+
 @_guard
 def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
                 ladder=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
@@ -582,52 +597,26 @@ def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
     As the deformation parameter eps goes to 0, R_eps(m*eps) approaches
     the skew-symmetrization operator sym_m and F_d(-/+eps) approaches
     prod(m!) times the (anti)symmetrizer.  The raw Frobenius deviation is
-    dominated by a scalar phase that itself vanishes linearly, so the
+    dominated by a scalar phase that itself vanishes linearly, so each
     ladder asserts (a) monotone decay of the raw deviation and (b) the
-    scalar-free deviation (distance to the target ray, which isolates the
-    structural error) below TOL_LIMIT at the smallest eps.  The ladder
+    scalar-free deviation (which isolates the structural error) below
+    TOL_LIMIT at the smallest eps; see :func:`_ladder`.  The ladder
     replaces params.tau, so the results do not depend on it.
     """
     n, k = params.n, params.k
-    results = []
-
-    def ray_distance(A, B):
-        c = np.vdot(B, A) / np.vdot(B, B)
-        return float(np.linalg.norm(A - c * B) / np.linalg.norm(B))
-
-    for m in m_range:
-        raw, structural = [], []
-        for eps in ladder:
-            R = r_matrix(params.with_tau(eps), m * eps)
-            S = sym_op(m, n)
-            raw.append(float(np.linalg.norm(R - S) / np.linalg.norm(S)))
-            structural.append(ray_distance(R, S))
-        monotone = all(raw[i + 1] < raw[i] for i in range(len(raw) - 1)) or m == 0
-        ok = monotone and structural[-1] < TOL_LIMIT
-        results.append(CheckResult(
-            "limit.skew_symmetrization",
-            {"n": n, "k": k, "m": m, "ladder": list(ladder)},
-            f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
-            {"raw": raw, "scalar_free": structural}, structural[-1],
-            "pass" if ok else "fail",
-        ))
+    results = [
+        _ladder("limit.skew_symmetrization", {"n": n, "k": k, "m": m, "ladder": list(ladder)},
+                ((r_matrix(params.with_tau(eps), m * eps), sym_op(m, n)) for eps in ladder),
+                exempt_decay=m == 0)
+        for m in m_range
+    ]
     norm = float(np.prod([factorial(m) for m in range(1, d)]))
-    sym_t = symmetrizer(n, d)
-    anti_t = antisymmetrizer(n, d)
-    for sign, target, label in ((-1, sym_t, "symmetrizer"), (1, anti_t, "antisymmetrizer")):
-        raw, structural = [], []
-        for eps in ladder:
-            F = f_op(params.with_tau(eps), d, sign * eps).dense() / norm
-            raw.append(float(np.linalg.norm(F - target) / np.linalg.norm(target)))
-            structural.append(ray_distance(F, target))
-        monotone = all(raw[i + 1] < raw[i] for i in range(len(raw) - 1))
-        ok = monotone and structural[-1] < TOL_LIMIT
-        results.append(CheckResult(
+    for sign, target, label in ((-1, symmetrizer(n, d), "symmetrizer"),
+                                (1, antisymmetrizer(n, d), "antisymmetrizer")):
+        results.append(_ladder(
             f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)},
-            f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
-            {"raw": raw, "scalar_free": structural}, structural[-1],
-            "pass" if ok else "fail",
-        ))
+            ((f_op(params.with_tau(eps), d, sign * eps).dense() / norm, target)
+             for eps in ladder)))
     return results
 
 
@@ -688,7 +677,7 @@ def koszul_check(params: AlgebraParams, d: int):
         return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
     n = params.n
     policy = params.ranks
-    W = embedded_copies(spectrum(r_at_relation_point(params, 1), policy).image, n, d)
+    W = embedded_copies(spectrum(r_matrix(params, params.tau), policy).image, n, d)
     ambient = Subspace.full(n ** d)
     # Sig[ell] = W_1 + ... + W_ell and Cap[r] = W_{d-r} ^ ... ^ W_{d-1}, each
     # built once; Sig[0] = Cap[0] is the whole space

@@ -9,7 +9,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from ellr.linalg import svd_rank, spectrum, image, kernel, subspace_equal
+from ellr.linalg import (
+    svd_rank, spectrum, image, kernel, subspace_equal, subspace_sum, subspace_intersect,
+)
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
     ScaledOp,
@@ -27,9 +29,6 @@ from ellr.tensorops import (
     t_op,
     f_op,
     m_op,
-    r_at_relation_point,
-    embedded_image_sum,
-    embedded_kernel_intersection,
     embedded_copies,
 )
 
@@ -39,6 +38,11 @@ ZS = [0.11 + 0.02j, -0.07 + 0.05j, 0.13 - 0.03j]
 
 def _rel(A, B):
     return float(np.max(np.abs(A - B)) / np.max(np.abs(A)))
+
+
+def _pair(sign=1):
+    """Spectrum of R(sign*tau), whose image and kernel the relation spaces embed."""
+    return spectrum(r_matrix(P31, sign * P31.tau), P31.ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,7 @@ def test_multiplication_identity():
 
 def test_embedded_relation_annihilates_f():
     F = f_op(P31, 3, -P31.tau).dense()
-    Rt = r_at_relation_point(P31, 1)
+    Rt = r_matrix(P31, P31.tau)
     scale = np.max(np.abs(Rt)) * np.max(np.abs(F))
     for pos in (1, 2):
         E = embed_pair(Rt, pos, 3, 3)
@@ -319,7 +323,8 @@ def test_f_rank_and_kernel():
     rank, _ = scaled_rank(F, P31.ranks)
     assert rank == comb(n + d - 1, d)
     ker = kernel(F.mat, P31.ranks)
-    eq, angle = subspace_equal(ker, embedded_image_sum(P31, d, 1), 1e-6)
+    relations = subspace_sum(embedded_copies(_pair().image, n, d), P31.ranks)
+    eq, angle = subspace_equal(ker, relations, 1e-6)
     assert eq
 
 
@@ -333,8 +338,8 @@ def test_f_dual_rank_and_vanishing():
 
 def test_f_image_is_embedded_kernel_intersection():
     F = f_op(P31, 3, -P31.tau)
-    eq, angle = subspace_equal(image(F.mat, P31.ranks),
-                               embedded_kernel_intersection(P31, 3, 1), 1e-6)
+    cap = subspace_intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
+    eq, angle = subspace_equal(image(F.mat, P31.ranks), cap, 1e-6)
     assert eq
 
 
@@ -342,7 +347,7 @@ def test_f_image_is_embedded_kernel_intersection():
 def test_embedded_copies_match_embedded_projector_images(sign):
     # reference: the image of the embedded orthogonal projector onto W
     n, d = 3, 4
-    pair = spectrum(r_at_relation_point(P31, sign), P31.ranks)
+    pair = _pair(sign)
     for W in (pair.image, pair.kernel):
         copies = embedded_copies(W, n, d)
         assert len(copies) == d - 1
@@ -353,12 +358,3 @@ def test_embedded_copies_match_embedded_projector_images(sign):
             eq, angle = subspace_equal(copy, reference, 1e-6)
             assert eq, (sign, pos, angle)
 
-
-def test_r_at_relation_point_generic_vs_torsion():
-    # at generic tau the helper is just R(sign tau); at torsion tau it must
-    # return the finite conjugated limit rather than a blown-up evaluation
-    generic = r_at_relation_point(P31, 1)
-    assert _rel(generic, r_matrix(P31, P31.tau)) < 1e-14
-    pt = make_params(3, 1, tau=1 / 3)
-    lim = r_at_relation_point(pt, 1)
-    assert np.all(np.isfinite(lim))

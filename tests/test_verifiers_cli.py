@@ -120,6 +120,24 @@ def test_degrees_past_the_dense_cap_are_refused_up_front(monkeypatch):
     assert "dense cap 27" in frob["frobenius.vanishing_above_top"].expected
     assert frob["frobenius.top_rank_one"].status == "pass"
     assert frob["frobenius.pairing_rank"].status == "pass"
+    hilbert = V.hilbert_check(p, d_max=4)
+    ranks = {r.params["d"]: r.status for r in hilbert if r.name == "hilbert.rank"}
+    assert ranks == {2: "pass", 3: "pass", 4: "refused"}
+    (series,) = [r for r in hilbert if r.name == "hilbert.series"]
+    assert series.status == "refused"
+    assert {r.status for r in hilbert} == {"pass", "refused"}
+
+
+def test_tensor_checks_refuse_torsion_tau_off_the_excluded_locus():
+    # dist(3 tau) = 1.5e-8: tau is torsion (distance / n < 1e-8) but not on
+    # the excluded locus (distance >= EXCLUSION_DISTANCE), so every check
+    # reaching R(+-tau) is refused when it is evaluated
+    pt = make_params(3, 1, tau=1 / 3 + 5e-9)
+    assert pt.tau_is_torsion() and not V.tau_excluded(pt, 4)
+    assert [(r.name, r.status) for r in V.koszul_check(pt, 4)] == [("koszul_check", "refused")]
+    for check in (V.hilbert_check, V.dual_hilbert_check, V.nullity_table,
+                  V.twist_rank_check):
+        assert [r.status for r in check(pt)] == ["refused"], check.__name__
 
 
 def test_half_torsion_nullity_recorded_not_asserted():
@@ -263,12 +281,18 @@ def test_cli_rejects_n_outside_the_desk_envelope(tmp_path, monkeypatch, capsys):
     ({"d_max": True}, "d_max must lie in 1..5"),
     ({"checks": 5}, 'checks must be "all" or a list of check names'),
     ({"checks": ["qybe", 5]}, 'checks must be "all" or a list of check names'),
+    ({"out": 1}, "out must be a path string or null"),
+    ({"format": "xml"}, 'format must be "json" or "csv"'),
+    ({"timings": "no"}, "timings must be true or false"),
+    ({"allow_ambiguous": 1}, "allow_ambiguous must be true or false"),
 ])
 def test_cli_rejects_mistyped_config_values(config, message, tmp_path, monkeypatch, capsys):
+    # every value is checked before any parameters are built or checks run
     def refuse(*args, **kwargs):
-        raise AssertionError("parameters built from a mistyped config")
+        raise AssertionError("parameters built or checks run from a mistyped config")
 
     monkeypatch.setattr("ellr.cli.make_params", refuse)
+    monkeypatch.setattr("ellr.cli.run_suite", refuse)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["report", "all", "--config", str(cfg)]) == 2
