@@ -244,7 +244,7 @@ def main(argv=None) -> int:
         for r in report.results:
             resid = "" if r.residual is None else f" residual={r.residual:.3e}"
             extra = ""
-            if r.name == "hilbert.series":
+            if r.name == "hilbert.series" and isinstance(r.observed, list):
                 extra = " dims " + ",".join(map(str, r.observed))
             print(f"  [{r.status:^9s}] {r.name}{resid}{extra}")
         s = report.summary

@@ -253,26 +253,40 @@ def r_plus_limit(params: AlgebraParams, zeta: HalfPeriodPoint, sign: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _heisenberg_i(n: int, a: int, b: int) -> np.ndarray:
-    """I_{(a,b)} x_i = omega^{i b} x_{i - a}, omega = e(1/n)."""
-    M = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        M[(i - a) % n, i] = e_fn(i * b / n)
-    return M
+@functools.lru_cache(maxsize=32)
+def _weight_indices(n: int, step: int):
+    """Index arrays of _weight_sum for one (n, step mod n).
+
+    With J = I_{(s a, b)}, (J ⊗ J^{-1})(x_i ⊗ x_j) = omega^{(i-j-s a) b}
+    x_{i-s a} ⊗ x_{j+s a}.  Returns, for every (a, i, j), its flat position
+    in the n^2 x n^2 matrix and the phase index (i - j - s a) mod n, and the
+    phase table omega^{m b} indexed (b, m).
+    """
+    a, i, j = np.indices((n, n, n)).reshape(3, -1)
+    sa = step * a
+    pos = (((i - sa) % n) * n + (j + sa) % n) * n * n + i * n + j  # row-major (row, col)
+    m = np.arange(n)
+    out = (pos, a, (i - j - sa) % n, np.exp(2j * np.pi * (np.outer(m, m) % n) / n))
+    for arr in out:  # shared by every call: read-only
+        arr.flags.writeable = False
+    return out
 
 
 def _weight_sum(params: AlgebraParams, z, step: int) -> np.ndarray:
-    """sum_{(a,b) in Z_n^2} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(step*a, b)}; the
-    n^2 weights come from one array call of w_fn."""
+    """sum_{(a,b) in Z_n^2} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(step*a, b)},
+    I_{(a,b)} x_i = omega^{i b} x_{i - a}, omega = e(1/n).
+
+    The n^2 weights come from one array call of w_fn.  Each a places its
+    terms at its own n^2 positions (step is a unit mod n), and the sum over
+    b there is (w @ phases)[a, i - j - step*a]: one gather and one scatter.
+    """
     n = params.n
+    pos, a, m, phases = _weight_indices(n, step % n)
     idx = np.arange(n)
     w = w_fn(idx[:, None], idx, z, params.tau, params.theta)
-    total = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            J = _heisenberg_i(n, (step * a) % n, b)
-            total += w[a, b] * np.kron(J, np.linalg.inv(J))
-    return total
+    total = np.zeros(n ** 4, dtype=complex)
+    total[pos] = (w @ phases)[a, m]
+    return total.reshape(n * n, n * n)
 
 
 def weight_op(params: AlgebraParams, z) -> np.ndarray:

@@ -19,11 +19,18 @@ t_i, ..., t_{j-1}; partial sums are written Sum(p,q) = t_p + ... + t_q.
 Descending chains take their arguments in display order t_{j-1}, ..., t_i.
 All chains degenerate to the identity when they span a single position.
 
-Every chain, T_d, F_d and both assemblies of M_{a,b} is a list of
-(argument, position) factors handed to one product routine, which applies
-each R factor in place to the running product through a reshape of its
-columns; no n^d x n^d embedding is formed.  The products themselves are
-dense, and n^d is capped at MAX_TENSOR_DIM = 5^5 (read at call time).
+Every multi-site operator is one site product: an ordered list of
+two-site factors (matrix, (p, q)), p < q, evaluated by ``site_product``.
+It writes the last factor's embedding directly (no kron, no identity
+multiplied) and left-multiplies the preceding factors, each through an
+(n^(p-1), n^2, rest) view of the rows, so a factor costs n^(p-1) large
+GEMMs.  A non-adjacent site such as (1, 3) swaps the axes between p and q
+around the contraction.  The chains, T_d, F_d and both assemblies of
+M_{a,b} are (argument, position) lists of R(argument)_{position,position+1}
+factors; the Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
+No n^d x n^d embedding is formed on these paths; ``embed_pair`` is the
+dense reference only.  The products themselves are dense, and n^d is capped
+at MAX_TENSOR_DIM = 5^5 (read at call time).
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
@@ -126,9 +133,8 @@ def _check_dim(n: int, d: int):
 def embed_pair(op: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
     """Embed a two-site operator at tensorands (pos, pos+1), pos one-based.
 
-    The dense reference for the in-place factors of chain products.  An
-    identity of dimension 1 is not kron'ed in, so an embedding into
-    V^{(x)3} costs one ``kron``."""
+    The dense reference for :func:`site_product`.  An identity of dimension
+    1 is not kron'ed in, so an embedding into V^{(x)3} costs one ``kron``."""
     _check_dim(n, d)
     if not 1 <= pos <= d - 1:
         raise ValueError(f"pair position {pos} out of range for degree {d}")
@@ -200,25 +206,51 @@ def _chain_factors(d: int, i: int, j: int, ts, descending: bool, reverse: bool) 
     return factors[::-1] if descending else factors
 
 
-def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
-    """The left-to-right product of R(arg)_{pos,pos+1} over ``factors``.
+def _site_shape(n: int, d: int, sites, cols: int):
+    """Row axes (n^(p-1), n, n^(q-p-1), n, n^(d-q) * cols) of an n^d-row array."""
+    p, q = sites
+    if not 1 <= p < q <= d:
+        raise ValueError(f"sites {sites} out of range for degree {d}")
+    return n ** (p - 1), n, n ** (q - p - 1), n, n ** (d - q) * cols
 
-    Each factor enters at unit max-abs and acts in place on the running
-    product: its columns are reshaped to (n^(pos-1), n^2, n^(d-pos-1)) and
-    the middle index is contracted with R, so no n^d x n^d embedding is
-    formed.
+
+def site_product(n: int, d: int, factors) -> np.ndarray:
+    """The left-to-right product of two-site operators on V^{(x)d}.
+
+    ``factors`` is an ordered list of (matrix, (p, q)): an n^2 x n^2 matrix
+    acting on tensorands p < q (one-based), its first factor on p.  The last
+    factor is embedded directly; each preceding one left-multiplies the
+    running product through an (n^(p-1), n^2, rest) view of its rows, with
+    the axes between p and q swapped out of the way, so no n^d x n^d
+    embedding is formed.  No factors give the identity.
     """
-    n = params.n
     _check_dim(n, d)
     dim = n ** d
-    out = np.eye(dim, dtype=complex)
-    log_scale = 0.0
-    for arg, pos in factors:
-        fac = ScaledOp.wrap(r_matrix(params, arg))
-        view = out.reshape(dim, n ** (pos - 1), n * n, n ** (d - pos - 1))
-        out = (fac.mat.T @ view).reshape(dim, dim)
-        log_scale += fac.log_scale
-    return ScaledOp(out, log_scale)
+    if not factors:
+        return np.eye(dim, dtype=complex)
+    *rest, (mat, sites) = factors
+    lead, _, gap, _, trail = _site_shape(n, d, sites, 1)
+    # out[(l, i, g, j, t), (l, i', g, j', t)] = mat[(i, j), (i', j')]
+    out = np.zeros((lead, n, gap, n, trail) * 2, dtype=complex)
+    l, g, t = (np.arange(lead)[:, None, None], np.arange(gap)[:, None],
+               np.arange(trail))
+    out[l, :, g, :, t, l, :, g, :, t] = np.reshape(mat, (n,) * 4)
+    out = out.reshape(dim, dim)
+    for mat, sites in reversed(rest):
+        lead, _, gap, _, trail = shape = _site_shape(n, d, sites, dim)
+        view = out.reshape(shape).transpose(0, 1, 3, 2, 4).reshape(lead, n * n, gap * trail)
+        out = np.matmul(mat, view).reshape(lead, n, n, gap, trail).transpose(0, 1, 3, 2, 4)
+        out = out.reshape(dim, dim)
+    return out
+
+
+def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
+    """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
+    ``factors``: one :func:`site_product` of the factors at unit max-abs,
+    with their log scales summed."""
+    wrapped = [(ScaledOp.wrap(r_matrix(params, arg)), pos) for arg, pos in factors]
+    return ScaledOp(site_product(params.n, d, [(f.mat, (pos, pos + 1)) for f, pos in wrapped]),
+                    sum(f.log_scale for f, _ in wrapped))
 
 
 def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:

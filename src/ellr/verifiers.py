@@ -73,10 +73,10 @@ from .rmatrix import (
 )
 from . import tensorops
 from .tensorops import (
-    embed_pair,
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
+    site_product,
     symmetrizer,
     antisymmetrizer,
     t_op,
@@ -186,17 +186,20 @@ def _rel(diff: np.ndarray, *refs) -> float:
     return float(np.max(np.abs(diff)) / scale)
 
 
-def _braid_residual(n: int, P23, Su, Sv, Suv) -> float:
+def _yb_residual(n: int, lhs, rhs) -> float:
+    """Relative residual between two site products on V^{(x)3}."""
+    lhs, rhs = site_product(n, 3, lhs), site_product(n, 3, rhs)
+    return _rel(lhs - rhs, lhs, rhs)
+
+
+def _braid_residual(n: int, Su, Sv, Suv) -> float:
     """Relative residual of the braid-form Yang-Baxter identity
 
         S(u)_12 S(u+v)_13 S(v)_23 = S(v)_23 S(u+v)_13 S(u)_12
 
-    on V^{(x)3}, with S_13 = P_23 S_12 P_23 and P23 the embedded swap."""
-    e12, e23 = embed_pair(Su, 1, n, 3), embed_pair(Sv, 2, n, 3)
-    S13 = P23 @ embed_pair(Suv, 1, n, 3) @ P23
-    lhs = e12 @ S13 @ e23
-    rhs = e23 @ S13 @ e12
-    return _rel(lhs - rhs, lhs, rhs)
+    on V^{(x)3}."""
+    return _yb_residual(n, [(Su, (1, 2)), (Suv, (1, 3)), (Sv, (2, 3))],
+                        [(Sv, (2, 3)), (Suv, (1, 3)), (Su, (1, 2))])
 
 
 def _random_z(rng, count, re_width=0.45, im_width=0.08):
@@ -262,16 +265,13 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
-    P23 = embed_pair(P, 2, n, 3)
-    e12, e23 = (lambda A: embed_pair(A, 1, n, 3)), (lambda A: embed_pair(A, 2, n, 3))
     worst2 = worst1 = 0.0
     for _ in range(trials):
         u, v = _random_z(rng, 2)
         Ru, Rv, Ruv = r_matrix(params, u), r_matrix(params, v), r_matrix(params, u + v)
-        lhs = e12(Ru) @ e23(Ruv) @ e12(Rv)
-        rhs = e23(Rv) @ e12(Ruv) @ e23(Ru)
-        worst2 = max(worst2, _rel(lhs - rhs, lhs, rhs))
-        worst1 = max(worst1, _braid_residual(n, P23, P @ Ru, P @ Rv, P @ Ruv))
+        worst2 = max(worst2, _yb_residual(n, [(Ru, (1, 2)), (Ruv, (2, 3)), (Rv, (1, 2))],
+                                          [(Rv, (2, 3)), (Ruv, (1, 2)), (Ru, (2, 3))]))
+        worst1 = max(worst1, _braid_residual(n, P @ Ru, P @ Rv, P @ Ruv))
     echo = _echo(params, trials=trials, seed=seed)
     return [
         _within("qybe.two_parameter", echo, worst2, TOL_RESIDUAL),
@@ -499,7 +499,9 @@ def hilbert_check(params: AlgebraParams, d_max: int = 4):
     Hilbert series), kernel equal to the degree-d relation space (the image
     of R(tau) embedded at every position), image equal to the intersection
     of the embedded kernels of R(tau).  The series is refused when any
-    degree was."""
+    degree was, and when d_max < 2 leaves no degree to check."""
+    if d_max < 2:
+        return [_refused("hilbert.series", params, "hilbert needs d >= 2", d_max=d_max)]
     if tau_excluded(params, d_max):
         return [_refused("hilbert.rank", params,
                          "tau on excluded torsion locus", d_max=d_max)]
@@ -778,7 +780,6 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
-    P23 = embed_pair(P, 2, n, 3)
     worst_rel = 0.0
     for z in _random_z(rng, trials):
         Sk = weight_op_k(params, -n * z)
@@ -788,7 +789,7 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     for _ in range(trials):
         u, v = _random_z(rng, 2)
         Su, Sv, Suv = weight_op(params, u), weight_op(params, v), weight_op(params, u + v)
-        worst_qybe1 = max(worst_qybe1, _braid_residual(n, P23, Su, Sv, Suv))
+        worst_qybe1 = max(worst_qybe1, _braid_residual(n, Su, Sv, Suv))
     at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
     return [
         _within("weights.relation_to_r", _echo(params, trials=trials, seed=seed),

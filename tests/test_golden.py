@@ -21,7 +21,14 @@ with open(os.path.join(BENCH, "golden.json")) as fh:
     GOLDEN = json.load(fh)
 
 
-@pytest.mark.parametrize("name", ("report_n3", "identities_grid"))
+# limit.antisymmetrizer at n = 2 divides by the zero target norm (a known
+# defect recorded in golden.json); its fix re-records the golden file
+@pytest.mark.parametrize("name", (
+    "report_n3",
+    pytest.param("identities_grid", marks=pytest.mark.filterwarnings(
+        "ignore:divide by zero encountered in scalar divide:RuntimeWarning",
+        "ignore:invalid value encountered in scalar divide:RuntimeWarning")),
+))
 def test_one_pass_matches_the_golden_records(name, tmp_path):
     workload = WORKLOADS[name]
     recorder = CheckRecorder(ellr.verifiers)

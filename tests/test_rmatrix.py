@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ellr.theta as theta_module
-from ellr.theta import TruncationError, e_fn, theta_alpha
+from ellr.theta import TruncationError, e_fn, theta_alpha, w_fn
 from ellr.linalg import svd_rank
 from ellr.rmatrix import (
     DEFAULT_ETA,
@@ -205,6 +205,34 @@ def test_weight_family_qybe(p31):
     lhs = e12(Su) @ e13(Suv) @ e23(Sv)
     rhs = e23(Sv) @ e13(Suv) @ e12(Su)
     assert _rel(lhs - rhs, lhs) < 1e-12
+
+
+def _kron_weight_sum(params, z, step):
+    """The weight sum term by term: w_{(a,b)}(z) J ⊗ J^{-1} with
+    J = I_{(step*a, b)}, I_{(a,b)} x_i = omega^{i b} x_{i - a}."""
+    n = params.n
+    idx = np.arange(n)
+    w = w_fn(idx[:, None], idx, z, params.tau, params.theta)
+    total = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            J = np.zeros((n, n), dtype=complex)
+            for i in range(n):
+                J[(i - step * a) % n, i] = e_fn(i * b / n)
+            total += w[a, b] * np.kron(J, np.linalg.inv(J))
+    return total
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_weight_sum_matches_kron_loop_reference(n):
+    for k in range(1, n):
+        if math.gcd(n, k) != 1:
+            continue
+        p = make_params(n, k)
+        for z in (0.0, 0.13 + 0.02j, -0.21 + 0.05j):
+            for got, step in ((weight_op(p, z), 1), (weight_op_k(p, z), -p.k_prime)):
+                ref = _kron_weight_sum(p, z, step)
+                assert _rel(got - ref, ref) < 1e-13, (n, k, z, step)
 
 
 def test_dual_transpose(p31, p32):

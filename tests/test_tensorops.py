@@ -18,6 +18,7 @@ from ellr.tensorops import (
     scaled_residual,
     scaled_rank,
     embed_pair,
+    site_product,
     perm_op,
     perm_sign,
     symmetrizer,
@@ -171,6 +172,34 @@ def test_chain_pins_d3():
     assert _rel(desc_r, _E(R(t1), 2) @ _E(R(t1 + t2), 1)) < 1e-12
 
 
+SITES = ((1, 2), (2, 3), (1, 3))
+
+
+def _dense_site(A, sites, n):
+    """The dense reference embedding of A at ``sites`` of V^{(x)3}; (1, 3) is
+    the (1, 2) embedding conjugated by the swap of tensorands 2 and 3."""
+    if sites == (1, 3):
+        P23 = perm_op((0, 2, 1), n, 3)
+        return P23 @ embed_pair(A, 1, n, 3) @ P23
+    return embed_pair(A, sites[0], n, 3)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_site_product_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    mats = [rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+            for _ in range(3)]
+    for sites in SITES:
+        assert _rel(site_product(n, 3, [(mats[0], sites)]), _dense_site(mats[0], sites, n)) < 1e-13
+    for triple in itertools.product(SITES, repeat=3):
+        factors = list(zip(mats, triple))
+        dense = np.linalg.multi_dot([_dense_site(A, s, n) for A, s in factors])
+        assert _rel(site_product(n, 3, factors), dense) < 1e-13, triple
+    assert np.array_equal(site_product(n, 3, []), np.eye(n ** 3))
+    with pytest.raises(ValueError):
+        site_product(n, 3, [(mats[0], (2, 4))])
+
+
 def test_chain_products_form_no_embedding(monkeypatch):
     # every factor acts in place on the running product: neither the dense
     # embedding nor any Kronecker product is formed on the chain path
@@ -182,13 +211,15 @@ def test_chain_products_form_no_embedding(monkeypatch):
     monkeypatch.setattr(tops, "embed_pair", refuse)
     monkeypatch.setattr(np, "kron", refuse)
     d, ts = 4, ZS
-    for build in (chain_asc, chain_asc_rev):
-        assert build(P31, d, 1, d, ts).mat.shape == (81, 81)
-    for build in (chain_desc, chain_desc_rev):
-        assert build(P31, d, d, 1, ts).mat.shape == (81, 81)
-    t_op(P31, d, ts)
-    f_op(P31, d, -P31.tau)
-    m_op(P31, 2, 2, 0.13 + 0.02j, validate=True)
+    for p in (P31, make_params(5, 2)):
+        dim = p.n ** d
+        for build in (chain_asc, chain_asc_rev):
+            assert build(p, d, 1, d, ts).mat.shape == (dim, dim)
+        for build in (chain_desc, chain_desc_rev):
+            assert build(p, d, d, 1, ts).mat.shape == (dim, dim)
+        t_op(p, d, ts)
+        f_op(p, d, -p.tau)
+        m_op(p, 2, 2, 0.13 + 0.02j, validate=True)
 
 
 def test_chain_trivial_and_errors():

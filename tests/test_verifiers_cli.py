@@ -140,6 +140,43 @@ def test_tensor_checks_refuse_torsion_tau_off_the_excluded_locus():
         assert [r.status for r in check(pt)] == ["refused"], check.__name__
 
 
+YB_CHECKS = (V.qybe_check, V.weight_family_check)
+
+
+@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
+def test_yang_baxter_checks_form_no_dense_embedding(monkeypatch, nk):
+    # both sides of both identities are site products on V^(x)3: neither
+    # the dense embedding nor any Kronecker product is formed
+    import ellr.tensorops
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense embedding formed in a Yang-Baxter check")
+
+    monkeypatch.setattr(ellr.tensorops, "embed_pair", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    p = make_params(*nk)
+    for check in YB_CHECKS:
+        assert {r.status for r in check(p)} == {"pass"}, check.__name__
+
+
+@pytest.mark.parametrize("check, limit_kib", zip(YB_CHECKS, (2414, 1895)),
+                         ids=("qybe", "weights"))
+def test_yang_baxter_checks_keep_a_small_peak(check, limit_kib):
+    # per-trial work stays at a few n^6 temporaries at (5, 2): the traced
+    # peak is at most what the dense V^(x)3 embeddings took
+    import tracemalloc
+
+    p = make_params(5, 2)
+    check(p)  # the index and theta-row caches are filled once
+    tracemalloc.start()
+    try:
+        check(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_kib * 1024, peak // 1024
+
+
 def test_half_torsion_nullity_recorded_not_asserted():
     ph = make_params(3, 1, tau=1 / 6)
     (res,) = V.nullity_table(ph)
@@ -375,6 +412,15 @@ def test_cli_koszul_below_degree_three_is_refused(tmp_path, capsys, d_max):
     assert "summary: 0 pass, 0 fail, 0 ambiguous, 1 refused" in capsys.readouterr().out
     (result,) = json.loads(out.read_text())["results"]
     assert result["status"] == "refused" and "d >= 3" in result["expected"]
+
+
+def test_cli_hilbert_below_degree_two_is_refused(tmp_path, capsys):
+    # no F_d is built below d = 2: the series must not read as a vacuous pass
+    out = tmp_path / "h.json"
+    assert main(["hilbert", "--d-max", "1", "--out", str(out)]) == 0
+    assert "summary: 0 pass, 0 fail, 0 ambiguous, 1 refused" in capsys.readouterr().out
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["status"] == "refused" and "d >= 2" in result["expected"]
 
 
 def test_repeated_cli_calls_leave_no_parser_garbage(tmp_path):
