@@ -17,6 +17,7 @@ from .theta import (
 )
 from .linalg import (
     AmbiguousRankError,
+    NonFiniteMatrixError,
     RankPolicy,
     Subspace,
     svd_rank,
@@ -33,6 +34,7 @@ from .rmatrix import (
     make_params,
     basis_ops,
     r_matrix,
+    r_matrices,
     sym_op,
     r_plus_limit,
     weight_op,

@@ -30,6 +30,11 @@ class AmbiguousRankError(RuntimeError):
         self.gap = gap
 
 
+class NonFiniteMatrixError(ValueError):
+    """A matrix handed to :func:`spectrum` has an inf or NaN entry: the
+    computation that built it overflowed, so no rank can be read from it."""
+
+
 @dataclass(frozen=True)
 class RankPolicy:
     rel_threshold: float = 1e-9
@@ -94,12 +99,16 @@ def spectrum(M: np.ndarray, policy: RankPolicy | None = None) -> Spectrum:
     M is max-abs-normalized first.  The rank counts singular values above
     ``policy.rel_threshold`` times the largest; the gap is the ratio of the
     smallest kept to the largest dropped one.  Raises AmbiguousRankError when
-    gap < policy.min_gap.
+    gap < policy.min_gap, and NonFiniteMatrixError when M has an inf or NaN
+    entry.
     """
     policy = policy or RankPolicy()
     M = np.asarray(M, dtype=complex)
     scale = np.max(np.abs(M)) if M.size else 0.0
-    if scale == 0.0 or not np.isfinite(scale):
+    if not np.isfinite(scale):
+        raise NonFiniteMatrixError(
+            "matrix has inf or NaN entries: its construction overflowed complex128")
+    if scale == 0.0:
         scale = 1.0
     U, s, Vh = _svd(M / scale)
     rank, gap = 0, math.inf

@@ -4,6 +4,12 @@ closed-form determinant.
 
 Basis convention: V has basis x_0, ..., x_{n-1}; x_i ⊗ x_j maps to flat
 index i*n + j (row-major).  All operators are dense complex matrices.
+
+R-matrices are built in batches: ``r_matrices(params, zs)`` takes the theta
+rows of every z in one series call and assembles the whole
+(len(zs), n^2, n^2) stack along a leading axis, and ``r_matrix`` is its
+one-point case.  Callers pass each statement's distinct arguments in one
+call; nothing caches R itself.
 """
 
 from __future__ import annotations
@@ -158,7 +164,7 @@ def torsion_op(params: AlgebraParams, a: int, b: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _r_indices(n: int, k: int):
-    """Index arrays of r_matrix for one (n, k).
+    """Index arrays of r_matrices for one (n, k).
 
     The summand for (i, j, r) depends on d = j - i and r only, through
     C[d, r] = front[d - r] * theta_{d + r(k-1)}(-z+tau) / den[k r].  Returns
@@ -175,8 +181,9 @@ def _r_indices(n: int, k: int):
     return out
 
 
-def r_matrix(params: AlgebraParams, z) -> np.ndarray:
-    """The matrix of R_tau(z) on V ⊗ V.
+def r_matrices(params: AlgebraParams, zs) -> np.ndarray:
+    """The (len(zs), n^2, n^2) stack of the matrices of R_tau(z) on V ⊗ V,
+    one for every z in zs.
 
     R(z)(x_i ⊗ x_j) = (prod_alpha theta_alpha(-z) / prod_{alpha>=1} theta_alpha(0))
         * sum_r theta_{j-i+r(k-1)}(-z+tau) / (theta_{j-i-r}(-z) theta_{kr}(tau))
@@ -187,21 +194,36 @@ def r_matrix(params: AlgebraParams, z) -> np.ndarray:
     symbolically; this realizes the removable singularities exactly and makes
     the entries finite for every z.  R(0) = I ⊗ I exactly.
 
-    The two z-dependent theta rows come from one theta_alpha_rows call; the
-    rows at tau and 0 are cached on params.  The result is a complex128 array.
+    The z-dependent theta rows of the whole stack come from one
+    theta_alpha_rows call over [-zs, -zs + tau]; the rows at tau and 0 are
+    cached on params.  Each row of the stack equals r_matrix at its z
+    exactly.  An entry that overflows complex128 is left inf or NaN without
+    a warning: linalg.spectrum refuses such a matrix.
     """
     n = params.n
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    if not z.size:  # nothing to build: no denominators, so no torsion test
+        return np.zeros((0, n * n, n * n), dtype=complex)
     den = params._r_denominators
     front_idx, mzt_idx, den_idx, pos, entry = _r_indices(n, params.k)
-    th_mz, th_mzt = theta_alpha_rows([-z, -z + params.tau], params.theta)
-    # front[s] = prod_{alpha != s} theta_alpha(-z), from prefix and suffix
-    # products: theta_s(-z) may vanish, so it is never divided out
-    before = np.cumprod(np.concatenate(([1.0], th_mz[:-1])))
-    after = np.cumprod(np.concatenate(([1.0], th_mz[:0:-1])))[::-1]
-    coef = (before * after)[front_idx] * th_mzt[mzt_idx] / den[den_idx]
-    M = np.zeros(n ** 4, dtype=complex)
-    M[pos] = coef.ravel()[entry]
-    return M.reshape(n * n, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = theta_alpha_rows(np.concatenate((-z, -z + params.tau)), params.theta)
+        th_mz, th_mzt = th[:z.size], th[z.size:]
+        # front[:, s] = prod_{alpha != s} theta_alpha(-z), from prefix and
+        # suffix products: theta_s(-z) may vanish, so it is never divided out
+        ones = np.ones((z.size, 1))
+        before = np.cumprod(np.concatenate((ones, th_mz[:, :-1]), axis=1), axis=1)
+        after = np.cumprod(np.concatenate((ones, th_mz[:, :0:-1]), axis=1), axis=1)[:, ::-1]
+        coef = (before * after)[:, front_idx] * th_mzt[:, mzt_idx] / den[den_idx]
+    M = np.zeros((z.size, n ** 4), dtype=complex)
+    M[:, pos] = coef.reshape(z.size, -1)[:, entry]
+    return M.reshape(z.size, n * n, n * n)
+
+
+def r_matrix(params: AlgebraParams, z) -> np.ndarray:
+    """The matrix of R_tau(z) on V ⊗ V: the one-point stack of
+    :func:`r_matrices`.  The result is a complex128 array."""
+    return r_matrices(params, [z])[0]
 
 
 def sym_op(m: int, n: int) -> np.ndarray:
@@ -346,12 +368,15 @@ def alt_norm_prefactor(params: AlgebraParams, z):
     return complex(np.prod(num / den))
 
 
-def dual_transpose_check(params: AlgebraParams, z) -> float:
-    """Relative residual of R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z),
-    the transpose taken in the x-basis."""
-    n = params.n
-    lhs = r_matrix(params, z).T
+def dual_transpose_check(params: AlgebraParams, zs) -> float:
+    """Worst relative residual over zs of
+    R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z), the transpose taken in
+    the x-basis.  Each side is one r_matrices call."""
+    n, zs = params.n, list(zs)
     dual = AlgebraParams(n, n - params.k, -params.tau, params.theta, params.ranks)
-    rhs = e_fn(-n * n * z) * r_matrix(dual, -z)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    residuals = []
+    for z, R, R_dual in zip(zs, r_matrices(params, zs), r_matrices(dual, [-z for z in zs])):
+        lhs, rhs = R.T, e_fn(-n * n * z) * R_dual
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+        residuals.append(float(np.linalg.norm(lhs - rhs) / scale))
+    return max(residuals)

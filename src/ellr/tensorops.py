@@ -27,7 +27,8 @@ multiplied) and left-multiplies the preceding factors, each through an
 GEMMs.  A non-adjacent site such as (1, 3) swaps the axes between p and q
 around the contraction.  The chains, T_d, F_d and both assemblies of
 M_{a,b} are (argument, position) lists of R(argument)_{position,position+1}
-factors; the Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
+factors, whose distinct arguments are built in one ``r_matrices`` call; the
+Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
 No n^d x n^d embedding is formed on these paths; ``embed_pair`` is the
 dense reference only.  The products themselves are dense, and n^d is capped
 at MAX_TENSOR_DIM = 5^5 (read at call time).
@@ -56,7 +57,11 @@ import math
 
 import numpy as np
 
-from .rmatrix import AlgebraParams, r_matrix
+from .rmatrix import (
+    AlgebraParams,
+    r_matrices,
+    r_matrix,  # noqa: F401  (bound here for ellrbench's tracer test)
+)
 from .linalg import (
     RankPolicy,
     Spectrum,
@@ -247,10 +252,13 @@ def site_product(n: int, d: int, factors) -> np.ndarray:
 def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
     """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
     ``factors``: one :func:`site_product` of the factors at unit max-abs,
-    with their log scales summed."""
-    wrapped = [(ScaledOp.wrap(r_matrix(params, arg)), pos) for arg, pos in factors]
-    return ScaledOp(site_product(params.n, d, [(f.mat, (pos, pos + 1)) for f, pos in wrapped]),
-                    sum(f.log_scale for f, _ in wrapped))
+    with their log scales summed.  Each distinct argument is built once, all
+    of them in one :func:`r_matrices` call, and wrapped once."""
+    args = list(dict.fromkeys(arg for arg, _ in factors))
+    scaled = dict(zip(args, map(ScaledOp.wrap, r_matrices(params, args))))
+    return ScaledOp(site_product(params.n, d, [(scaled[arg].mat, (pos, pos + 1))
+                                               for arg, pos in factors]),
+                    sum(scaled[arg].log_scale for arg, _ in factors))
 
 
 def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 from math import comb, factorial
@@ -47,6 +48,7 @@ from .theta import (
 )
 from .linalg import (
     AmbiguousRankError,
+    NonFiniteMatrixError,
     Subspace,
     svd_rank,
     spectrum,
@@ -63,6 +65,7 @@ from .rmatrix import (
     basis_ops,
     torsion_op,
     r_matrix,
+    r_matrices,
     sym_op,
     b_fn,
     f_fn,
@@ -108,6 +111,8 @@ class CheckResult:
     wall_time: float = 0.0
 
     def __post_init__(self):
+        # one string per distinct name, however many results carry it
+        self.name = sys.intern(self.name)
         # numpy scalars leave a check as Python floats: the CSV column would
         # otherwise hold the numpy repr, np.float64(...)
         if self.residual is not None:
@@ -234,7 +239,8 @@ def _beyond_cap(n: int, d: int) -> str | None:
 def _guard(fn):
     """Turn an exception escaping a check into a single result: an
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
-    SingularParameterError (tau on a locus the statements exclude) into a
+    SingularParameterError (tau on a locus the statements exclude) or a
+    NonFiniteMatrixError (an overflowed matrix, no rank to read) into a
     refused status."""
 
     def wrapper(params, *args, **kwargs):
@@ -243,7 +249,7 @@ def _guard(fn):
         except AmbiguousRankError as exc:
             return [CheckResult(fn.__name__, _echo(params), "certified rank",
                                 f"gap {exc.gap:.3e}", None, "ambiguous")]
-        except (TorsionParameterError, SingularParameterError) as exc:
+        except (TorsionParameterError, SingularParameterError, NonFiniteMatrixError) as exc:
             return [_refused(fn.__name__, params, str(exc))]
 
     wrapper.__name__ = fn.__name__
@@ -268,7 +274,7 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
     worst2 = worst1 = 0.0
     for _ in range(trials):
         u, v = _random_z(rng, 2)
-        Ru, Rv, Ruv = r_matrix(params, u), r_matrix(params, v), r_matrix(params, u + v)
+        Ru, Rv, Ruv = r_matrices(params, [u, v, u + v])
         worst2 = max(worst2, _yb_residual(n, [(Ru, (1, 2)), (Ruv, (2, 3)), (Rv, (1, 2))],
                                           [(Rv, (2, 3)), (Ruv, (1, 2)), (Ru, (2, 3))]))
         worst1 = max(worst1, _braid_residual(n, P @ Ru, P @ Rv, P @ Ruv))
@@ -285,13 +291,14 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     z = 0 and vanishes at z = +-tau."""
     rng = np.random.default_rng(seed)
     dim = params.n ** 2
+    zs = _random_z(rng, trials)
     worst = 0.0
-    for z in _random_z(rng, trials):
-        prod = r_matrix(params, z) @ r_matrix(params, -z)
+    for Rz, Rmz in zip(*r_matrices(params, zs + [-z for z in zs]).reshape(2, trials, dim, dim)):
+        prod = Rz @ Rmz
         c = prod[0, 0]
         worst = max(worst, _rel(prod - c * np.eye(dim), prod))
-    at_zero = float(np.max(np.abs(r_matrix(params, 0.0) - np.eye(dim))))
-    Rt, Rmt = r_matrix(params, params.tau), r_matrix(params, -params.tau)
+    R0, Rt, Rmt = r_matrices(params, [0.0, params.tau, -params.tau])
+    at_zero = float(np.max(np.abs(R0 - np.eye(dim))))
     vanish = float(
         np.max(np.abs(Rt @ Rmt)) / max(np.max(np.abs(Rt)) * np.max(np.abs(Rmt)), 1e-300)
     )
@@ -324,43 +331,36 @@ def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     C = torsion_op(params, zeta.a, zeta.b)
     Cinv = np.linalg.inv(C)
 
+    # R(z) and the left-hand sides at params in one call over every trial,
+    # and one call for each shifted params
+    zs = _random_z(rng, trials)
+    shift = zeta.value(n, eta)
+    R, R_plus_1n, R_plus_eta_n, R_minus, R_zeta = r_matrices(params, [
+        w for ws in (zs, [z + 1 / n for z in zs], [z + eta / n for z in zs],
+                     [-z for z in zs], [z + shift for z in zs]) for w in ws
+    ]).reshape(5, trials, n * n, n * n)
+    R_neg, R_p1, R_pe = (r_matrices(p, zs) for p in (params_neg, params_p1, params_pe))
+    # law: (left-hand stack over zs, right-hand side at trial i)
     laws = {
-        "shift_period_over_n": lambda z, R: (
-            r_matrix(params, z + 1 / n),
-            (-1) ** (n - 1) * np.kron(eye, Skinv) @ R @ np.kron(Sk, eye),
-        ),
-        "shift_eta_over_n": lambda z, R: (
-            r_matrix(params, z + eta / n),
-            b_fn(params, z) * np.kron(eye, Tinv) @ R @ np.kron(T, eye),
-        ),
-        "negation_swap": lambda z, R: (
-            r_matrix(params, -z),
-            e_fn(n * n * z) * P @ r_matrix(params_neg, z) @ P,
-        ),
-        "negation_index_reversal": lambda z, R: (
-            r_matrix(params, -z),
-            e_fn(n * n * z) * np.kron(N, N) @ r_matrix(params_neg, z) @ np.kron(N, N),
-        ),
-        "tau_shift_period_over_n": lambda z, R: (
-            r_matrix(params_p1, z),
-            np.kron(S, eye) @ R @ np.kron(Sinv, eye),
-        ),
-        "tau_shift_eta_over_n": lambda z, R: (
-            r_matrix(params_pe, z),
-            e_fn(z) * np.kron(eye, Tkpinv) @ R @ np.kron(eye, Tkp),
-        ),
-        "general_torsion_shift": lambda z, R: (
-            r_matrix(params, z + zeta.value(n, eta)),
-            f_fn(params, z, zeta) * np.kron(eye, Cinv) @ R @ np.kron(C, eye),
-        ),
+        "shift_period_over_n": (R_plus_1n, lambda i, z: (
+            (-1) ** (n - 1) * np.kron(eye, Skinv) @ R[i] @ np.kron(Sk, eye))),
+        "shift_eta_over_n": (R_plus_eta_n, lambda i, z: (
+            b_fn(params, z) * np.kron(eye, Tinv) @ R[i] @ np.kron(T, eye))),
+        "negation_swap": (R_minus, lambda i, z: e_fn(n * n * z) * P @ R_neg[i] @ P),
+        "negation_index_reversal": (R_minus, lambda i, z: (
+            e_fn(n * n * z) * np.kron(N, N) @ R_neg[i] @ np.kron(N, N))),
+        "tau_shift_period_over_n": (R_p1, lambda i, z: (
+            np.kron(S, eye) @ R[i] @ np.kron(Sinv, eye))),
+        "tau_shift_eta_over_n": (R_pe, lambda i, z: (
+            e_fn(z) * np.kron(eye, Tkpinv) @ R[i] @ np.kron(eye, Tkp))),
+        "general_torsion_shift": (R_zeta, lambda i, z: (
+            f_fn(params, z, zeta) * np.kron(eye, Cinv) @ R[i] @ np.kron(C, eye))),
     }
     results = []
-    zs = _random_z(rng, trials)
-    for name, law in laws.items():
+    for name, (lhs_stack, rhs_of) in laws.items():
         worst = 0.0
-        for z in zs:
-            R = r_matrix(params, z)
-            lhs, rhs = law(z, R)
+        for i, z in enumerate(zs):
+            lhs, rhs = lhs_stack[i], rhs_of(i, z)
             worst = max(worst, _rel(lhs - rhs, lhs, rhs))
         results.append(_within(f"transform.{name}", _echo(params, trials=trials, seed=seed),
                                worst, TOL_TRANSFORM))
@@ -376,17 +376,19 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
         return [_refused("det.ratio", params, "tau on excluded torsion locus")]
     rng = np.random.default_rng(seed)
     n = params.n
-    worst = 0.0
-    for z in _random_z(rng, trials):
-        ratio = np.linalg.det(r_matrix(params, z)) / det_closed_form(params, z)
-        worst = max(worst, abs(ratio - 1))
-    at_zero = abs(np.linalg.det(r_matrix(params, 0.0)) - 1.0)
+    zs = _random_z(rng, trials)
     zk = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.05, 0.05))
-    d1 = np.linalg.det(r_matrix(params, zk))
+    worst = 0.0
+    for z, Rz in zip(zs, r_matrices(params, zs)):
+        ratio = np.linalg.det(Rz) / det_closed_form(params, z)
+        worst = max(worst, abs(ratio - 1))
+    R0, Rk, Rt, Rmt = r_matrices(params, [0.0, zk, params.tau, -params.tau])
+    at_zero = abs(np.linalg.det(R0) - 1.0)
+    d1 = np.linalg.det(Rk)
     d2 = np.linalg.det(r_matrix(params.with_k(n - params.k), zk))
     k_resid = abs(d1 - d2) / max(abs(d1), abs(d2))
-    null_plus, _ = svd_rank(r_matrix(params, params.tau), params.ranks)
-    null_minus, _ = svd_rank(r_matrix(params, -params.tau), params.ranks)
+    null_plus, _ = svd_rank(Rt, params.ranks)
+    null_minus, _ = svd_rank(Rmt, params.ranks)
     zero_count = (n * n - null_plus) + (n * n - null_minus)
     return [
         _within("det.ratio", _echo(params, trials=trials, seed=seed), worst, TOL_DET,
@@ -403,9 +405,9 @@ def _cell_ranks(params: AlgebraParams, sign: int) -> list:
     """Certified (rank, gap) of R(sign*tau + zeta) for every zeta in one
     n x n torsion cell."""
     n, eta = params.n, params.eta
-    return [svd_rank(r_matrix(params, sign * params.tau + HalfPeriodPoint(a, b).value(n, eta)),
-                     params.ranks)
-            for a in range(n) for b in range(n)]
+    cell = r_matrices(params, [sign * params.tau + HalfPeriodPoint(a, b).value(n, eta)
+                               for a in range(n) for b in range(n)])
+    return [svd_rank(R, params.ranks) for R in cell]
 
 
 @_guard
@@ -428,8 +430,8 @@ def nullity_table(params: AlgebraParams):
     expected = {"at_tau_coset": comb(n + 1, 2), "at_minus_tau_coset": comb(n, 2)}
     cells = {"at_tau_coset": _cell_ranks(params, 1),
              "at_minus_tau_coset": _cell_ranks(params, -1)}
-    generic = [svd_rank(r_matrix(params, z), params.ranks)
-               for z in _random_z(np.random.default_rng(11), 5)]
+    generic = [svd_rank(R, params.ranks)
+               for R in r_matrices(params, _random_z(np.random.default_rng(11), 5))]
     observed = {key: sorted({n * n - rank for rank, _ in cell}) for key, cell in cells.items()}
     observed["min_gap"] = min(gap for cell in [*cells.values(), generic] for _, gap in cell)
     ok = (all(observed[key] == [expected[key]] for key in cells)
@@ -606,19 +608,23 @@ def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
     replaces params.tau, so the results do not depend on it.
     """
     n, k = params.n, params.k
+    rungs = [params.with_tau(eps) for eps in ladder]
+    # skew[rung][i] = R_eps(m_range[i] * eps), one call per rung
+    skew = [r_matrices(p, [m * eps for m in m_range]) for p, eps in zip(rungs, ladder)]
     results = [
         _ladder("limit.skew_symmetrization", {"n": n, "k": k, "m": m, "ladder": list(ladder)},
-                ((r_matrix(params.with_tau(eps), m * eps), sym_op(m, n)) for eps in ladder),
+                ((at_rung[i], sym_op(m, n)) for at_rung in skew),
                 exempt_decay=m == 0)
-        for m in m_range
+        for i, m in enumerate(m_range)
     ]
+    del skew  # freed before F_d is built, where the check peaks
     norm = float(np.prod([factorial(m) for m in range(1, d)]))
     for sign, target, label in ((-1, symmetrizer(n, d), "symmetrizer"),
                                 (1, antisymmetrizer(n, d), "antisymmetrizer")):
         results.append(_ladder(
             f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)},
-            ((f_op(params.with_tau(eps), d, sign * eps).dense() / norm, target)
-             for eps in ladder)))
+            ((f_op(p, d, sign * eps).dense() / norm, target)
+             for p, eps in zip(rungs, ladder))))
     return results
 
 
@@ -756,7 +762,7 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     its (n, n-k) partner."""
     n = params.n
     rng = np.random.default_rng(seed)
-    worst = max(dual_transpose_check(params, z) for z in _random_z(rng, 5))
+    worst = dual_transpose_check(params, _random_z(rng, 5))
     partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
                           ranks=params.ranks)
     # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity
@@ -780,10 +786,11 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
+    zs = _random_z(rng, trials)
     worst_rel = 0.0
-    for z in _random_z(rng, trials):
+    for z, Rz in zip(zs, r_matrices(params, zs)):
         Sk = weight_op_k(params, -n * z)
-        rhs = n * e_fn(0.5 * n * (n + 1) * z) * P @ r_matrix(params, z)
+        rhs = n * e_fn(0.5 * n * (n + 1) * z) * P @ Rz
         worst_rel = max(worst_rel, _rel(Sk - rhs, Sk, rhs))
     worst_qybe1 = 0.0
     for _ in range(trials):

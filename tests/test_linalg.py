@@ -7,6 +7,7 @@ import pytest
 
 from ellr.linalg import (
     AmbiguousRankError,
+    NonFiniteMatrixError,
     RankPolicy,
     Subspace,
     svd_rank,
@@ -77,6 +78,14 @@ def test_spectrum_matches_its_readers():
     assert (spec.rank, spec.gap) == svd_rank(M)
     assert subspace_equal(spec.kernel, kernel(M))[0]
     assert subspace_equal(spec.image, image(M))[0]
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+def test_spectrum_refuses_a_non_finite_matrix(bad):
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    with pytest.raises(NonFiniteMatrixError, match="overflow"):
+        spectrum(M)
 
 
 def test_rank_policy_validation():

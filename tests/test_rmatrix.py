@@ -15,10 +15,12 @@ from ellr.rmatrix import (
     DEFAULT_ETA,
     AlgebraParams,
     HalfPeriodPoint,
+    TorsionParameterError,
     make_params,
     basis_ops,
     torsion_op,
     r_matrix,
+    r_matrices,
     sym_op,
     b_fn,
     f_fn,
@@ -237,7 +239,7 @@ def test_weight_sum_matches_kron_loop_reference(n):
 
 def test_dual_transpose(p31, p32):
     for p in (p31, p32, make_params(5, 2)):
-        assert dual_transpose_check(p, 0.13 - 0.04j) < 1e-12
+        assert dual_transpose_check(p, [0.13 - 0.04j]) < 1e-12
 
 
 def test_qybe_two_parameter(p31):
@@ -316,3 +318,46 @@ def test_repeat_r_matrix_makes_one_series_evaluation(monkeypatch):
         r_matrix(p, -0.23 + 0.05j)
         monkeypatch.undo()
         assert calls == [(2, n, n)], (n, calls)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_r_matrices_rows_equal_single_builds(n):
+    # one theta series for the whole stack, and every row bit-identical to
+    # its one-point build: random z, 0, +-tau and torsion-shifted +-tau
+    rng = np.random.default_rng(n)
+    for k in range(1, n):
+        if math.gcd(n, k) != 1:
+            continue
+        p = make_params(n, k)
+        zs = [complex(*rng.uniform(-0.5, 0.5, 2)) for _ in range(6)]
+        zs += [0.0, p.tau, -p.tau] + [
+            sign * p.tau + HalfPeriodPoint(a, b).value(n, p.eta)
+            for sign in (1, -1) for a, b in ((1, 0), (0, 1), (n - 1, n - 1))]
+        stack = r_matrices(p, zs)
+        assert stack.shape == (len(zs), n * n, n * n)
+        for z, R in zip(zs, stack):
+            assert np.array_equal(R, r_matrix(p, z)), (n, k, z)
+
+
+def test_r_matrices_take_one_series_call_and_empty_input(monkeypatch, p31):
+    r_matrix(p31, 0.1)  # fills the cached parameter-only rows
+    calls = []
+    series = theta_module._series
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "_series", counted)
+    r_matrices(p31, [0.1, -0.2 + 0.03j, 0.3j, p31.tau])
+    assert calls == [(8, 3, 3)]
+    for n, k in ((2, 1), (5, 2)):
+        assert r_matrices(make_params(n, k), []).shape == (0, n * n, n * n)
+
+
+def test_r_matrices_refuse_a_torsion_tau():
+    pt = make_params(3, 1, tau=1 / 3)
+    with pytest.raises(TorsionParameterError):
+        r_matrices(pt, [0.1, 0.2j])
+    with pytest.raises(TorsionParameterError):
+        r_matrix(pt, 0.1)

@@ -177,6 +177,87 @@ def test_yang_baxter_checks_keep_a_small_peak(check, limit_kib):
     assert peak <= limit_kib * 1024, peak // 1024
 
 
+@pytest.mark.parametrize("check", (V.nullity_table, V.twist_rank_check),
+                         ids=("nullity", "twist"))
+def test_torsion_cells_are_built_one_at_a_time(check):
+    # one cell is one r_matrices stack of n^2 matrices: at (5, 2) that stack
+    # with its theta series peaks near 600 KiB, and stacking both cells, or
+    # the generic probes with them, would pass the limit
+    import tracemalloc
+
+    p = make_params(5, 2)
+    check(p)  # the index and theta-row caches are filled once
+    tracemalloc.start()
+    try:
+        check(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * 1024, peak // 1024
+
+
+def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
+    # the number of points of every theta_alpha_rows call in ellr.rmatrix:
+    # one call per r_matrices call, and one ([tau, 0]) per params whose
+    # denominators are not yet cached
+    import ellr.rmatrix
+
+    p = make_params(3, 1)
+    V.r_matrix(p, 0.1)  # caches the denominators of p
+    points = []
+    rows = ellr.rmatrix.theta_alpha_rows
+
+    def counted(ws, ctx):
+        points.append(len(ws))
+        return rows(ws, ctx)
+
+    monkeypatch.setattr(ellr.rmatrix, "theta_alpha_rows", counted)
+    V.f_op(p, 4, 0.13 + 0.02j)  # six factors, three distinct arguments z, 2z, 3z
+    assert points == [2 * 3]
+    points.clear()
+    V._cell_ranks(p, 1)
+    V._cell_ranks(p, -1)
+    assert points == [2 * 9, 2 * 9]
+    points.clear()
+    V.transform_check(p)
+    # R(z) and four left-hand stacks at p over the five trials, then the
+    # denominators and the stack of each of params_neg, params_p1, params_pe
+    assert points == [2 * 25, 2, 2 * 5, 2, 2 * 5, 2, 2 * 5]
+
+
+def test_results_share_one_string_per_name():
+    # a formatted name is interned, so results kept from many calls hold
+    # one copy of it
+    first, again = V.transform_check(P31), V.transform_check(P31)
+    assert all(a.name is b.name for a, b in zip(first, again))
+
+
+GRID_CHECKS = ("theta", "qybe", "transforms", "det", "inverse", "nullity", "twist",
+               "dual_algebra", "weights", "limits")
+
+
+@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
+def test_batched_builds_leave_every_result_unchanged(monkeypatch, nk):
+    # against one-point builds, every result is equal, residuals included
+    import ellr.rmatrix
+    import ellr.tensorops
+
+    p = make_params(*nk)
+    batched = V.run_suite(p, GRID_CHECKS)
+    build = ellr.rmatrix.r_matrices
+
+    def one_at_a_time(params, zs):
+        dim = params.n ** 2
+        return np.array([build(params, [z])[0] for z in zs]).reshape(-1, dim, dim)
+
+    for module in (ellr.rmatrix, ellr.tensorops, V):
+        monkeypatch.setattr(module, "r_matrices", one_at_a_time)
+    single = V.run_suite(p, GRID_CHECKS)
+    for r in batched + single:
+        r.wall_time = 0.0
+    assert single == batched
+
+
 def test_half_torsion_nullity_recorded_not_asserted():
     ph = make_params(3, 1, tau=1 / 6)
     (res,) = V.nullity_table(ph)
@@ -286,6 +367,17 @@ def test_cli_hilbert_series(tmp_path, capsys):
     assert main(["hilbert", "--n", "3", "--d-max", "4", "--out", str(out)]) == 0
     shown = capsys.readouterr().out
     assert "1,3,6,10,15" in shown
+
+
+def test_cli_refuses_an_overflowed_r_instead_of_exit_2(tmp_path, capsys):
+    # at Im(eta) = 4 and n = 4, R(4 tau) overflows complex128, so F_5(tau)
+    # has inf and NaN entries: dual is refused with a note naming the
+    # overflow, the report is written, and no RuntimeWarning is raised
+    out = tmp_path / "d.json"
+    assert main(["dual", "--n", "4", "--eta", "0.31,4.0", "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["status"] == "refused"
+    assert "overflow" in result["expected"]
 
 
 def test_cli_usage_errors():
