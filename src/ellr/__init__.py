@@ -45,7 +45,6 @@ from .tensorops import (
     ScaledOp,
     scaled_residual,
     scaled_rank,
-    embed_pair,
     perm_op,
     symmetrizer,
     antisymmetrizer,

@@ -4,10 +4,25 @@ subspace arithmetic, and exact integer elimination for the classical oracle.
 Rank decisions are only accepted when the singular-value gap across the cut
 exceeds ``RankPolicy.min_gap``; otherwise an :class:`AmbiguousRankError` is
 raised so callers can move the sample point instead of silently reporting a
-rank from a blurred spectrum.  Matrices are max-abs-normalized before the SVD.
-One SVD per call: :func:`spectrum` returns the certified rank, the gap, the
-image and the kernel together, and ``svd_rank``, ``kernel``, ``image``,
-``subspace_sum`` and ``subspace_intersect`` read from it.
+rank from a blurred spectrum.
+
+A matrix may be given as one array or as a stack of blocks: the diagonal
+blocks of an operator that is block-diagonal in some grading (the total
+grade of a tensor power, see ``tensorops.grade_index``).  A stack is
+certified as the block-diagonal matrix it stands for: it is max-abs
+normalized as a whole, its blocks are decomposed by one batched
+``np.linalg.svd`` call per group of blocks of one shape, and one cut is
+shared by every block, relative to the largest singular value of the stack,
+with the gap taken between the smallest kept and the largest dropped value
+over all blocks.  So a stack's certificate (rank, gap) is the dense one up
+to rounding, and a block of pure noise beside a large one is cut as noise.
+
+Subspaces are kept grade by grade in the same way (:class:`Subspace`), and
+sums, intersections and comparisons run grade by grade.  One SVD per call:
+:func:`spectrum` returns the certified rank, the gap, the image and the
+kernel together, and ``svd_rank``, ``kernel``, ``image``, ``subspace_sum``
+and ``subspace_intersect`` read from it; :func:`singular_rank` certifies a
+rank from the singular values alone.
 """
 
 from __future__ import annotations
@@ -49,33 +64,54 @@ class RankPolicy:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^ambient_dim given by orthonormal basis columns."""
+    """A subspace of C^ambient_dim given grade by grade: ``blocks[g]`` holds
+    orthonormal basis columns of its grade-g part in the coordinates of
+    grade g.  An ungraded subspace is a single block."""
 
-    ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, dim), orthonormal columns
-    tol_used: float
+    blocks: tuple  # blocks[g] of shape (dim of grade g, dim of the part)
+    tol_used: float = 0.0
+
+    @property
+    def ambient_dim(self) -> int:
+        return sum(B.shape[0] for B in self.blocks)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return sum(B.shape[1] for B in self.blocks)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis columns in grade-ordered coordinates (grade 0
+        first): the blocks placed block-diagonally."""
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        out = np.zeros((self.ambient_dim, self.dim), dtype=complex)
+        row = col = 0
+        for B in self.blocks:
+            out[row:row + B.shape[0], col:col + B.shape[1]] = B
+            row, col = row + B.shape[0], col + B.shape[1]
+        return out
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
     @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), 0.0)
+    def full(ambient_dim: int, grades: int = 1) -> "Subspace":
+        size = ambient_dim // grades
+        return Subspace((np.eye(size, dtype=complex),) * grades)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), 0.0)
+    def zero(ambient_dim: int, grades: int = 1) -> "Subspace":
+        size = ambient_dim // grades
+        return Subspace((np.zeros((size, 0), dtype=complex),) * grades)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One certified SVD of a matrix: the rank at the gap-certified cut, the
-    gap across it (inf when nothing is dropped), and orthonormal bases of the
-    image and the kernel at that cut."""
+    """One certified SVD of a matrix or block stack: the rank at the
+    gap-certified cut, the gap across it (inf when nothing is dropped), and
+    orthonormal bases of the image and the kernel at that cut, block by
+    block."""
 
     rank: int
     gap: float
@@ -83,108 +119,161 @@ class Spectrum:
     kernel: Subspace
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "Spectrum":
-        return Spectrum(0, math.inf, Subspace.zero(nrows), Subspace.full(ncols))
+    def zero(nrows: int, ncols: int, grades: int = 1) -> "Spectrum":
+        return Spectrum(0, math.inf, Subspace.zero(nrows, grades),
+                        Subspace.full(ncols, grades))
 
 
-def _svd(M: np.ndarray, compute_uv: bool = True):
-    # the full V only for a wide matrix, where the kernel needs the rows of
-    # Vh beyond min(m, n); a tall stack never builds a square U
-    return np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1], compute_uv=compute_uv)
+def _blocks(M) -> list:
+    """The blocks of M: the members of a sequence of matrices or of a 3-D
+    stack, else M itself."""
+    if isinstance(M, (list, tuple)) and all(np.ndim(B) == 2 for B in M) or np.ndim(M) == 3:
+        return [np.asarray(B, dtype=complex) for B in M]
+    return [np.asarray(M, dtype=complex)]
 
 
-def spectrum(M: np.ndarray, policy: RankPolicy | None = None) -> Spectrum:
-    """Rank, gap, image and kernel of M from a single SVD.
-
-    M is max-abs-normalized first.  The rank counts singular values above
-    ``policy.rel_threshold`` times the largest; the gap is the ratio of the
-    smallest kept to the largest dropped one.  Raises AmbiguousRankError when
-    gap < policy.min_gap, and NonFiniteMatrixError when M has an inf or NaN
-    entry.
-    """
-    policy = policy or RankPolicy()
-    M = np.asarray(M, dtype=complex)
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if not np.isfinite(scale):
+def _normalized(blocks) -> list:
+    """The blocks divided by their common max-abs entry."""
+    scales = [float(np.max(np.abs(B))) for B in blocks if B.size]
+    if not all(map(math.isfinite, scales)):
         raise NonFiniteMatrixError(
             "matrix has inf or NaN entries: its construction overflowed complex128")
-    if scale == 0.0:
-        scale = 1.0
-    U, s, Vh = _svd(M / scale)
-    rank, gap = 0, math.inf
-    if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > policy.rel_threshold * s[0]))
-        if rank < s.size and s[rank] > 0.0:
-            gap = float(s[rank - 1] / s[rank])
+    scale = max(scales, default=0.0)
+    return [B / scale for B in blocks] if scale else blocks
+
+
+def _svds(blocks, compute_uv: bool = True, full: bool = True) -> list:
+    """``np.linalg.svd`` of every block, one call per group of blocks of one
+    shape.  The full V only for a wide block when ``full`` (its kernel needs
+    the rows of Vh beyond min(m, n)); a tall block never builds a square U."""
+    out = [None] * len(blocks)
+    groups = {}
+    for i, B in enumerate(blocks):
+        groups.setdefault(B.shape, []).append(i)
+    for (rows, cols), members in groups.items():
+        # one block goes in as a view, without the copy np.stack makes
+        stack = blocks[members[0]][None] if len(members) == 1 else np.stack(
+            [blocks[i] for i in members])
+        res = np.linalg.svd(stack, full_matrices=full and rows < cols, compute_uv=compute_uv)
+        for j, i in enumerate(members):
+            out[i] = tuple(x[j] for x in res) if compute_uv else res[j]
+    return out
+
+
+def _cut(values, policy: RankPolicy) -> tuple[list, float]:
+    """Ranks per block and the gap of one cut shared by every block.
+
+    A block's rank counts its singular values above ``policy.rel_threshold``
+    times the largest of the whole stack; the gap is the ratio of the
+    smallest kept to the largest dropped value over all blocks.  Raises
+    AmbiguousRankError when gap < policy.min_gap."""
+    top = max((float(s[0]) for s in values if s.size), default=0.0)
+    if top == 0.0:
+        return [0] * len(values), math.inf
+    ranks = [int(np.count_nonzero(s > policy.rel_threshold * top)) for s in values]
+    kept = min(s[r - 1] for s, r in zip(values, ranks) if r)
+    dropped = max((s[r] for s, r in zip(values, ranks) if r < s.size), default=0.0)
+    gap = float(kept / dropped) if dropped > 0.0 else math.inf
     if gap < policy.min_gap:
-        raise AmbiguousRankError(rank, gap, policy.min_gap)
+        raise AmbiguousRankError(sum(ranks), gap, policy.min_gap)
+    return ranks, gap
+
+
+def spectrum(M, policy: RankPolicy | None = None) -> Spectrum:
+    """Rank, gap, image and kernel of M from one SVD per block.
+
+    M is one matrix or a stack of blocks (see the module docstring); the
+    image and kernel are given block by block.  The stack is max-abs
+    normalized first and cut by :func:`_cut`.  Raises AmbiguousRankError
+    when the gap is below ``policy.min_gap``, and NonFiniteMatrixError when
+    M has an inf or NaN entry.
+    """
+    policy = policy or RankPolicy()
+    svds = _svds(_normalized(_blocks(M)))
+    ranks, gap = _cut([s for _, s, _ in svds], policy)
     tol = policy.rel_threshold
-    return Spectrum(rank, gap, Subspace(M.shape[0], U[:, :rank], tol),
-                    Subspace(M.shape[1], Vh[rank:].conj().T, tol))
+    return Spectrum(
+        sum(ranks), gap,
+        Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)), tol),
+        Subspace(tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks)), tol))
 
 
-def svd_rank(M: np.ndarray, policy: RankPolicy | None = None) -> tuple[int, float]:
+def singular_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
+    """Certified (rank, gap) of M, one matrix or a block stack, from its
+    singular values alone, through the cut of :func:`spectrum`."""
+    policy = policy or RankPolicy()
+    ranks, gap = _cut(_svds(_normalized(_blocks(M)), compute_uv=False), policy)
+    return sum(ranks), gap
+
+
+def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
     """Certified (rank, gap) of M; see :func:`spectrum`."""
     spec = spectrum(M, policy)
     return spec.rank, spec.gap
 
 
-def kernel(M: np.ndarray, policy: RankPolicy | None = None) -> Subspace:
+def kernel(M, policy: RankPolicy | None = None) -> Subspace:
     """Orthonormal basis of the null space at the certified rank cut."""
     return spectrum(M, policy).kernel
 
 
-def image(M: np.ndarray, policy: RankPolicy | None = None) -> Subspace:
+def image(M, policy: RankPolicy | None = None) -> Subspace:
     """Orthonormal basis of the column space at the certified rank cut."""
     return spectrum(M, policy).image
 
 
-def _check_same_ambient(spaces):
-    dims = {S.ambient_dim for S in spaces}
-    if len(dims) != 1:
+def _by_grade(spaces) -> list:
+    """The blocks of the subspaces grade by grade; raises ValueError unless
+    every subspace has the same grades of the same dimensions."""
+    layouts = {tuple(B.shape[0] for B in S.blocks) for S in spaces}
+    if len(layouts) != 1:
         raise ValueError("subspaces live in different ambient spaces")
-    return dims.pop()
+    return list(zip(*(S.blocks for S in spaces)))
 
 
 def subspace_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
-    """Sum of subspaces: concatenate bases and re-orthonormalize at the rank cut."""
-    ambient = _check_same_ambient(spaces)
-    stacked = np.hstack([S.basis for S in spaces])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(ambient)
-    return spectrum(stacked, policy).image
+    """Sum of subspaces: concatenate the bases grade by grade and
+    re-orthonormalize at one cut over all grades."""
+    policy = policy or RankPolicy()
+    stacks = [np.hstack(grade) for grade in _by_grade(spaces)]
+    # only the image is read, so a wide stack needs no square V
+    svds = _svds(_normalized(stacks), full=False)
+    ranks, _ = _cut([s for _, s, _ in svds], policy)
+    return Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)),
+                    policy.rel_threshold)
 
 
 def subspace_intersect(spaces, policy: RankPolicy | None = None) -> Subspace:
     """Intersection via stacked orthogonal-projector complements.
 
     v lies in the intersection iff (I - P_i) v = 0 for every member, so the
-    intersection is the kernel of the vertically stacked complements.
+    intersection is the kernel of the vertically stacked complements, taken
+    grade by grade at one cut.
     """
-    ambient = _check_same_ambient(spaces)
-    eye = np.eye(ambient, dtype=complex)
-    stacked = np.vstack([eye - S.projector() for S in spaces])
-    return spectrum(stacked, policy).kernel
+    stacks = [np.vstack([np.eye(len(B), dtype=complex) - B @ B.conj().T for B in grade])
+              for grade in _by_grade(spaces)]
+    return spectrum(stacks, policy).kernel
 
 
 def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
-    """Principal angles (radians) between two subspaces, ascending."""
-    if S1.dim == 0 or S2.dim == 0:
-        return np.zeros(0)
-    s = _svd(S1.basis.conj().T @ S2.basis, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))[::-1][: min(S1.dim, S2.dim)]
+    """Principal angles (radians) between two subspaces, ascending: the
+    union of the angles of their grades, padded with right angles to
+    min(S1.dim, S2.dim)."""
+    count = min(S1.dim, S2.dim)
+    pairs = [B1.conj().T @ B2 for B1, B2 in _by_grade([S1, S2])]
+    cosines = np.sort(np.concatenate([np.zeros(count)] + _svds(pairs, compute_uv=False)))
+    return np.arccos(np.clip(cosines[::-1][:count], 0.0, 1.0))
 
 
 def subspace_equal(S1: Subspace, S2: Subspace, tol: float = 1e-6):
-    """Equality test: dims match and the largest principal angle is below tol."""
-    if S1.ambient_dim != S2.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if S1.dim != S2.dim:
-        return False, math.pi / 2 if (S1.dim or S2.dim) else 0.0
+    """Equality test: dims match in every grade and the largest principal
+    angle is below tol.  A dim mismatch in any grade reads as a right angle."""
+    grades = _by_grade([S1, S2])
+    if any(B1.shape[1] != B2.shape[1] for B1, B2 in grades):
+        return False, math.pi / 2
     if S1.dim == 0:
         return True, 0.0
-    angles = principal_angles(S1, S2)
-    worst = float(np.max(angles))
+    worst = float(np.max(principal_angles(S1, S2)))
     return worst < tol, worst
 
 

@@ -335,13 +335,21 @@ def det_closed_form(params: AlgebraParams, z):
     (prod_alpha theta_alpha(-z-tau)/theta_alpha(-tau))^{n(n-1)/2}
       * (prod_alpha theta_alpha(-z+tau)/theta_alpha(tau))^{n(n+1)/2}.
 
-    Independent of k; equals 1 at z = 0.
+    Independent of k; equals 1 at z = 0.  Elementwise over an array z, with
+    every theta row, those at -tau and tau once, taken in one series.
     """
     n, tau = params.n, params.tau
-    num1, den1, num2, den2 = theta_alpha_rows([-z - tau, -tau, -z + tau, tau], params.theta)
-    p1 = np.prod(num1 / den1)
-    p2 = np.prod(num2 / den2)
-    return complex(p1 ** (n * (n - 1) // 2) * p2 ** (n * (n + 1) // 2))
+    z = np.asarray(z, dtype=complex)
+    w = z.ravel()
+    rows = theta_alpha_rows(np.concatenate([-w - tau, -w + tau, [-tau, tau]]), params.theta)
+    num1, num2, (den1, den2) = rows[:w.size], rows[w.size:-2], rows[-2:]
+    p1 = np.prod(num1 / den1, axis=-1)
+    p2 = np.prod(num2 / den2, axis=-1)
+    # the powers are multiplied one scalar at a time: numpy's complex array
+    # product may round differently from the scalar one
+    out = np.array([a ** (n * (n - 1) // 2) * b ** (n * (n + 1) // 2)
+                    for a, b in zip(p1, p2)]).reshape(z.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def alt_norm_det_closed_form(params: AlgebraParams, z):

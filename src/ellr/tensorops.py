@@ -1,11 +1,11 @@
 """Operators on tensor powers of the base vector space.
 
 Builds dense matrices on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
-multi-index ordering): the dense embedding of a two-site operator, permutation
-operators, (anti)symmetrizers, the four telescoping chains of R-matrices,
-the cumulative operators T_d and F_d, the rectangular two-parameter arrays
-M_{a,b}, and the embedded copies from which the relation spaces of the
-associated quadratic algebra are built.
+multi-index ordering): permutation operators, (anti)symmetrizers, the four
+telescoping chains of R-matrices, the cumulative operators T_d and F_d, the
+rectangular two-parameter arrays M_{a,b}; and, grade by grade, their
+certified spectra and the embedded copies from which the relation spaces
+of the associated quadratic algebra are built.
 
 Chains are indexed by one-based tensorand positions.  For an ascending
 chain from position i to position j the arguments are spectral parameters
@@ -29,9 +29,8 @@ around the contraction.  The chains, T_d, F_d and both assemblies of
 M_{a,b} are (argument, position) lists of R(argument)_{position,position+1}
 factors, whose distinct arguments are built in one ``r_matrices`` call; the
 Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
-No n^d x n^d embedding is formed on these paths; ``embed_pair`` is the
-dense reference only.  The products themselves are dense, and n^d is capped
-at MAX_TENSOR_DIM = 5^5 (read at call time).
+No n^d x n^d embedding is formed on these paths.  The products themselves
+are dense, and n^d is capped at MAX_TENSOR_DIM = 5^5 (read at call time).
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
@@ -41,17 +40,27 @@ questions only need the matrix part, identities between chain products
 compare matrix parts after matching the log scales, and ``.dense()`` gives
 the plain matrix.
 
+R(z) keeps the pair grade i + j mod n of x_i (x) x_j (the S (x) S half of
+the Z_n x Z_n symmetry), so every chain product keeps the total grade, the
+digit sum mod n, and is block-diagonal with n blocks of size n^(d-1):
+``grade_index`` lists the indices of each grade, and ``grade_blocks``
+gathers the blocks.  Ranks, images and kernels are certified from the
+blocks (``scaled_spectrum``, ``scaled_rank``), at a cost about n^2 below a
+dense SVD, and are given grade by grade.
+
 The embedded relation spaces are sums and intersections (formed with
-``linalg.subspace_sum`` / ``subspace_intersect``) of the copies
-V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} (the image
-or the kernel of R(+-tau)); the degree-d relation space is the sum of the
-copies of im R(tau).  Their bases are Kronecker products of orthonormal
-bases, so the only rank decision below the sum or intersection is the one
-made on R(+-tau) itself.
+``linalg.subspace_sum`` / ``subspace_intersect``, grade by grade) of the
+copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2}
+(the image or the kernel of R(+-tau), from its n pair-grade blocks); the
+degree-d relation space is the sum of the copies of im R(tau).  Each copy
+is scattered into its grades from the orthonormal pair blocks, so the only
+rank decision below the sum or intersection is the one made on R(+-tau)
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -63,10 +72,12 @@ from .rmatrix import (
     r_matrix,  # noqa: F401  (bound here for ellrbench's tracer test)
 )
 from .linalg import (
+    NonFiniteMatrixError,
     RankPolicy,
     Spectrum,
     Subspace,
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
+    singular_rank,
     spectrum,
 )
 
@@ -133,19 +144,6 @@ def _check_dim(n: int, d: int):
         raise ValueError(
             f"tensor space dimension n^d = {n**d} exceeds the dense cap {MAX_TENSOR_DIM}"
         )
-
-
-def embed_pair(op: np.ndarray, pos: int, n: int, d: int) -> np.ndarray:
-    """Embed a two-site operator at tensorands (pos, pos+1), pos one-based.
-
-    The dense reference for :func:`site_product`.  An identity of dimension
-    1 is not kron'ed in, so an embedding into V^{(x)3} costs one ``kron``."""
-    _check_dim(n, d)
-    if not 1 <= pos <= d - 1:
-        raise ValueError(f"pair position {pos} out of range for degree {d}")
-    left, right = n ** (pos - 1), n ** (d - pos - 1)
-    out = np.kron(np.eye(left), op) if left > 1 else np.array(op)
-    return np.kron(out, np.eye(right)) if right > 1 else out
 
 
 def perm_op(sigma, n: int, d: int) -> np.ndarray:
@@ -345,8 +343,56 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
 ZERO_OPERATOR_TOL = 1e-10
 
 
-def scaled_spectrum(op: ScaledOp, policy: RankPolicy | None = None) -> Spectrum:
-    """Certified spectrum (rank, gap, image, kernel) of a scaled chain product.
+def _digit_sums(n: int, k: int) -> np.ndarray:
+    """The base-n digit sums of 0 .. n^k - 1 (k digits, most significant first)."""
+    sums = np.zeros(1, dtype=int)
+    for _ in range(k):
+        sums = (sums[:, None] + np.arange(n)).ravel()
+    return sums
+
+
+@functools.lru_cache(maxsize=None)
+def grade_index(n: int, d: int) -> np.ndarray:
+    """The (n, n^(d-1)) table whose row g holds, ascending, the flat indices
+    of V^{(x)d} whose digit sum (total grade) is g mod n.
+
+    The first d-1 digits q of an index fix its last digit in each grade, so
+    entry (g, q) is q*n + (g - digit sum of q) mod n, and the index f sits at
+    position f // n of its row.  Read-only, built once per (n, d).
+    """
+    if d < 1:
+        raise ValueError("grades need degree at least 1")
+    prefix = np.arange(n ** (d - 1))
+    idx = prefix * n + (np.arange(n)[:, None] - _digit_sums(n, d - 1)) % n
+    idx.setflags(write=False)
+    return idx
+
+
+def grade_blocks(mat: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n^(d-1), n^(d-1)) stack of grade blocks of an operator on
+    V^{(x)d} that keeps the total grade, as every R-matrix product does.
+
+    Raises ValueError when an entry between two different grades is nonzero
+    (NonFiniteMatrixError when it is inf or NaN): the blocks would not hold
+    the whole operator."""
+    mat = np.asarray(mat)
+    d = round(math.log(mat.shape[0], n))
+    if mat.shape != (n ** d, n ** d):
+        raise ValueError(f"a {mat.shape} matrix is no operator on a tensor power of C^{n}")
+    idx = grade_index(n, d)
+    blocks = mat[idx[:, :, None], idx[:, None, :]]
+    if np.count_nonzero(blocks) != np.count_nonzero(mat):
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteMatrixError(
+                "matrix has inf or NaN entries: its construction overflowed complex128")
+        raise ValueError("operator does not keep the total grade")
+    return blocks
+
+
+def scaled_spectrum(op: ScaledOp, n: int, policy: RankPolicy | None = None) -> Spectrum:
+    """Certified spectrum (rank, gap, image, kernel) of a scaled chain product
+    on V^{(x)d}, from its n grade blocks: the image and kernel are given
+    grade by grade (see :func:`grade_index`).
 
     Factors enter chains at unit max-abs, so a product whose matrix part
     has cancelled below ``ZERO_OPERATOR_TOL`` is the zero operator; an SVD
@@ -354,29 +400,54 @@ def scaled_spectrum(op: ScaledOp, policy: RankPolicy | None = None) -> Spectrum:
     rank.
     """
     if op.max_abs() < ZERO_OPERATOR_TOL:
-        return Spectrum.zero(*op.mat.shape)
-    return spectrum(op.mat, policy)
+        return Spectrum.zero(*op.mat.shape, grades=n)
+    return spectrum(grade_blocks(op.mat, n), policy)
 
 
-def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
-    """Certified (rank, gap) of a scaled chain product; see :func:`scaled_spectrum`."""
-    spec = scaled_spectrum(op, policy)
-    return spec.rank, spec.gap
+def scaled_rank(op: ScaledOp, n: int, policy: RankPolicy | None = None):
+    """Certified (rank, gap) of a scaled chain product from the singular
+    values of its grade blocks; see :func:`scaled_spectrum`."""
+    if op.max_abs() < ZERO_OPERATOR_TOL:
+        return 0, math.inf
+    return singular_rank(grade_blocks(op.mat, n), policy)
 
 
 def embedded_copies(pair: Subspace, n: int, d: int) -> list:
     """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of a
-    subspace W = ``pair`` of V^{(x)2}.
+    subspace W = ``pair`` of V^{(x)2}, grade by grade.
 
-    Each basis is the Kronecker product of identities with the orthonormal
-    basis of W, so it is exactly orthonormal and needs no SVD at size n^d.
+    ``pair`` is given by its n pair-grade blocks, as the spectrum of the
+    grade blocks of an R-matrix gives it; at d = 2 it is its own copy.  The
+    grade-g block of copy p has a column e_L (x) w (x) e_R for every prefix
+    L of p-1 digits, suffix R of d-p-1 digits and column w of the pair
+    block of grade g - |L| - |R| mod n, with |.| the digit sum; its n
+    entries sit at the positions f // n of their flat indices f.  Each
+    block is exactly orthonormal, so no SVD and no n^d basis is needed.
     """
     _check_dim(n, d)
     if d < 2:
         raise ValueError("embedded copies need degree at least 2")
-    return [
-        Subspace(n ** d, np.kron(np.kron(np.eye(n ** (p - 1)), pair.basis),
-                                 np.eye(n ** (d - p - 1))), pair.tol_used)
-        for p in range(1, d)
-    ]
-
+    if [B.shape[0] for B in pair.blocks] != [n] * n:
+        raise ValueError("the pair subspace must be given by its n pair-grade blocks")
+    if d == 2:
+        return [pair]
+    W = np.hstack(pair.blocks)
+    # column c of W lies in pair grade s[c], on the pair indices support[c]
+    s = np.repeat(np.arange(n), [B.shape[1] for B in pair.blocks])
+    support = grade_index(n, 2)[s]
+    copies = []
+    for p in range(1, d):
+        lead, trail = n ** (p - 1), n ** (d - p - 1)
+        # one column per (L, c, R): its grade, and the positions of its entries
+        grade = (_digit_sums(n, p - 1)[:, None, None] + s[:, None]
+                 + _digit_sums(n, d - p - 1)) % n
+        rows = ((np.arange(lead)[:, None, None, None] * n * n + support[:, None, :]) * trail
+                + np.arange(trail)[:, None]) // n
+        # the d-2 digits of (L, R) give every grade n^(d-3) columns per column of W
+        order = np.argsort(grade, axis=None, kind="stable").reshape(n, -1)
+        blocks = np.zeros((n, n ** (d - 1), order.shape[1]), dtype=complex)
+        values = np.broadcast_to(W.T[:, None, :], rows.shape).reshape(-1, n)
+        blocks[np.arange(n)[:, None, None], rows.reshape(-1, n)[order],
+               np.arange(order.shape[1])[:, None]] = values[order]
+        copies.append(Subspace(tuple(blocks), pair.tol_used))
+    return copies

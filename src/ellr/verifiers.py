@@ -41,6 +41,7 @@ from .theta import (
     e_fn,
     theta1,
     theta_alpha,
+    theta_alpha_rows,
     theta_char,
     theta_char_shift_check,
     factor_constant,
@@ -79,6 +80,7 @@ from .tensorops import (
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
+    grade_blocks,
     site_product,
     symmetrizer,
     antisymmetrizer,
@@ -379,8 +381,8 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     zs = _random_z(rng, trials)
     zk = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.05, 0.05))
     worst = 0.0
-    for z, Rz in zip(zs, r_matrices(params, zs)):
-        ratio = np.linalg.det(Rz) / det_closed_form(params, z)
+    for Rz, closed in zip(r_matrices(params, zs), det_closed_form(params, zs)):
+        ratio = np.linalg.det(Rz) / complex(closed)
         worst = max(worst, abs(ratio - 1))
     R0, Rk, Rt, Rmt = r_matrices(params, [0.0, zk, params.tau, -params.tau])
     at_zero = abs(np.linalg.det(R0) - 1.0)
@@ -466,19 +468,19 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     relation spaces of R(sign*tau): rank ``expected_rank(d)``, kernel equal
     to the sum of the embedded images of R(sign*tau) (result
     ``kernel_name``), image equal to the intersection of its embedded
-    kernels.  R(sign*tau) is decomposed once.  A degree past the dense cap
-    is refused before anything is built, and a degree expected to vanish
-    gets no angles.  Returns the results and the rank per degree (None
-    where refused)."""
+    kernels, all grade by grade.  R(sign*tau) is decomposed once, from its
+    pair-grade blocks.  A degree past the dense cap is refused before
+    anything is built, and a degree expected to vanish gets no angles.
+    Returns the results and the rank per degree (None where refused)."""
     n, policy = params.n, params.ranks
-    pair = spectrum(r_matrix(params, sign * params.tau), policy)
+    pair = spectrum(grade_blocks(r_matrix(params, sign * params.tau), n), policy)
     results, ranks = [], []
     for d in range(2, top + 1):
         if note := _beyond_cap(n, d):
             results.append(_refused(f"{label}.rank", params, note, d=d))
             ranks.append(None)
             continue
-        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), policy)
+        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), n, policy)
         expected = expected_rank(d)
         results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, spec.rank))
         ranks.append(spec.rank)
@@ -571,7 +573,7 @@ def t_rank_table(params: AlgebraParams, d: int):
     ):
         cases = primary if table == "primary" else mirror
         for name, z, expected in cases:
-            rank, _ = scaled_rank(t_op(params, d, args_of(z)), params.ranks)
+            rank, _ = scaled_rank(t_op(params, d, args_of(z)), n, params.ranks)
             results.append(_equals(f"t_table.{table}", _echo(params, d=d, case=name),
                                    expected, rank))
     return results
@@ -680,13 +682,15 @@ def koszul_check(params: AlgebraParams, d: int):
     For every corner ell the dimension of Sig_ell ^ I_{d-1-ell} (built from
     the embedded images of R(tau)) must equal the exact classical oracle
     value; the three-subspace modular condition is checked as a dimension
-    equality."""
+    equality.  Every subspace is kept grade by grade, and a dimension is the
+    sum over the grades."""
     if tau_excluded(params, d):
         return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
     n = params.n
     policy = params.ranks
-    W = embedded_copies(spectrum(r_matrix(params, params.tau), policy).image, n, d)
-    ambient = Subspace.full(n ** d)
+    pair = spectrum(grade_blocks(r_matrix(params, params.tau), n), policy)
+    W = embedded_copies(pair.image, n, d)
+    ambient = Subspace.full(n ** d, n)
     # Sig[ell] = W_1 + ... + W_ell and Cap[r] = W_{d-r} ^ ... ^ W_{d-1}, each
     # built once; Sig[0] = Cap[0] is the whole space
     Sig = [ambient] + [subspace_sum(W[:ell], policy) for ell in range(1, d)]
@@ -735,12 +739,12 @@ def frobenius_check(params: AlgebraParams):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
     Fs = f_op(params, n, params.tau)
-    rank, _ = scaled_rank(Fs, params.ranks)
+    rank, _ = scaled_rank(Fs, n, params.ranks)
     results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
     if note := _beyond_cap(n, n + 1):
         results.append(_refused("frobenius.vanishing_above_top", params, note, d=n + 1))
     else:
-        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
+        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), n, params.ranks)
         results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
                                0, rank1))
     F = Fs.mat
@@ -816,14 +820,13 @@ def theta_property_check(params: AlgebraParams, seed: int = 0):
     worst = 0.0
     for _ in range(4):
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        tz = theta1(z, ctx)
-        worst = max(worst, abs(theta1(z + 1, ctx) - tz) / abs(tz))
-        worst = max(worst, abs(theta1(z + eta, ctx) + e_fn(-z) * tz) / abs(tz))
+        tz, tz_period, tz_eta = map(complex, theta1(np.array([z, z + 1, z + eta]), ctx))
+        worst = max(worst, abs(tz_period - tz) / abs(tz))
+        worst = max(worst, abs(tz_eta + e_fn(-z) * tz) / abs(tz))
+        rows = theta_alpha_rows([z, z + 1 / n], ctx)
         for alpha in range(n):
-            ta = theta_alpha(alpha, z, ctx)
-            worst = max(worst,
-                        abs(theta_alpha(alpha, z + 1 / n, ctx) - e_fn(alpha / n) * ta)
-                        / abs(ta))
+            ta, shifted = map(complex, rows[:, alpha])
+            worst = max(worst, abs(shifted - e_fn(alpha / n) * ta) / abs(ta))
         worst = max(worst, theta_char_shift_check(0.3, 0.6, 2, -1, z, eta))
     zero = abs(theta1(0.0, ctx))
     alpha_zero = abs(theta_alpha(1, -eta / n + 1 / n, ctx))

@@ -171,3 +171,23 @@ def test_criterion_12_property_suite_report_all():
     assert all(r.residual < 1e-9 for r in by_name["dual_algebra.transpose_law"])
     assert all(r.status == "pass" for r in by_name["shuffle.decomposition"])
     assert time.time() - t0 < 600
+
+
+def test_criterion_13_envelope_corner_in_grade_blocks(monkeypatch):
+    # the (4, 5) corner of the desk envelope: every rank, image and kernel
+    # is certified from the n grade blocks, so no SVD operand has a smaller
+    # side above n^(d-1) = 256 (a dense certificate decomposes 1024 x 1024)
+    svd, sides = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        sides.append(min(np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    t0 = time.time()
+    p = make_params(4, 1)
+    for results in (V.hilbert_check(p, d_max=5), V.dual_hilbert_check(p, d_max=5)):
+        _assert_all_pass(results)
+        assert {r.params["d"] for r in results if r.name.endswith(".rank")} == {2, 3, 4, 5}
+    assert max(sides) <= 4 ** 4
+    assert time.time() - t0 < 20

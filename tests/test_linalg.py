@@ -11,6 +11,7 @@ from ellr.linalg import (
     RankPolicy,
     Subspace,
     svd_rank,
+    singular_rank,
     spectrum,
     kernel,
     image,
@@ -105,8 +106,8 @@ def test_kernel_image_orthonormal_and_complementary():
 
 def test_subspace_sum_and_intersect():
     e = np.eye(4, dtype=complex)
-    A = Subspace(4, e[:, :2], 0.0)
-    B = Subspace(4, e[:, 1:3], 0.0)
+    A = Subspace((e[:, :2],))
+    B = Subspace((e[:, 1:3],))
     assert subspace_sum([A, B]).dim == 3
     C = subspace_intersect([A, B])
     assert C.dim == 1
@@ -128,7 +129,7 @@ def test_principal_angles_and_equality():
     Q = image(M @ (RNG.standard_normal((6, 6)) + 1j * RNG.standard_normal((6, 6))))
     # same column space under generic right multiplication... not guaranteed;
     # use an explicit change of basis instead
-    T = Subspace(6, np.linalg.qr(S.basis @ _unitary(3))[0], 0.0)
+    T = Subspace((np.linalg.qr(S.basis @ _unitary(3))[0],))
     eq, worst = subspace_equal(S, T)
     assert eq and worst < 1e-6
     other = image(_random_rank(6, 6, 3))
@@ -146,6 +147,99 @@ def test_subspace_equal_dim_mismatch():
     B = image(_random_rank(5, 5, 3))
     eq, _ = subspace_equal(A, B)
     assert not eq
+
+
+def _with_values(m, n, values):
+    """A random m x n matrix with the given singular values."""
+    U = np.linalg.qr(RNG.standard_normal((m, m)) + 1j * RNG.standard_normal((m, m)))[0]
+    V = np.linalg.qr(RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)))[0]
+    return U[:, :len(values)] @ np.diag(values) @ V[:, :len(values)].conj().T
+
+
+def _block_diag(blocks):
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)),
+                   dtype=complex)
+    row = col = 0
+    for B in blocks:
+        out[row:row + B.shape[0], col:col + B.shape[1]] = B
+        row, col = row + B.shape[0], col + B.shape[1]
+    return out
+
+
+def _ragged_stack():
+    # ranks 3, 1, 2 and 0 under one cut; the dropped values are real, so the
+    # gap (1e-3 / 1e-12) is reproducible to their rounding, about 1e-16 / 1e-12
+    return [_with_values(5, 5, [2.0, 0.5, 1e-3, 1e-12]),
+            _with_values(5, 5, [0.7, 1e-13]),
+            _with_values(4, 6, [1.5, 0.01]),
+            np.zeros((5, 5))]
+
+
+def test_block_stack_is_certified_as_its_block_diagonal_matrix():
+    blocks = _ragged_stack()
+    stacked, dense = spectrum(blocks), spectrum(_block_diag(blocks))
+    assert stacked.rank == dense.rank == 6
+    assert abs(stacked.gap / dense.gap - 1) < 1e-3
+    assert [B.shape[1] for B in stacked.image.blocks] == [3, 1, 2, 0]
+    assert [B.shape[1] for B in stacked.kernel.blocks] == [2, 4, 4, 5]
+    for part in ("image", "kernel"):
+        P = getattr(stacked, part).projector()
+        assert np.max(np.abs(P - getattr(dense, part).projector())) < 1e-10, part
+    for M in (blocks, _block_diag(blocks)):
+        rank, gap = singular_rank(M)
+        assert rank == 6 and abs(gap / dense.gap - 1) < 1e-3
+    assert svd_rank(blocks) == (stacked.rank, stacked.gap)
+
+
+def test_one_cut_is_shared_by_every_block():
+    # a block of pure noise beside a large one is cut as noise: a cut
+    # relative to each block's own largest value would count it full rank
+    noise = 1e-14 * (RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
+    spec = spectrum([_random_rank(4, 4, 2), noise])
+    assert spec.rank == 2 and [B.shape[1] for B in spec.image.blocks] == [2, 0]
+    with pytest.raises(AmbiguousRankError):
+        spectrum([np.diag([1.0, 1e-8]), np.diag([1e-10, 0.0])])
+    with pytest.raises(NonFiniteMatrixError):
+        spectrum([np.eye(2), np.diag([1.0, np.nan])])
+
+
+def test_one_svd_call_per_block_shape(monkeypatch):
+    svd, shapes = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    spectrum(_ragged_stack())
+    assert sorted(shapes) == [(1, 4, 6), (3, 5, 5)]
+
+
+def _graded(*blocks):
+    return Subspace(tuple(np.linalg.qr(B)[0] if B.shape[1] else B for B in blocks))
+
+
+def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
+    A = _graded(_random_rank(4, 2, 2), _random_rank(4, 1, 1), np.zeros((4, 0)))
+    B = _graded(_random_rank(4, 3, 3), _random_rank(4, 2, 2), _random_rank(4, 1, 1))
+    dense = [Subspace((S.basis,)) for S in (A, B)]
+    assert (A.ambient_dim, A.dim) == (12, 3)
+    for op in (subspace_sum, subspace_intersect):
+        graded, flat = op([A, B]), op(dense)
+        assert graded.dim == flat.dim
+        assert subspace_equal(Subspace((graded.basis,)), flat)[0]
+    assert subspace_intersect([A, Subspace.full(12, 3)]).dim == A.dim
+    assert subspace_sum([A, Subspace.zero(12, 3)]).dim == A.dim
+    # equal total dims split differently over the grades differ by a right angle
+    C = _graded(_random_rank(4, 1, 1), _random_rank(4, 1, 1), _random_rank(4, 1, 1))
+    assert subspace_equal(A, C) == (False, math.pi / 2)
+    # the angles of each grade, padded with right angles where a grade of
+    # one space has no partner (grade 2 of A is zero)
+    angles = principal_angles(A, C)
+    assert len(angles) == 3 and np.all(np.diff(angles) >= 0) and angles[-1] == math.pi / 2
+    assert subspace_equal(A, _graded(*(S @ _unitary(S.shape[1]) for S in A.blocks)))[0]
+    with pytest.raises(ValueError, match="ambient"):
+        subspace_sum([A, Subspace.full(12, 4)])
 
 
 def test_exact_rank_small():

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from ellr.linalg import (
-    svd_rank, spectrum, image, kernel, subspace_equal, subspace_sum, subspace_intersect,
+    Subspace, svd_rank, spectrum, image, subspace_equal, subspace_sum, subspace_intersect,
 )
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
+    ZERO_OPERATOR_TOL,
     ScaledOp,
     scaled_residual,
     scaled_rank,
-    embed_pair,
+    scaled_spectrum,
+    grade_index,
+    grade_blocks,
     site_product,
     perm_op,
     perm_sign,
@@ -41,9 +44,24 @@ def _rel(A, B):
     return float(np.max(np.abs(A - B)) / np.max(np.abs(A)))
 
 
+def embed_pair(op, pos, n, d):
+    """The dense embedding of a two-site operator at tensorands (pos, pos+1),
+    pos one-based: the reference the in-place site products are tested on."""
+    return np.kron(np.kron(np.eye(n ** (pos - 1)), op), np.eye(n ** (d - pos - 1)))
+
+
 def _pair(sign=1):
-    """Spectrum of R(sign*tau), whose image and kernel the relation spaces embed."""
-    return spectrum(r_matrix(P31, sign * P31.tau), P31.ranks)
+    """Spectrum of R(sign*tau) from its pair-grade blocks, whose image and
+    kernel the relation spaces embed."""
+    return spectrum(grade_blocks(r_matrix(P31, sign * P31.tau), 3), P31.ranks)
+
+
+def _dense(S, n, d):
+    """A subspace of V^(x)d given grade by grade, as one dense basis in the
+    natural coordinates."""
+    out = np.zeros((n ** d, S.dim), dtype=complex)
+    out[grade_index(n, d).ravel()] = S.basis
+    return Subspace((out,))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +108,7 @@ def test_scaled_residual_scale_matching():
 def test_scaled_rank_zero_detection():
     dim = 4
     noise = ScaledOp(1e-14 * np.random.default_rng(0).standard_normal((dim, dim)), 200.0)
-    rank, gap = scaled_rank(noise)
+    rank, gap = scaled_rank(noise, 2)
     assert rank == 0 and gap == math.inf
 
 
@@ -201,14 +219,11 @@ def test_site_product_matches_dense_reference(n):
 
 
 def test_chain_products_form_no_embedding(monkeypatch):
-    # every factor acts in place on the running product: neither the dense
-    # embedding nor any Kronecker product is formed on the chain path
-    import ellr.tensorops as tops
-
+    # every factor acts in place on the running product: no Kronecker
+    # product, so no dense embedding, is formed on the chain path
     def refuse(*args, **kwargs):
         raise AssertionError("dense embedding formed on the chain path")
 
-    monkeypatch.setattr(tops, "embed_pair", refuse)
     monkeypatch.setattr(np, "kron", refuse)
     d, ts = 4, ZS
     for p in (P31, make_params(5, 2)):
@@ -351,9 +366,9 @@ def test_embedded_relation_annihilates_f():
 def test_f_rank_and_kernel():
     n, d = 3, 3
     F = f_op(P31, d, -P31.tau)
-    rank, _ = scaled_rank(F, P31.ranks)
+    rank, _ = scaled_rank(F, n, P31.ranks)
     assert rank == comb(n + d - 1, d)
-    ker = kernel(F.mat, P31.ranks)
+    ker = scaled_spectrum(F, n, P31.ranks).kernel
     relations = subspace_sum(embedded_copies(_pair().image, n, d), P31.ranks)
     eq, angle = subspace_equal(ker, relations, 1e-6)
     assert eq
@@ -361,16 +376,16 @@ def test_f_rank_and_kernel():
 
 def test_f_dual_rank_and_vanishing():
     n = 3
-    r3, _ = scaled_rank(f_op(P31, 3, P31.tau), P31.ranks)
+    r3, _ = scaled_rank(f_op(P31, 3, P31.tau), n, P31.ranks)
     assert r3 == 1
-    r4, gap = scaled_rank(f_op(P31, 4, P31.tau), P31.ranks)
+    r4, gap = scaled_rank(f_op(P31, 4, P31.tau), n, P31.ranks)
     assert r4 == 0 and gap == math.inf
 
 
 def test_f_image_is_embedded_kernel_intersection():
     F = f_op(P31, 3, -P31.tau)
     cap = subspace_intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
-    eq, angle = subspace_equal(image(F.mat, P31.ranks), cap, 1e-6)
+    eq, angle = subspace_equal(scaled_spectrum(F, 3, P31.ranks).image, cap, 1e-6)
     assert eq
 
 
@@ -385,7 +400,147 @@ def test_embedded_copies_match_embedded_projector_images(sign):
         for pos, copy in enumerate(copies, start=1):
             gram = copy.basis.conj().T @ copy.basis
             assert np.allclose(gram, np.eye(copy.dim), atol=1e-13)
-            reference = image(embed_pair(W.projector(), pos, n, d), P31.ranks)
-            eq, angle = subspace_equal(copy, reference, 1e-6)
+            reference = image(embed_pair(_dense(W, n, 2).projector(), pos, n, d), P31.ranks)
+            eq, angle = subspace_equal(_dense(copy, n, d), reference, 1e-6)
             assert eq, (sign, pos, angle)
 
+
+
+# ---------------------------------------------------------------------------
+# Grade blocks
+# ---------------------------------------------------------------------------
+
+NDS = [(n, d) for n in (2, 3, 4, 5) for d in (2, 3, 4)]
+
+
+def _grades(n, d):
+    """The total grade (digit sum mod n) of every flat index of V^(x)d."""
+    digits = np.unravel_index(np.arange(n ** d), (n,) * d)
+    return sum(digits) % n
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (2, 3, 4, 5) for d in (1, 2, 3, 4)])
+def test_grade_index_partitions_the_tensor_power(n, d):
+    idx = grade_index(n, d)
+    assert idx.shape == (n, n ** (d - 1))
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(n ** d))
+    assert np.all(np.diff(idx, axis=1) > 0)
+    assert np.array_equal(_grades(n, d)[idx], np.repeat(np.arange(n)[:, None], n ** (d - 1), 1))
+    # the index f sits at position f // n of its row
+    assert np.array_equal(idx // n, np.broadcast_to(np.arange(n ** (d - 1)), idx.shape))
+    assert grade_index(n, d) is idx and not idx.flags.writeable
+
+
+def _products(p, d):
+    """F_d(+-tau), T_d at generic arguments, and M_{a,b} for a + b = d."""
+    yield f_op(p, d, p.tau)
+    yield f_op(p, d, -p.tau)
+    yield t_op(p, d, ZS[: d - 1])
+    for a in range(1, d):
+        yield m_op(p, a, d - a, ZS[0])
+
+
+@pytest.mark.parametrize("n, d", NDS)
+def test_products_are_block_diagonal_in_the_total_grade(n, d):
+    p = make_params(n, 1)
+    grades = _grades(n, d)
+    idx = grade_index(n, d)
+    for op in _products(p, d):
+        blocks = grade_blocks(op.mat, n)
+        for g in range(n):
+            assert np.array_equal(blocks[g], op.mat[np.ix_(idx[g], idx[g])])
+        # the gather loses nothing: every off-grade entry is exactly zero
+        assert not np.any(op.mat[grades[:, None] != grades[None, :]])
+
+
+def test_grade_blocks_refuses_an_operator_that_mixes_grades():
+    mat = np.eye(9, dtype=complex)
+    mat[0, 1] = 1e-300
+    with pytest.raises(ValueError, match="grade"):
+        grade_blocks(mat, 3)
+
+
+def _t_table_ops(p, d):
+    """The T_d operators of t_rank_table's primary and mirror cases."""
+    n, eta, tau = p.n, p.eta, p.tau
+    zs = [0.171 - 0.083j, (d - 1) * tau, (d - 1) * tau + 1 / n, -tau, -tau + eta / n]
+    zs += [m * tau for m in range(1, d - 1)]
+    for z in zs:
+        yield t_op(p, d, [z] + [-tau] * (d - 2))
+    for z in [0.171 - 0.083j, -(d - 1) * tau, tau] + [-m * tau for m in range(1, d - 1)]:
+        yield t_op(p, d, [tau] * (d - 2) + [z])
+
+
+def _assert_block_certificate_is_dense(op, n, d, policy):
+    if op.max_abs() < ZERO_OPERATOR_TOL:
+        assert scaled_spectrum(op, n, policy).rank == 0
+        return
+    graded, dense = scaled_spectrum(op, n, policy), spectrum(op.mat, policy)
+    assert graded.rank == dense.rank
+    assert scaled_rank(op, n, policy)[0] == dense.rank
+    # the largest dropped singular value is rounding noise, which the dense
+    # and the block SVDs round differently: only its decade is reproducible
+    assert graded.gap == dense.gap or abs(math.log10(graded.gap / dense.gap)) < 1
+    for part in ("image", "kernel"):
+        P = _dense(getattr(graded, part), n, d).projector()
+        assert np.max(np.abs(P - getattr(dense, part).projector())) < 1e-10, part
+
+
+@pytest.mark.parametrize("n, d", NDS)
+def test_block_certificate_of_f_matches_the_dense_spectrum(n, d):
+    p = make_params(n, 1)
+    for sign in (1, -1):
+        _assert_block_certificate_is_dense(f_op(p, d, sign * p.tau), n, d, p.ranks)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n, d in NDS if d > 2])
+def test_block_certificate_of_the_t_table_matches_the_dense_spectrum(n, d):
+    p = make_params(n, 1)
+    for op in _t_table_ops(p, d):
+        _assert_block_certificate_is_dense(op, n, d, p.ranks)
+
+
+def test_ragged_grade_ranks():
+    # the grades of F_d(-tau) need not have equal ranks
+    for n, d, ranks in ((3, 3, [4, 3, 3]), (4, 4, [10, 8, 9, 8])):
+        p = make_params(n, 1)
+        spec = scaled_spectrum(f_op(p, d, -p.tau), n, p.ranks)
+        assert [B.shape[1] for B in spec.image.blocks] == ranks
+        assert [B.shape[1] for B in spec.kernel.blocks] == [n ** (d - 1) - r for r in ranks]
+
+
+@pytest.mark.parametrize("n, d", NDS)
+def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
+    # F_d commutes with T^(x)d, which carries grade g to g + d mod n
+    p = make_params(n, 1)
+    T = basis_ops(p)["T"]
+    for sign in (1, -1):
+        op = f_op(p, d, sign * p.tau)
+        if op.max_abs() < ZERO_OPERATOR_TOL:
+            continue
+        Td = T
+        for _ in range(d - 1):
+            Td = np.kron(Td, T)
+        assert scaled_residual(ScaledOp(Td @ op.mat), ScaledOp(op.mat @ Td)) < 1e-12
+        ranks = [B.shape[1] for B in scaled_spectrum(op, n, p.ranks).image.blocks]
+        assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
+
+
+def _dense_lattice(pair, n, d, policy):
+    """Sig and Cap of the koszul lattice from dense Kronecker copies."""
+    W = _dense(pair, n, 2).basis
+    copies = [Subspace((np.kron(np.kron(np.eye(n ** (p - 1)), W), np.eye(n ** (d - p - 1))),))
+              for p in range(1, d)]
+    sig = [subspace_sum(copies[:ell], policy).dim for ell in range(1, d)]
+    cap = [subspace_intersect(copies[d - 1 - r:], policy).dim for r in range(1, d)]
+    return sig, cap
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n, d in NDS if d > 2])
+def test_graded_koszul_dims_match_the_dense_ones(n, d):
+    p = make_params(n, 1)
+    pair = spectrum(grade_blocks(r_matrix(p, p.tau), n), p.ranks)
+    W = embedded_copies(pair.image, n, d)
+    sig = [subspace_sum(W[:ell], p.ranks).dim for ell in range(1, d)]
+    cap = [subspace_intersect(W[d - 1 - r:], p.ranks).dim for r in range(1, d)]
+    assert (sig, cap) == _dense_lattice(pair.image, n, d, p.ranks)

@@ -89,7 +89,7 @@ def test_each_check_group_is_timed_once_on_its_first_result():
 
 def _line_and_plane():
     eye = np.eye(3, dtype=complex)
-    return Subspace(3, eye[:, :1], 0.0), Subspace(3, eye[:, :2], 0.0)
+    return Subspace((eye[:, :1],)), Subspace((eye[:, :2],))
 
 
 @pytest.mark.parametrize("value, tol", (
@@ -145,14 +145,12 @@ YB_CHECKS = (V.qybe_check, V.weight_family_check)
 
 @pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
 def test_yang_baxter_checks_form_no_dense_embedding(monkeypatch, nk):
-    # both sides of both identities are site products on V^(x)3: neither
-    # the dense embedding nor any Kronecker product is formed
-    import ellr.tensorops
+    # both sides of both identities are site products on V^(x)3: no
+    # Kronecker product, so no dense embedding, is formed
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense embedding formed in a Yang-Baxter check")
 
-    monkeypatch.setattr(ellr.tensorops, "embed_pair", refuse)
     monkeypatch.setattr(np, "kron", refuse)
     p = make_params(*nk)
     for check in YB_CHECKS:
