@@ -1,6 +1,6 @@
 """Operators on tensor powers of the base vector space.
 
-Builds dense matrices on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
+Builds operators on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
 multi-index ordering): permutation operators, (anti)symmetrizers, the four
 telescoping chains of R-matrices, the cumulative operators T_d and F_d, the
 rectangular two-parameter arrays M_{a,b}; and, grade by grade, their
@@ -19,39 +19,42 @@ t_i, ..., t_{j-1}; partial sums are written Sum(p,q) = t_p + ... + t_q.
 Descending chains take their arguments in display order t_{j-1}, ..., t_i.
 All chains degenerate to the identity when they span a single position.
 
+R(z) keeps the pair grade i + j mod n of x_i (x) x_j (the S (x) S half of
+the Z_n x Z_n symmetry), so every product of R's keeps the total grade,
+the digit sum mod n, and is block-diagonal with n blocks of size n^(d-1).
+``grade_index`` lists the indices of each grade: the first d-1 digits of
+an index are its position in its block, and the grade fixes the last.
+
 Every multi-site operator is one site product: an ordered list of
-two-site factors (matrix, (p, q)), p < q, evaluated by ``site_product``.
-It writes the last factor's embedding directly (no kron, no identity
-multiplied) and left-multiplies the preceding factors, each through an
-(n^(p-1), n^2, rest) view of the rows, so a factor costs n^(p-1) large
-GEMMs.  A non-adjacent site such as (1, 3) swaps the axes between p and q
-around the contraction.  The chains, T_d, F_d and both assemblies of
-M_{a,b} are (argument, position) lists of R(argument)_{position,position+1}
-factors, whose distinct arguments are built in one ``r_matrices`` call; the
-Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
-No n^d x n^d embedding is formed on these paths.  The products themselves
-are dense, and n^d is capped at MAX_TENSOR_DIM = 5^5 (read at call time).
+two-site factors (matrix, (p, q)), p < q, evaluated by ``site_product``
+straight into the (..., n, n^(d-1), n^(d-1)) stack of its grade blocks,
+with optional leading batch axes on the factors (a batch of Yang-Baxter
+trials at once).  A factor at (p, q) with q < d acts on the
+block coordinates, n^(p-1) GEMMs through a view of the rows.  A factor at
+(p, d) moves digit p alone: the other digits of a row fix the pair grade s
+of (digit p, last digit), and the pair block R^(s)[a, i] =
+R[(a, s-a), (i, s-i)] (``pair_blocks``) acts on digit p, one batched n x n
+matmul.  The chains, T_d, F_d and both assemblies of M_{a,b} are
+(argument, position) lists of R(argument)_{position,position+1} factors,
+whose distinct arguments are built in one ``r_matrices`` call; the
+Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).  Each
+distinct factor is checked once: an entry between two pair grades, or an
+inf or NaN entry, is refused.  No n^d x n^d array is formed on these
+paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 (read at call time).
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
-:class:`ScaledOp`: each R factor enters at unit max-abs and the natural log
-of the removed scale is accumulated separately.  Rank/kernel/image
-questions only need the matrix part, identities between chain products
-compare matrix parts after matching the log scales, and ``.dense()`` gives
-the plain matrix.
-
-R(z) keeps the pair grade i + j mod n of x_i (x) x_j (the S (x) S half of
-the Z_n x Z_n symmetry), so every chain product keeps the total grade, the
-digit sum mod n, and is block-diagonal with n blocks of size n^(d-1):
-``grade_index`` lists the indices of each grade, and ``grade_blocks``
-gathers the blocks.  Ranks, images and kernels are certified from the
-blocks (``scaled_spectrum``, ``scaled_rank``), at a cost about n^2 below a
-dense SVD, and are given grade by grade.
+:class:`ScaledOp`: its grade stack, each R factor entered at unit max-abs,
+and the natural log of the removed scale, accumulated separately.
+Rank/kernel/image questions only need the matrix part, read block by block
+(``scaled_spectrum``, ``scaled_rank``) at a cost about n^2 below a dense
+SVD; identities between chain products compare matrix parts after
+matching the log scales; and ``.dense()`` scatters the plain matrix.
 
 The embedded relation spaces are sums and intersections (formed with
 ``linalg.subspace_sum`` / ``subspace_intersect``, grade by grade) of the
 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2}
-(the image or the kernel of R(+-tau), from its n pair-grade blocks); the
+(the image or the kernel of R(+-tau), from its n pair blocks); the
 degree-d relation space is the sum of the copies of im R(tau).  Each copy
 is scattered into its grades from the orthonormal pair blocks, so the only
 rank decision below the sum or intersection is the one made on R(+-tau)
@@ -88,7 +91,9 @@ class ScaledOp:
     """A matrix together with the natural log of a removed positive scale.
 
     Represents exp(log_scale) * mat; mat is kept at unit max-abs so long
-    products never overflow.
+    products never overflow.  mat is one matrix, or, for an operator on
+    V^{(x)d} that keeps the total grade (every R-matrix product does), its
+    (n, n^(d-1), n^(d-1)) grade stack (see :func:`grade_index`).
     """
 
     __slots__ = ("mat", "log_scale")
@@ -108,16 +113,37 @@ class ScaledOp:
     def __matmul__(self, other: "ScaledOp") -> "ScaledOp":
         # products are not renormalized: a tiny .mat after multiplying
         # unit-scale factors is real cancellation and must stay visible
-        return ScaledOp(self.mat @ other.mat, self.log_scale + other.log_scale)
+        left, right = _matched(self, other)
+        return ScaledOp(left @ right, self.log_scale + other.log_scale)
 
     def kron(self, other: "ScaledOp") -> "ScaledOp":
-        return ScaledOp(np.kron(self.mat, other.mat), self.log_scale + other.log_scale)
+        return ScaledOp(np.kron(self.matrix(), other.matrix()),
+                        self.log_scale + other.log_scale)
+
+    def matrix(self) -> np.ndarray:
+        """mat as one matrix: a grade stack is scattered through
+        :func:`grade_index`, every entry between two grades zero."""
+        if self.mat.ndim == 2:
+            return self.mat
+        n, size = self.mat.shape[:2]
+        idx = grade_index(n, round(math.log(size, n)) + 1)
+        out = np.zeros((n * size,) * 2, dtype=complex)
+        out[idx[:, :, None], idx[:, None, :]] = self.mat
+        return out
 
     def dense(self) -> np.ndarray:
-        return math.exp(self.log_scale) * self.mat
+        return math.exp(self.log_scale) * self.matrix()
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
+
+
+def _matched(left: ScaledOp, right: ScaledOp):
+    """The matrix parts of two operators in one form: grade stacks when both
+    are, else matrices."""
+    if left.mat.ndim == right.mat.ndim:
+        return left.mat, right.mat
+    return left.matrix(), right.matrix()
 
 
 def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> float:
@@ -131,8 +157,9 @@ def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> floa
     of as noise divided by noise.
     """
     base = max(left.log_scale, right.log_scale)
-    lm = left.mat * math.exp(left.log_scale - base)
-    rm = right.mat * math.exp(right.log_scale - base)
+    lm, rm = _matched(left, right)
+    lm = lm * math.exp(left.log_scale - base)
+    rm = rm * math.exp(right.log_scale - base)
     denom = max(np.max(np.abs(lm)), np.max(np.abs(rm)), floor)
     return float(np.max(np.abs(lm - rm)) / denom)
 
@@ -209,41 +236,142 @@ def _chain_factors(d: int, i: int, j: int, ts, descending: bool, reverse: bool) 
     return factors[::-1] if descending else factors
 
 
-def _site_shape(n: int, d: int, sites, cols: int):
-    """Row axes (n^(p-1), n, n^(q-p-1), n, n^(d-q) * cols) of an n^d-row array."""
+def _sites(d: int, sites):
     p, q = sites
     if not 1 <= p < q <= d:
         raise ValueError(f"sites {sites} out of range for degree {d}")
-    return n ** (p - 1), n, n ** (q - p - 1), n, n ** (d - q) * cols
+    return p, q
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_grade_table(n: int, d: int, p: int) -> np.ndarray:
+    """The (n, n^(p-1), n^(d-1-p)) table of the pair grade s = g - |L| - |R|
+    mod n of sites (p, d) in grade g, for the digits L before p and R
+    between p and d (|.| the digit sum).  Read-only, built once."""
+    table = (np.arange(n)[:, None, None] - _digit_sums(n, p - 1)[:, None]
+             - _digit_sums(n, d - 1 - p)) % n
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_block_index(n: int) -> np.ndarray:
+    """The (n, n, n) flat positions in an n^2 x n^2 matrix of its pair
+    blocks.  Read-only, built once per n."""
+    idx = grade_index(n, 2)
+    flat = idx[:, :, None] * n * n + idx[:, None, :]
+    flat.setflags(write=False)
+    return flat
+
+
+def pair_blocks(mats, n: int) -> np.ndarray:
+    """The (..., n, n, n) pair-grade blocks R^(s)[a, i] = R[(a, s-a), (i, s-i)]
+    of a stack (..., n^2, n^2) of operators on V (x) V that keep the pair
+    grade i + j mod n, as R(z) and the weight operators do: the grade
+    blocks of :func:`grade_index` at d = 2.
+
+    Raises NonFiniteMatrixError when an entry is inf or NaN, and ValueError
+    when an entry between two different pair grades is nonzero: the blocks
+    would not hold the whole operator."""
+    mats = np.asarray(mats)
+    if mats.shape[-2:] != (n * n, n * n):
+        raise ValueError(f"a {mats.shape[-2:]} matrix is no operator on V (x) V for n = {n}")
+    if not np.all(np.isfinite(mats)):
+        raise NonFiniteMatrixError(
+            "matrix has inf or NaN entries: its construction overflowed complex128")
+    blocks = mats.reshape(*mats.shape[:-2], -1)[..., _pair_block_index(n)]
+    if np.count_nonzero(blocks) != np.count_nonzero(mats):
+        raise ValueError("operator does not keep the pair grade")
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _embed_index(n: int, d: int, sites) -> tuple:
+    """The flat positions in the grade stack of the entries of one factor at
+    ``sites``, and the flat position in its (n, n, n) pair blocks that each
+    one reads.  Read-only, built once."""
+    p, q = sites
+    size = n ** (d - 1)
+    if q < d:
+        # row (l, i, m, j, t) of every grade meets column (l, i', m, j', t)
+        # with j' = s - i', s = i + j the pair grade
+        lead, gap, trail = n ** (p - 1), n ** (q - p - 1), n ** (d - 1 - q)
+        g, l, i, m, j, t, i2 = np.ogrid[:n, :lead, :n, :gap, :n, :trail, :n]
+        s = (i + j) % n
+        row = (((l * n + i) * gap + m) * n + j) * trail + t
+        col = (((l * n + i2) * gap + m) * n + (s - i2) % n) * trail + t
+        a = i
+    else:
+        # row (l, a, t) meets column (l, i, t): digit p moves by the pair
+        # block of the grade s of (digit p, last digit)
+        lead, trail = n ** (p - 1), n ** (d - 1 - p)
+        g, l, t, a, i2 = np.ogrid[:n, :lead, :trail, :n, :n]
+        s = _pair_grade_table(n, d, p)[..., None, None]
+        row, col = (l * n + a) * trail + t, (l * n + i2) * trail + t
+    target = (g * size + row) * size + col
+    index = (target.ravel(), np.broadcast_to((s * n + a) * n + i2, target.shape).ravel())
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
+def _embed(n: int, d: int, blocks, sites) -> np.ndarray:
+    """The grade stack (..., n, n^(d-1), n^(d-1)) of one two-site factor,
+    written from its pair blocks into zeros."""
+    target, source = _embed_index(n, d, _sites(d, sites))
+    batch, size = blocks.shape[:-3], n ** (d - 1)
+    out = np.zeros(batch + (n * size * size,), dtype=complex)
+    out[..., target] = blocks.reshape(batch + (-1,))[..., source]
+    return out.reshape(batch + (n, size, size))
+
+
+def _apply(n: int, d: int, mat, blocks, sites, X: np.ndarray) -> np.ndarray:
+    """One two-site factor (``blocks`` its pair blocks) times the grade stack
+    X (..., n, n^(d-1), cols)."""
+    p, q = _sites(d, sites)
+    *head, size, cols = X.shape
+    if q < d:
+        # (l, i, m, j, rest) -> (l, (i, j), (m, rest)): one GEMM per l
+        lead, gap, rest = n ** (p - 1), n ** (q - p - 1), n ** (d - 1 - q) * cols
+        view = X.reshape(*head, lead, n, gap, n, rest).swapaxes(-2, -3)
+        out = np.matmul(np.asarray(mat)[..., None, None, :, :],
+                        view.reshape(*head, lead, n * n, gap * rest))
+        out = out.reshape(*out.shape[:-2], n, n, gap, rest).swapaxes(-2, -3)
+        return out.reshape(*out.shape[:-5], size, cols)
+    # (l, a, t) -> (l, t, a): an n x n pair block per (grade, l, t)
+    lead, trail = n ** (p - 1), n ** (d - 1 - p)
+    view = X.reshape(*head, lead, n, trail, cols).swapaxes(-2, -3)
+    out = np.matmul(blocks[..., _pair_grade_table(n, d, p), :, :], view).swapaxes(-2, -3)
+    return out.reshape(*out.shape[:-4], size, cols)
 
 
 def site_product(n: int, d: int, factors) -> np.ndarray:
-    """The left-to-right product of two-site operators on V^{(x)d}.
+    """The left-to-right product of two-site operators on V^{(x)d}, as its
+    (..., n, n^(d-1), n^(d-1)) grade stack (see :func:`grade_index`).
 
-    ``factors`` is an ordered list of (matrix, (p, q)): an n^2 x n^2 matrix
-    acting on tensorands p < q (one-based), its first factor on p.  The last
-    factor is embedded directly; each preceding one left-multiplies the
-    running product through an (n^(p-1), n^2, rest) view of its rows, with
-    the axes between p and q swapped out of the way, so no n^d x n^d
-    embedding is formed.  No factors give the identity.
+    ``factors`` is an ordered list of (matrix, (p, q)): a (..., n^2, n^2)
+    stack of operators that keep the pair grade, acting on tensorands
+    p < q (one-based), first factor on p; leading batch axes broadcast.
+    The last factor is embedded directly and each preceding one
+    left-multiplies the running stack.  Sites with q < d act on the first
+    d-1 digits, the block coordinates, through an (n^(p-1), n^2, rest) view
+    of the rows.  Sites (p, d) move digit p alone: with the other digits of
+    a row fixed, (digit p, last digit) lies in one pair grade s, and its
+    pair block R^(s) (:func:`pair_blocks`) acts on digit p.  No factors
+    give the identity.  Every distinct factor is checked once, so a factor
+    that mixes pair grades raises ValueError and one with an inf or NaN
+    entry NonFiniteMatrixError.
     """
     _check_dim(n, d)
-    dim = n ** d
+    size = grade_index(n, d).shape[1]
     if not factors:
-        return np.eye(dim, dtype=complex)
+        return np.broadcast_to(np.eye(size, dtype=complex), (n, size, size)).copy()
+    blocks = {id(mat): mat for mat, _ in factors}
+    blocks = {key: pair_blocks(mat, n) for key, mat in blocks.items()}
     *rest, (mat, sites) = factors
-    lead, _, gap, _, trail = _site_shape(n, d, sites, 1)
-    # out[(l, i, g, j, t), (l, i', g, j', t)] = mat[(i, j), (i', j')]
-    out = np.zeros((lead, n, gap, n, trail) * 2, dtype=complex)
-    l, g, t = (np.arange(lead)[:, None, None], np.arange(gap)[:, None],
-               np.arange(trail))
-    out[l, :, g, :, t, l, :, g, :, t] = np.reshape(mat, (n,) * 4)
-    out = out.reshape(dim, dim)
+    out = _embed(n, d, blocks[id(mat)], sites)
     for mat, sites in reversed(rest):
-        lead, _, gap, _, trail = shape = _site_shape(n, d, sites, dim)
-        view = out.reshape(shape).transpose(0, 1, 3, 2, 4).reshape(lead, n * n, gap * trail)
-        out = np.matmul(mat, view).reshape(lead, n, n, gap, trail).transpose(0, 1, 3, 2, 4)
-        out = out.reshape(dim, dim)
+        out = _apply(n, d, mat, blocks[id(mat)], sites, out)
     return out
 
 
@@ -368,27 +496,6 @@ def grade_index(n: int, d: int) -> np.ndarray:
     return idx
 
 
-def grade_blocks(mat: np.ndarray, n: int) -> np.ndarray:
-    """The (n, n^(d-1), n^(d-1)) stack of grade blocks of an operator on
-    V^{(x)d} that keeps the total grade, as every R-matrix product does.
-
-    Raises ValueError when an entry between two different grades is nonzero
-    (NonFiniteMatrixError when it is inf or NaN): the blocks would not hold
-    the whole operator."""
-    mat = np.asarray(mat)
-    d = round(math.log(mat.shape[0], n))
-    if mat.shape != (n ** d, n ** d):
-        raise ValueError(f"a {mat.shape} matrix is no operator on a tensor power of C^{n}")
-    idx = grade_index(n, d)
-    blocks = mat[idx[:, :, None], idx[:, None, :]]
-    if np.count_nonzero(blocks) != np.count_nonzero(mat):
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteMatrixError(
-                "matrix has inf or NaN entries: its construction overflowed complex128")
-        raise ValueError("operator does not keep the total grade")
-    return blocks
-
-
 def scaled_spectrum(op: ScaledOp, n: int, policy: RankPolicy | None = None) -> Spectrum:
     """Certified spectrum (rank, gap, image, kernel) of a scaled chain product
     on V^{(x)d}, from its n grade blocks: the image and kernel are given
@@ -400,8 +507,9 @@ def scaled_spectrum(op: ScaledOp, n: int, policy: RankPolicy | None = None) -> S
     rank.
     """
     if op.max_abs() < ZERO_OPERATOR_TOL:
-        return Spectrum.zero(*op.mat.shape, grades=n)
-    return spectrum(grade_blocks(op.mat, n), policy)
+        rows = math.prod(op.mat.shape[:-1])
+        return Spectrum.zero(rows, rows, grades=n)
+    return spectrum(op.mat, policy)
 
 
 def scaled_rank(op: ScaledOp, n: int, policy: RankPolicy | None = None):
@@ -409,7 +517,7 @@ def scaled_rank(op: ScaledOp, n: int, policy: RankPolicy | None = None):
     values of its grade blocks; see :func:`scaled_spectrum`."""
     if op.max_abs() < ZERO_OPERATOR_TOL:
         return 0, math.inf
-    return singular_rank(grade_blocks(op.mat, n), policy)
+    return singular_rank(op.mat, policy)
 
 
 def embedded_copies(pair: Subspace, n: int, d: int) -> list:

@@ -52,6 +52,7 @@ from .linalg import (
     NonFiniteMatrixError,
     Subspace,
     svd_rank,
+    svd_ranks,
     spectrum,
     image,
     subspace_sum,
@@ -80,7 +81,8 @@ from .tensorops import (
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
-    grade_blocks,
+    grade_index,
+    pair_blocks,
     site_product,
     symmetrizer,
     antisymmetrizer,
@@ -100,6 +102,7 @@ TOL_ANGLE = 1e-6
 TOL_LIMIT = 1e-2
 TOL_THETA = 1e-10
 EXCLUSION_DISTANCE = 1e-8
+YB_BATCH_ENTRIES = 2 ** 12  # per graded V^(x)3 product stack of a Yang-Baxter check
 
 
 @dataclass
@@ -189,18 +192,31 @@ def _echo(params: AlgebraParams, **extra) -> dict:
 
 
 def _rel(diff: np.ndarray, *refs) -> float:
-    scale = max([float(np.max(np.abs(r))) for r in refs] + [1e-300])
-    return float(np.max(np.abs(diff)) / scale)
+    """The largest over the trials (the leading axis) of the relative
+    residual max|diff| / max(max|ref|), trial by trial."""
+    axes = tuple(range(1, diff.ndim))
+    scale = np.max([np.max(np.abs(r), axis=axes) for r in refs], axis=0)
+    return float(np.max(np.max(np.abs(diff), axis=axes) / np.maximum(scale, 1e-300)))
+
+
+def _trial_batches(n: int, trials: int) -> list:
+    """Slices of the trials of a Yang-Baxter check, each at most
+    YB_BATCH_ENTRIES entries (n^5 a trial) per V^{(x)3} product stack,
+    which bounds the check's peak memory."""
+    step = max(1, YB_BATCH_ENTRIES // n ** 5)
+    return [slice(start, start + step) for start in range(0, trials, step)]
 
 
 def _yb_residual(n: int, lhs, rhs) -> float:
-    """Relative residual between two site products on V^{(x)3}."""
+    """The largest relative residual over the trials between two site
+    products on V^{(x)3}, the trials the leading axis of every factor."""
     lhs, rhs = site_product(n, 3, lhs), site_product(n, 3, rhs)
     return _rel(lhs - rhs, lhs, rhs)
 
 
 def _braid_residual(n: int, Su, Sv, Suv) -> float:
-    """Relative residual of the braid-form Yang-Baxter identity
+    """The largest relative residual over the trials of the braid-form
+    Yang-Baxter identity
 
         S(u)_12 S(u+v)_13 S(v)_23 = S(v)_23 S(u+v)_13 S(u)_12
 
@@ -273,13 +289,16 @@ def qybe_check(params: AlgebraParams, trials: int = 20, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = params.n
     P = basis_ops(params)["P"]
-    worst2 = worst1 = 0.0
-    for _ in range(trials):
-        u, v = _random_z(rng, 2)
-        Ru, Rv, Ruv = r_matrices(params, [u, v, u + v])
-        worst2 = max(worst2, _yb_residual(n, [(Ru, (1, 2)), (Ruv, (2, 3)), (Rv, (1, 2))],
-                                          [(Rv, (2, 3)), (Ruv, (1, 2)), (Ru, (2, 3))]))
-        worst1 = max(worst1, _braid_residual(n, P @ Ru, P @ Rv, P @ Ruv))
+    u, v = np.reshape(_random_z(rng, 2 * trials), (trials, 2)).T
+    worst2, worst1 = [], []
+    for part in _trial_batches(n, trials):
+        # R(u), R(v), R(u+v) over a batch of trials, in one build
+        Ru, Rv, Ruv = r_matrices(params, np.concatenate((u[part], v[part], (u + v)[part]))
+                                 ).reshape(3, -1, n * n, n * n)
+        worst2.append(_yb_residual(n, [(Ru, (1, 2)), (Ruv, (2, 3)), (Rv, (1, 2))],
+                                   [(Rv, (2, 3)), (Ruv, (1, 2)), (Ru, (2, 3))]))
+        worst1.append(_braid_residual(n, P @ Ru, P @ Rv, P @ Ruv))
+    worst2, worst1 = float(np.max(worst2)), float(np.max(worst1))
     echo = _echo(params, trials=trials, seed=seed)
     return [
         _within("qybe.two_parameter", echo, worst2, TOL_RESIDUAL),
@@ -294,11 +313,9 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     rng = np.random.default_rng(seed)
     dim = params.n ** 2
     zs = _random_z(rng, trials)
-    worst = 0.0
-    for Rz, Rmz in zip(*r_matrices(params, zs + [-z for z in zs]).reshape(2, trials, dim, dim)):
-        prod = Rz @ Rmz
-        c = prod[0, 0]
-        worst = max(worst, _rel(prod - c * np.eye(dim), prod))
+    Rz, Rmz = r_matrices(params, zs + [-z for z in zs]).reshape(2, trials, dim, dim)
+    prod = Rz @ Rmz
+    worst = _rel(prod - prod[:, :1, :1] * np.eye(dim), prod)
     R0, Rt, Rmt = r_matrices(params, [0.0, params.tau, -params.tau])
     at_zero = float(np.max(np.abs(R0 - np.eye(dim))))
     vanish = float(
@@ -342,30 +359,35 @@ def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
                      [-z for z in zs], [z + shift for z in zs]) for w in ws
     ]).reshape(5, trials, n * n, n * n)
     R_neg, R_p1, R_pe = (r_matrices(p, zs) for p in (params_neg, params_p1, params_pe))
-    # law: (left-hand stack over zs, right-hand side at trial i)
+
+    def per_trial(fn):  # a scalar per trial, broadcast over the stacks
+        return np.array([fn(z) for z in zs])[:, None, None]
+
+    NN = np.kron(N, N)
+    # law: (left-hand stack, right-hand stack), both over zs, the right-hand
+    # stacks built one law at a time
     laws = {
-        "shift_period_over_n": (R_plus_1n, lambda i, z: (
-            (-1) ** (n - 1) * np.kron(eye, Skinv) @ R[i] @ np.kron(Sk, eye))),
-        "shift_eta_over_n": (R_plus_eta_n, lambda i, z: (
-            b_fn(params, z) * np.kron(eye, Tinv) @ R[i] @ np.kron(T, eye))),
-        "negation_swap": (R_minus, lambda i, z: e_fn(n * n * z) * P @ R_neg[i] @ P),
-        "negation_index_reversal": (R_minus, lambda i, z: (
-            e_fn(n * n * z) * np.kron(N, N) @ R_neg[i] @ np.kron(N, N))),
-        "tau_shift_period_over_n": (R_p1, lambda i, z: (
-            np.kron(S, eye) @ R[i] @ np.kron(Sinv, eye))),
-        "tau_shift_eta_over_n": (R_pe, lambda i, z: (
-            e_fn(z) * np.kron(eye, Tkpinv) @ R[i] @ np.kron(eye, Tkp))),
-        "general_torsion_shift": (R_zeta, lambda i, z: (
-            f_fn(params, z, zeta) * np.kron(eye, Cinv) @ R[i] @ np.kron(C, eye))),
+        "shift_period_over_n": (R_plus_1n, lambda: (
+            (-1) ** (n - 1) * np.kron(eye, Skinv) @ R @ np.kron(Sk, eye))),
+        "shift_eta_over_n": (R_plus_eta_n, lambda: (
+            per_trial(lambda z: b_fn(params, z)) * np.kron(eye, Tinv) @ R @ np.kron(T, eye))),
+        "negation_swap": (R_minus, lambda: (
+            per_trial(lambda z: e_fn(n * n * z)) * P @ R_neg @ P)),
+        "negation_index_reversal": (R_minus, lambda: (
+            per_trial(lambda z: e_fn(n * n * z)) * NN @ R_neg @ NN)),
+        "tau_shift_period_over_n": (R_p1, lambda: (
+            np.kron(S, eye) @ R @ np.kron(Sinv, eye))),
+        "tau_shift_eta_over_n": (R_pe, lambda: (
+            per_trial(e_fn) * np.kron(eye, Tkpinv) @ R @ np.kron(eye, Tkp))),
+        "general_torsion_shift": (R_zeta, lambda: (
+            per_trial(lambda z: f_fn(params, z, zeta)) * np.kron(eye, Cinv) @ R
+            @ np.kron(C, eye))),
     }
     results = []
-    for name, (lhs_stack, rhs_of) in laws.items():
-        worst = 0.0
-        for i, z in enumerate(zs):
-            lhs, rhs = lhs_stack[i], rhs_of(i, z)
-            worst = max(worst, _rel(lhs - rhs, lhs, rhs))
+    for name, (lhs, rhs_of) in laws.items():
+        rhs = rhs_of()
         results.append(_within(f"transform.{name}", _echo(params, trials=trials, seed=seed),
-                               worst, TOL_TRANSFORM))
+                               _rel(lhs - rhs, lhs, rhs), TOL_TRANSFORM))
     return results
 
 
@@ -380,10 +402,9 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     n = params.n
     zs = _random_z(rng, trials)
     zk = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.05, 0.05))
-    worst = 0.0
-    for Rz, closed in zip(r_matrices(params, zs), det_closed_form(params, zs)):
-        ratio = np.linalg.det(Rz) / complex(closed)
-        worst = max(worst, abs(ratio - 1))
+    dets = np.linalg.det(r_matrices(params, zs))
+    worst = max(abs(det / complex(closed) - 1)
+                for det, closed in zip(dets, det_closed_form(params, zs)))
     R0, Rk, Rt, Rmt = r_matrices(params, [0.0, zk, params.tau, -params.tau])
     at_zero = abs(np.linalg.det(R0) - 1.0)
     d1 = np.linalg.det(Rk)
@@ -409,7 +430,7 @@ def _cell_ranks(params: AlgebraParams, sign: int) -> list:
     n, eta = params.n, params.eta
     cell = r_matrices(params, [sign * params.tau + HalfPeriodPoint(a, b).value(n, eta)
                                for a in range(n) for b in range(n)])
-    return [svd_rank(R, params.ranks) for R in cell]
+    return svd_ranks(cell, params.ranks)
 
 
 @_guard
@@ -432,8 +453,8 @@ def nullity_table(params: AlgebraParams):
     expected = {"at_tau_coset": comb(n + 1, 2), "at_minus_tau_coset": comb(n, 2)}
     cells = {"at_tau_coset": _cell_ranks(params, 1),
              "at_minus_tau_coset": _cell_ranks(params, -1)}
-    generic = [svd_rank(R, params.ranks)
-               for R in r_matrices(params, _random_z(np.random.default_rng(11), 5))]
+    generic = svd_ranks(r_matrices(params, _random_z(np.random.default_rng(11), 5)),
+                        params.ranks)
     observed = {key: sorted({n * n - rank for rank, _ in cell}) for key, cell in cells.items()}
     observed["min_gap"] = min(gap for cell in [*cells.values(), generic] for _, gap in cell)
     ok = (all(observed[key] == [expected[key]] for key in cells)
@@ -473,7 +494,7 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     anything is built, and a degree expected to vanish gets no angles.
     Returns the results and the rank per degree (None where refused)."""
     n, policy = params.n, params.ranks
-    pair = spectrum(grade_blocks(r_matrix(params, sign * params.tau), n), policy)
+    pair = spectrum(pair_blocks(r_matrix(params, sign * params.tau), n), policy)
     results, ranks = [], []
     for d in range(2, top + 1):
         if note := _beyond_cap(n, d):
@@ -621,12 +642,15 @@ def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
     ]
     del skew  # freed before F_d is built, where the check peaks
     norm = float(np.prod([factorial(m) for m in range(1, d)]))
-    for sign, target, label in ((-1, symmetrizer(n, d), "symmetrizer"),
-                                (1, antisymmetrizer(n, d), "antisymmetrizer")):
+    idx = grade_index(n, d)
+    for sign, target, label in ((-1, symmetrizer, "symmetrizer"),
+                                (1, antisymmetrizer, "antisymmetrizer")):
+        # F_d and its target keep the total grade: compared grade block by block
+        target = target(n, d)[idx[:, :, None], idx[:, None, :]]
         results.append(_ladder(
             f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)},
-            ((f_op(p, d, sign * eps).dense() / norm, target)
-             for p, eps in zip(rungs, ladder))))
+            ((math.exp(F.log_scale) * F.mat / norm, target)
+             for F in (f_op(p, d, sign * eps) for p, eps in zip(rungs, ladder)))))
     return results
 
 
@@ -655,12 +679,12 @@ def mult_identity_check(params: AlgebraParams,
 
     def rand_image(a):
         F = f_op(params, a, -tau)
-        v = F.mat @ (rng.standard_normal(n ** a) + 1j * rng.standard_normal(n ** a))
+        v = F.matrix() @ (rng.standard_normal(n ** a) + 1j * rng.standard_normal(n ** a))
         return v / np.linalg.norm(v)
 
     def product(u, a, v, b):
         M = m_op(params, b, a, -tau)
-        return M.mat @ np.kron(u, v), M.log_scale
+        return M.matrix() @ np.kron(u, v), M.log_scale
 
     a, b, c = 1, 2, 1
     u, v, w = rand_image(a), rand_image(b), rand_image(c)
@@ -688,7 +712,7 @@ def koszul_check(params: AlgebraParams, d: int):
         return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
     n = params.n
     policy = params.ranks
-    pair = spectrum(grade_blocks(r_matrix(params, params.tau), n), policy)
+    pair = spectrum(pair_blocks(r_matrix(params, params.tau), n), policy)
     W = embedded_copies(pair.image, n, d)
     ambient = Subspace.full(n ** d, n)
     # Sig[ell] = W_1 + ... + W_ell and Cap[r] = W_{d-r} ^ ... ^ W_{d-1}, each
@@ -747,10 +771,14 @@ def frobenius_check(params: AlgebraParams):
         rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), n, params.ranks)
         results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
                                0, rank1))
-    F = Fs.mat
-    xcol = int(np.argmax(np.linalg.norm(F, axis=0)))
+    # the reference u = F x is the column of largest norm, in grade block g;
+    # F keeps the grade, so u^H F is exactly 0 on every other grade's columns
+    norms = np.linalg.norm(Fs.mat, axis=1)
+    g, xcol = np.unravel_index(np.argmax(norms), norms.shape)
+    F = Fs.mat[g]
     u = F[:, xcol]
-    coeffs = (u.conj() @ F) / np.vdot(u, F[:, xcol])
+    coeffs = np.zeros(n ** n, dtype=complex)
+    coeffs[grade_index(n, n)[g]] = (u.conj() @ F) / np.vdot(u, u)
     for i in range(n + 1):
         C = coeffs.reshape(n ** i, n ** (n - i))
         r, _ = svd_rank(C, params.ranks)
@@ -791,16 +819,17 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     n = params.n
     P = basis_ops(params)["P"]
     zs = _random_z(rng, trials)
-    worst_rel = 0.0
-    for z, Rz in zip(zs, r_matrices(params, zs)):
-        Sk = weight_op_k(params, -n * z)
-        rhs = n * e_fn(0.5 * n * (n + 1) * z) * P @ Rz
-        worst_rel = max(worst_rel, _rel(Sk - rhs, Sk, rhs))
-    worst_qybe1 = 0.0
-    for _ in range(trials):
-        u, v = _random_z(rng, 2)
-        Su, Sv, Suv = weight_op(params, u), weight_op(params, v), weight_op(params, u + v)
-        worst_qybe1 = max(worst_qybe1, _braid_residual(n, Su, Sv, Suv))
+    Sk = np.array([weight_op_k(params, -n * z) for z in zs])
+    scalars = np.array([n * e_fn(0.5 * n * (n + 1) * z) for z in zs])[:, None, None]
+    rhs = scalars * P @ r_matrices(params, zs)
+    worst_rel = _rel(Sk - rhs, Sk, rhs)
+    u, v = np.reshape(_random_z(rng, 2 * trials), (trials, 2)).T
+    worst_qybe1 = []
+    for part in _trial_batches(n, trials):
+        # S(u), S(v), S(u+v) over a batch of trials
+        S = [np.array([weight_op(params, complex(w)) for w in ws[part]]) for ws in (u, v, u + v)]
+        worst_qybe1.append(_braid_residual(n, *S))
+    worst_qybe1 = float(np.max(worst_qybe1))
     at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
     return [
         _within("weights.relation_to_r", _echo(params, trials=trials, seed=seed),

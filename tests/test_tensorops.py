@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ellr.linalg import (
-    Subspace, svd_rank, spectrum, image, subspace_equal, subspace_sum, subspace_intersect,
+    NonFiniteMatrixError, Subspace, svd_rank, spectrum, image, subspace_equal, subspace_sum,
+    subspace_intersect,
 )
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
@@ -20,7 +21,7 @@ from ellr.tensorops import (
     scaled_rank,
     scaled_spectrum,
     grade_index,
-    grade_blocks,
+    pair_blocks,
     site_product,
     perm_op,
     perm_sign,
@@ -50,10 +51,37 @@ def embed_pair(op, pos, n, d):
     return np.kron(np.kron(np.eye(n ** (pos - 1)), op), np.eye(n ** (d - pos - 1)))
 
 
+def dense_site_product(n, d, factors, cols=None):
+    """The dense reference for ``site_product``: the columns ``cols`` (all
+    by default) of the product on V^(x)d, each factor left-multiplying the
+    rows through an (n^(p-1), n^2, rest) view, with the axes between p and
+    q swapped out of the way."""
+    dim = n ** d
+    cols = np.arange(dim) if cols is None else np.asarray(cols)
+    out = np.zeros((dim, cols.size), dtype=complex)
+    out[cols, np.arange(cols.size)] = 1.0
+    for mat, (p, q) in reversed(factors):
+        shape = (n ** (p - 1), n, n ** (q - p - 1), n, n ** (d - q) * cols.size)
+        lead, _, gap, _, trail = shape
+        view = out.reshape(shape).transpose(0, 1, 3, 2, 4).reshape(lead, n * n, gap * trail)
+        out = np.matmul(mat, view).reshape(lead, n, n, gap, trail).transpose(0, 1, 3, 2, 4)
+        out = out.reshape(dim, cols.size)
+    return out
+
+
+def _graded_columns(stack, n, d, cols):
+    """The columns ``cols`` of the operator on V^(x)d whose grade stack is
+    ``stack``, in the natural coordinates."""
+    idx, grade = grade_index(n, d), _grades(n, d)[cols]
+    out = np.zeros((n ** d, len(cols)), dtype=complex)
+    out[idx[grade].T, np.arange(len(cols))] = stack[grade, :, np.asarray(cols) // n].T
+    return out
+
+
 def _pair(sign=1):
     """Spectrum of R(sign*tau) from its pair-grade blocks, whose image and
     kernel the relation spaces embed."""
-    return spectrum(grade_blocks(r_matrix(P31, sign * P31.tau), 3), P31.ranks)
+    return spectrum(pair_blocks(r_matrix(P31, sign * P31.tau), 3), P31.ranks)
 
 
 def _dense(S, n, d):
@@ -190,32 +218,59 @@ def test_chain_pins_d3():
     assert _rel(desc_r, _E(R(t1), 2) @ _E(R(t1 + t2), 1)) < 1e-12
 
 
-SITES = ((1, 2), (2, 3), (1, 3))
-
-
-def _dense_site(A, sites, n):
-    """The dense reference embedding of A at ``sites`` of V^{(x)3}; (1, 3) is
-    the (1, 2) embedding conjugated by the swap of tensorands 2 and 3."""
-    if sites == (1, 3):
-        P23 = perm_op((0, 2, 1), n, 3)
-        return P23 @ embed_pair(A, 1, n, 3) @ P23
-    return embed_pair(A, sites[0], n, 3)
+def _graded_random(rng, n, batch=()):
+    """Random operators on V (x) V that keep the pair grade."""
+    shape = batch + (n * n, n * n)
+    grade = _grades(n, 2)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return np.where(grade[:, None] == grade, mats, 0)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_site_product_matches_dense_reference(n):
+    # grade-keeping factors at every adjacent site and at (1, 3), alone and
+    # in products over all of them (each factor twice, in both orders), with
+    # and without a batch axis (one unbatched factor broadcast against the
+    # others), against the dense product's columns: all of them up to
+    # n^d = 1024, every 31st at 5^5
     rng = np.random.default_rng(n)
-    mats = [rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-            for _ in range(3)]
-    for sites in SITES:
-        assert _rel(site_product(n, 3, [(mats[0], sites)]), _dense_site(mats[0], sites, n)) < 1e-13
-    for triple in itertools.product(SITES, repeat=3):
-        factors = list(zip(mats, triple))
-        dense = np.linalg.multi_dot([_dense_site(A, s, n) for A, s in factors])
-        assert _rel(site_product(n, 3, factors), dense) < 1e-13, triple
-    assert np.array_equal(site_product(n, 3, []), np.eye(n ** 3))
+    for d in (d for d in (2, 3, 4, 5) if n ** d <= 3125):
+        sites = [(p, p + 1) for p in range(1, d)] + [(1, 3)] * (d > 2)
+        cols = np.arange(0, n ** d, 1 if n ** d <= 1024 else 31)
+        for batch in ((), (2,)):
+            mats = [_graded_random(rng, n, batch) for _ in sites]
+            chain = list(zip(mats, sites))
+            lists = [[factor] for factor in chain] + [chain + chain[::-1]]
+            if batch:
+                lists.append([(_graded_random(rng, n), sites[-1])] + chain)
+            for factors in lists:
+                got = site_product(n, d, factors)
+                assert got.shape == batch + (n, n ** (d - 1), n ** (d - 1))
+                for b in np.ndindex(batch):
+                    ref = dense_site_product(
+                        n, d, [(A[b] if A.ndim > 2 else A, s) for A, s in factors], cols)
+                    assert _rel(ref, _graded_columns(got[b], n, d, cols)) < 1e-13, (d, factors)
+    eye = np.eye(n * n)
+    assert np.array_equal(site_product(n, 3, []), np.broadcast_to(eye, (n,) + eye.shape))
     with pytest.raises(ValueError):
-        site_product(n, 3, [(mats[0], (2, 4))])
+        site_product(n, 3, [(eye, (2, 4))])
+
+
+def test_an_operator_that_mixes_grades_is_refused():
+    # one entry between two pair grades, however small, refuses the factor
+    # at a site inside the block coordinates and at a site on the last digit
+    mixed = np.eye(9, dtype=complex)
+    mixed[0, 1] = 1e-300
+    with pytest.raises(ValueError, match="grade"):
+        pair_blocks(mixed, 3)
+    for sites in ((1, 2), (2, 3), (1, 3)):
+        for factors in ([(mixed, sites)], [(mixed, sites), (np.eye(9), (1, 2))]):
+            with pytest.raises(ValueError, match="grade"):
+                site_product(3, 3, factors)
+    overflowed = np.eye(9, dtype=complex)
+    overflowed[0, 0] = np.nan
+    with pytest.raises(NonFiniteMatrixError):
+        site_product(3, 3, [(np.eye(9), (1, 2)), (overflowed, (2, 3))])
 
 
 def test_chain_products_form_no_embedding(monkeypatch):
@@ -227,11 +282,11 @@ def test_chain_products_form_no_embedding(monkeypatch):
     monkeypatch.setattr(np, "kron", refuse)
     d, ts = 4, ZS
     for p in (P31, make_params(5, 2)):
-        dim = p.n ** d
+        shape = (p.n, p.n ** (d - 1), p.n ** (d - 1))
         for build in (chain_asc, chain_asc_rev):
-            assert build(p, d, 1, d, ts).mat.shape == (dim, dim)
+            assert build(p, d, 1, d, ts).mat.shape == shape
         for build in (chain_desc, chain_desc_rev):
-            assert build(p, d, d, 1, ts).mat.shape == (dim, dim)
+            assert build(p, d, d, 1, ts).mat.shape == shape
         t_op(p, d, ts)
         f_op(p, d, -p.tau)
         m_op(p, 2, 2, 0.13 + 0.02j, validate=True)
@@ -441,23 +496,27 @@ def _products(p, d):
 
 
 @pytest.mark.parametrize("n, d", NDS)
-def test_products_are_block_diagonal_in_the_total_grade(n, d):
-    p = make_params(n, 1)
-    grades = _grades(n, d)
-    idx = grade_index(n, d)
-    for op in _products(p, d):
-        blocks = grade_blocks(op.mat, n)
-        for g in range(n):
-            assert np.array_equal(blocks[g], op.mat[np.ix_(idx[g], idx[g])])
-        # the gather loses nothing: every off-grade entry is exactly zero
-        assert not np.any(op.mat[grades[:, None] != grades[None, :]])
+def test_products_are_block_diagonal_in_the_total_grade(n, d, monkeypatch):
+    # every grade stack the chains build holds the blocks of the dense
+    # reference product of its factors, whose entries between two different
+    # grades are exactly zero
+    import ellr.tensorops
 
+    built = []
 
-def test_grade_blocks_refuses_an_operator_that_mixes_grades():
-    mat = np.eye(9, dtype=complex)
-    mat[0, 1] = 1e-300
-    with pytest.raises(ValueError, match="grade"):
-        grade_blocks(mat, 3)
+    def recorded(n, d, factors):
+        built.append((factors, site_product(n, d, factors)))
+        return built[-1][1]
+
+    monkeypatch.setattr(ellr.tensorops, "site_product", recorded)
+    grades, idx = _grades(n, d), grade_index(n, d)
+    ops = list(_products(make_params(n, 1), d))
+    assert len(ops) == len(built) and all(op.mat is stack for op, (_, stack) in zip(ops, built))
+    for factors, stack in built:
+        dense = dense_site_product(n, d, factors)
+        assert not np.any(dense[grades[:, None] != grades[None, :]])
+        blocks = dense[idx[:, :, None], idx[:, None, :]]
+        assert np.max(np.abs(stack - blocks)) < 1e-13 * max(1.0, np.max(np.abs(blocks)))
 
 
 def _t_table_ops(p, d):
@@ -475,7 +534,7 @@ def _assert_block_certificate_is_dense(op, n, d, policy):
     if op.max_abs() < ZERO_OPERATOR_TOL:
         assert scaled_spectrum(op, n, policy).rank == 0
         return
-    graded, dense = scaled_spectrum(op, n, policy), spectrum(op.mat, policy)
+    graded, dense = scaled_spectrum(op, n, policy), spectrum(op.matrix(), policy)
     assert graded.rank == dense.rank
     assert scaled_rank(op, n, policy)[0] == dense.rank
     # the largest dropped singular value is rounding noise, which the dense
@@ -521,7 +580,8 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
         Td = T
         for _ in range(d - 1):
             Td = np.kron(Td, T)
-        assert scaled_residual(ScaledOp(Td @ op.mat), ScaledOp(op.mat @ Td)) < 1e-12
+        F = op.matrix()
+        assert scaled_residual(ScaledOp(Td @ F), ScaledOp(F @ Td)) < 1e-12
         ranks = [B.shape[1] for B in scaled_spectrum(op, n, p.ranks).image.blocks]
         assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
 
@@ -539,7 +599,7 @@ def _dense_lattice(pair, n, d, policy):
 @pytest.mark.parametrize("n, d", [(n, d) for n, d in NDS if d > 2])
 def test_graded_koszul_dims_match_the_dense_ones(n, d):
     p = make_params(n, 1)
-    pair = spectrum(grade_blocks(r_matrix(p, p.tau), n), p.ranks)
+    pair = spectrum(pair_blocks(r_matrix(p, p.tau), n), p.ranks)
     W = embedded_copies(pair.image, n, d)
     sig = [subspace_sum(W[:ell], p.ranks).dim for ell in range(1, d)]
     cap = [subspace_intersect(W[d - 1 - r:], p.ranks).dim for r in range(1, d)]

@@ -2,6 +2,7 @@
 determinism, serialization round-trip, and exit codes."""
 
 import csv
+import functools
 import gc
 import json
 import math
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from ellr.linalg import Subspace, subspace_equal
-from ellr.rmatrix import make_params
+from ellr.rmatrix import (
+    HalfPeriodPoint, b_fn, basis_ops, f_fn, make_params, r_matrix, torsion_op, weight_op,
+    weight_op_k,
+)
 from ellr import verifiers as V
 from ellr.cli import main, emit, parse_report, build_report, resolve_config, UsageError
 
@@ -254,6 +258,155 @@ def test_batched_builds_leave_every_result_unchanged(monkeypatch, nk):
     for r in batched + single:
         r.wall_time = 0.0
     assert single == batched
+
+
+def _dense3(A, sites, n):
+    """The dense embedding of a two-site operator at ``sites`` of V^(x)3;
+    (1, 3) is the (1, 2) embedding conjugated by the swap of tensorands 2
+    and 3."""
+    eye = np.eye(n)
+    if sites == (2, 3):
+        return np.kron(eye, A)
+    if sites == (1, 3):
+        P23 = np.kron(eye, basis_ops(make_params(n, 1))["P"])
+        return P23 @ np.kron(A, eye) @ P23
+    return np.kron(A, eye)
+
+
+def _dense_rel(lhs, rhs):
+    return float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
+
+
+def _dense_yb(n, lhs, rhs):
+    """The relative residual of two products on V^(x)3, left to right over
+    dense embeddings."""
+    product = lambda factors: functools.reduce(np.matmul, [_dense3(A, s, n) for A, s in factors])
+    return _dense_rel(product(lhs), product(rhs))
+
+
+def _dense_braid(n, Su, Sv, Suv):
+    return _dense_yb(n, [(Su, (1, 2)), (Suv, (1, 3)), (Sv, (2, 3))],
+                     [(Sv, (2, 3)), (Suv, (1, 3)), (Su, (1, 2))])
+
+
+def _qybe_reference(p, trials=20, seed=0):
+    rng, n, P = np.random.default_rng(seed), p.n, basis_ops(p)["P"]
+    two = braid = 0.0
+    for _ in range(trials):
+        u, v = V._random_z(rng, 2)
+        Ru, Rv, Ruv = (r_matrix(p, z) for z in (u, v, u + v))
+        two = max(two, _dense_yb(n, [(Ru, (1, 2)), (Ruv, (2, 3)), (Rv, (1, 2))],
+                                 [(Rv, (2, 3)), (Ruv, (1, 2)), (Ru, (2, 3))]))
+        braid = max(braid, _dense_braid(n, P @ Ru, P @ Rv, P @ Ruv))
+    return {"qybe.two_parameter": two, "qybe.braid_form": braid}
+
+
+def _weights_reference(p, trials=3, seed=0):
+    rng, n, P = np.random.default_rng(seed), p.n, basis_ops(p)["P"]
+    rel = 0.0
+    for z in V._random_z(rng, trials):
+        Sk = weight_op_k(p, -n * z)
+        rhs = n * V.e_fn(0.5 * n * (n + 1) * z) * P @ r_matrix(p, z)
+        rel = max(rel, _dense_rel(Sk, rhs))
+    braid = 0.0
+    for _ in range(trials):
+        u, v = V._random_z(rng, 2)
+        braid = max(braid, _dense_braid(n, *(weight_op(p, z) for z in (u, v, u + v))))
+    return {"weights.relation_to_r": rel, "weights.qybe_one_parameter": braid}
+
+
+def _transform_reference(p, trials=5, seed=0):
+    """transform_check one trial at a time, each conjugation a dense kron."""
+    rng, n, eta, tau = np.random.default_rng(seed), p.n, p.eta, p.tau
+    ops = basis_ops(p)
+    S, T, N, P, eye, inv = ops["S"], ops["T"], ops["N"], ops["P"], np.eye(p.n), np.linalg.inv
+    Sk = np.linalg.matrix_power(S, p.k)
+    Tkp = np.linalg.matrix_power(T, p.k_prime)
+    zeta = HalfPeriodPoint(2, 1)
+    C = torsion_op(p, zeta.a, zeta.b)
+
+    def laws(z):
+        R, R_neg = r_matrix(p, z), r_matrix(p.with_tau(-tau), z)
+        return {
+            "shift_period_over_n": (r_matrix(p, z + 1 / n), (
+                (-1) ** (n - 1) * np.kron(eye, inv(Sk)) @ R @ np.kron(Sk, eye))),
+            "shift_eta_over_n": (r_matrix(p, z + eta / n), (
+                b_fn(p, z) * np.kron(eye, inv(T)) @ R @ np.kron(T, eye))),
+            "negation_swap": (r_matrix(p, -z), V.e_fn(n * n * z) * P @ R_neg @ P),
+            "negation_index_reversal": (r_matrix(p, -z), (
+                V.e_fn(n * n * z) * np.kron(N, N) @ R_neg @ np.kron(N, N))),
+            "tau_shift_period_over_n": (r_matrix(p.with_tau(tau + 1 / n), z), (
+                np.kron(S, eye) @ R @ np.kron(inv(S), eye))),
+            "tau_shift_eta_over_n": (r_matrix(p.with_tau(tau + eta / n), z), (
+                V.e_fn(z) * np.kron(eye, inv(Tkp)) @ R @ np.kron(eye, Tkp))),
+            "general_torsion_shift": (r_matrix(p, z + zeta.value(n, eta)), (
+                f_fn(p, z, zeta) * np.kron(eye, inv(C)) @ R @ np.kron(C, eye))),
+        }
+
+    worst = {}
+    for z in V._random_z(rng, trials):
+        for name, (lhs, rhs) in laws(z).items():
+            key = f"transform.{name}"
+            worst[key] = max(worst.get(key, 0.0), _dense_rel(lhs, rhs))
+    return worst
+
+
+GRID = ((2, 1), (3, 1), (3, 2), (4, 1), (5, 2))
+
+
+@pytest.mark.parametrize("nk", GRID)
+@pytest.mark.parametrize("check, reference", (
+    (V.qybe_check, _qybe_reference),
+    (V.weight_family_check, _weights_reference),
+    (V.transform_check, _transform_reference),
+), ids=("qybe", "weights", "transforms"))
+def test_batched_residuals_match_a_per_trial_dense_reference(nk, check, reference):
+    # every trial at once in graded or stacked products, against one trial at
+    # a time in dense V^(x)2 and V^(x)3 matrices: the largest residual over
+    # the trials agrees to 1e-15
+    p = make_params(*nk)
+    expected = reference(p)
+    found = {r.name: r.residual for r in check(p) if r.name in expected}
+    assert found.keys() == expected.keys()
+    for name, value in found.items():
+        assert abs(value - expected[name]) <= 1e-15, (name, value, expected[name])
+
+
+@pytest.mark.parametrize("nk, calls", (((2, 1), [3 * 20]), ((3, 1), [3 * 16, 3 * 4]),
+                                       ((5, 2), [3] * 20)))
+def test_qybe_builds_each_batch_of_trials_in_one_r_matrices_call(monkeypatch, nk, calls):
+    # a batch holds at most YB_BATCH_ENTRIES // n^5 trials: all 20 at n = 2,
+    # 16 at n = 3, one at n = 5
+    found = []
+    build = V.r_matrices
+
+    def counted(params, zs):
+        found.append(len(zs))
+        return build(params, zs)
+
+    monkeypatch.setattr(V, "r_matrices", counted)
+    V.qybe_check(make_params(*nk), trials=20)
+    assert found == calls
+
+
+def test_hilbert_forms_no_dense_tensor_operator(monkeypatch):
+    # at (4, 4) every product and certificate stays in the 4 grade blocks of
+    # 64 x 64: no numpy constructor or product allocates n^(2d) = 65536 entries
+    n, d = 4, 4
+
+    def guarded(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            assert np.size(out) < n ** (2 * d), (name, np.shape(out))
+            return out
+        return call
+
+    for name in ("zeros", "empty", "eye", "matmul", "kron", "einsum", "stack", "vstack",
+                 "hstack", "concatenate", "broadcast_to"):
+        monkeypatch.setattr(np, name, guarded(name, getattr(np, name)))
+    results = V.hilbert_check(make_params(n, 1), d_max=d)
+    assert {r.status for r in results} == {"pass"}
+    assert {r.params["d"] for r in results if r.name == "hilbert.rank"} == {2, 3, 4}
 
 
 def test_half_torsion_nullity_recorded_not_asserted():
