@@ -16,6 +16,7 @@ other results of the group read 0.0.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -52,15 +53,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_complex_pair(text) -> complex:
-    """Accept 're,im' strings or [re, im] lists."""
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return complex(float(text[0]), float(text[1]))
-    if isinstance(text, str):
-        parts = text.split(",")
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    raise UsageError(f"expected a 're,im' pair, got {text!r}")
+def _parse_complex_pair(key, text) -> complex:
+    """Accept 're,im' strings or [re, im] lists of finite numbers for ``key``."""
+    parts = text.split(",") if isinstance(text, str) else text
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
+        raise UsageError(f"expected a 're,im' pair, got {text!r}")
+    value = complex(float(parts[0]), float(parts[1]))
+    if not cmath.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 @functools.cache  # one parser per process: each build leaves ~700 objects of cyclic garbage
@@ -138,8 +139,8 @@ def resolve_config(args) -> dict:
     if checks not in (None, "all") and not (
             isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
         raise UsageError('checks must be "all" or a list of check names')
-    eta = _parse_complex_pair(cfg["eta"]) if cfg["eta"] is not None else DEFAULT_ETA
-    tau = (_parse_complex_pair(cfg["tau"]) if cfg["tau"] is not None
+    eta = _parse_complex_pair("eta", cfg["eta"]) if cfg["eta"] is not None else DEFAULT_ETA
+    tau = (_parse_complex_pair("tau", cfg["tau"]) if cfg["tau"] is not None
            else DEFAULT_TAU_OF_ETA(eta))
     cfg["eta"], cfg["tau"] = eta, tau
     return cfg

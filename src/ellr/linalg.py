@@ -22,8 +22,9 @@ sums, intersections and comparisons run grade by grade.  One SVD per call:
 :func:`spectrum` returns the certified rank, the gap, the image and the
 kernel together, and ``svd_rank``, ``kernel``, ``image``, ``subspace_sum``
 and ``subspace_intersect`` read from it; :func:`singular_rank` certifies a
-rank from the singular values alone.  :func:`svd_ranks` certifies many
-separate matrices, each on its own, from batched SVDs.
+rank from the singular values alone.  :func:`svd_ranks` certifies a batch
+of separate block stacks (the pair blocks of many R-matrices), each on its
+own, from one values-only SVD.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-SVD_BATCH_ENTRIES = 2 ** 12  # per batched SVD of svd_ranks
 
 
 class AmbiguousRankError(RuntimeError):
@@ -216,32 +214,23 @@ def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
     return spec.rank, spec.gap
 
 
-def svd_ranks(mats, policy: RankPolicy | None = None) -> list:
-    """Certified (rank, gap) of every matrix of a (count, rows, cols) stack,
-    each normalized by its own max-abs and cut on its own, as
-    :func:`svd_rank` cuts it.  The stack is decomposed by one batched SVD
-    per batch of at most SVD_BATCH_ENTRIES entries (a torsion cell of R up
-    to n = 4, five batches at n = 5), which bounds the memory of U and V.
-    Those are computed, as svd_rank computes them, so every singular value
-    and gap is the same.  Raises AmbiguousRankError at the first matrix
-    whose gap is below ``policy.min_gap``."""
+def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
+    """Certified (rank, gap) of every operator of a (count, blocks, rows,
+    cols) batch of block stacks, each normalized by its own max-abs and cut
+    by :func:`_cut` over its own blocks, as :func:`singular_rank` certifies
+    it alone, from one values-only ``np.linalg.svd``.  Raises
+    AmbiguousRankError at the first operator whose gap is below
+    ``policy.min_gap``, and NonFiniteMatrixError when an entry is inf or NaN."""
     policy = policy or RankPolicy()
-    mats = np.asarray(mats, dtype=complex)
-    count, rows, cols = mats.shape
-    step = max(1, SVD_BATCH_ENTRIES // (rows * cols))
-    out = []
-    for start in range(0, count, step):
-        part = mats[start:start + step]
-        scales = np.max(np.abs(part), axis=(1, 2))
-        if not np.all(np.isfinite(scales)):
-            raise NonFiniteMatrixError(
-                "matrix has inf or NaN entries: its construction overflowed complex128")
-        _, values, _ = np.linalg.svd(part / np.where(scales > 0, scales, 1.0)[:, None, None],
-                                     full_matrices=rows < cols)
-        for s in values:
-            ranks, gap = _cut([s], policy)
-            out.append((ranks[0], gap))
-    return out
+    stacks = np.asarray(stacks, dtype=complex)
+    scales = np.max(np.abs(stacks), axis=(1, 2, 3))
+    if not np.all(np.isfinite(scales)):
+        raise NonFiniteMatrixError(
+            "matrix has inf or NaN entries: its construction overflowed complex128")
+    values = np.linalg.svd(stacks / np.where(scales > 0, scales, 1.0)[:, None, None, None],
+                           compute_uv=False)
+    cuts = [_cut(list(blocks), policy) for blocks in values]
+    return [(sum(ranks), gap) for ranks, gap in cuts]
 
 
 def kernel(M, policy: RankPolicy | None = None) -> Subspace:

@@ -40,25 +40,29 @@ whose distinct arguments are built in one ``r_matrices`` call; the
 Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).  Each
 distinct factor is checked once: an entry between two pair grades, or an
 inf or NaN entry, is refused.  No n^d x n^d array is formed on these
-paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 (read at call time).
+paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 (read at call time, one
+rule for the builders and the checks that refuse: ``beyond_cap``).
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
-:class:`ScaledOp`: its grade stack, each R factor entered at unit max-abs,
-and the natural log of the removed scale, accumulated separately.
-Rank/kernel/image questions only need the matrix part, read block by block
-(``scaled_spectrum``, ``scaled_rank``) at a cost about n^2 below a dense
-SVD; identities between chain products compare matrix parts after
-matching the log scales; and ``.dense()`` scatters the plain matrix.
+:class:`ScaledOp`: its grade stack, the only form an operator that keeps
+the grade takes, each R factor entered at unit max-abs, and the natural
+log of the removed scale, accumulated separately.  Rank/kernel/image
+questions only need the stack, read block by block (``scaled_spectrum``,
+``scaled_rank``) at a cost about n^2 below a dense SVD; products and
+identities between chain products run block by block after matching the
+log scales (F_a (x) F_b is itself one product, ``f_pair_op``); and
+``.matrix()`` / ``.dense()`` scatter the stack for the few readers of a
+plain matrix.
 
 The embedded relation spaces are sums and intersections (formed with
 ``linalg.subspace_sum`` / ``subspace_intersect``, grade by grade) of the
 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2}
 (the image or the kernel of R(+-tau), from its n pair blocks); the
 degree-d relation space is the sum of the copies of im R(tau).  Each copy
-is scattered into its grades from the orthonormal pair blocks, so the only
-rank decision below the sum or intersection is the one made on R(+-tau)
-itself.
+is the image of W's orthonormal pair blocks embedded by the site product,
+so the only rank decision below the sum or intersection is the one made on
+R(+-tau) itself.
 """
 
 from __future__ import annotations
@@ -88,43 +92,27 @@ MAX_TENSOR_DIM = 5 ** 5
 
 
 class ScaledOp:
-    """A matrix together with the natural log of a removed positive scale.
-
-    Represents exp(log_scale) * mat; mat is kept at unit max-abs so long
-    products never overflow.  mat is one matrix, or, for an operator on
-    V^{(x)d} that keeps the total grade (every R-matrix product does), its
-    (n, n^(d-1), n^(d-1)) grade stack (see :func:`grade_index`).
-    """
+    """An operator on V^{(x)d} that keeps the total grade, as exp(log_scale)
+    times ``mat``, its (n, n^(d-1), n^(d-1)) grade stack (see
+    :func:`grade_index`).  mat is kept at unit max-abs so long products
+    never overflow; products and residuals run block by block."""
 
     __slots__ = ("mat", "log_scale")
 
     def __init__(self, mat: np.ndarray, log_scale: float = 0.0):
         self.mat = np.asarray(mat, dtype=complex)
+        if self.mat.ndim != 3:
+            raise ValueError("a ScaledOp holds an (n, n^(d-1), n^(d-1)) grade stack")
         self.log_scale = float(log_scale)
-
-    @staticmethod
-    def wrap(mat: np.ndarray) -> "ScaledOp":
-        mat = np.asarray(mat, dtype=complex)
-        s = float(np.max(np.abs(mat))) if mat.size else 0.0
-        if s == 0.0 or not math.isfinite(s):
-            return ScaledOp(mat, 0.0)
-        return ScaledOp(mat / s, math.log(s))
 
     def __matmul__(self, other: "ScaledOp") -> "ScaledOp":
         # products are not renormalized: a tiny .mat after multiplying
         # unit-scale factors is real cancellation and must stay visible
-        left, right = _matched(self, other)
-        return ScaledOp(left @ right, self.log_scale + other.log_scale)
-
-    def kron(self, other: "ScaledOp") -> "ScaledOp":
-        return ScaledOp(np.kron(self.matrix(), other.matrix()),
-                        self.log_scale + other.log_scale)
+        return ScaledOp(self.mat @ other.mat, self.log_scale + other.log_scale)
 
     def matrix(self) -> np.ndarray:
-        """mat as one matrix: a grade stack is scattered through
-        :func:`grade_index`, every entry between two grades zero."""
-        if self.mat.ndim == 2:
-            return self.mat
+        """mat scattered through :func:`grade_index` into one matrix, every
+        entry between two grades zero."""
         n, size = self.mat.shape[:2]
         idx = grade_index(n, round(math.log(size, n)) + 1)
         out = np.zeros((n * size,) * 2, dtype=complex)
@@ -138,14 +126,6 @@ class ScaledOp:
         return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
 
 
-def _matched(left: ScaledOp, right: ScaledOp):
-    """The matrix parts of two operators in one form: grade stacks when both
-    are, else matrices."""
-    if left.mat.ndim == right.mat.ndim:
-        return left.mat, right.mat
-    return left.matrix(), right.matrix()
-
-
 def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> float:
     """Max-abs residual between two scaled operators on a common scale.
 
@@ -157,20 +137,24 @@ def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> floa
     of as noise divided by noise.
     """
     base = max(left.log_scale, right.log_scale)
-    lm, rm = _matched(left, right)
-    lm = lm * math.exp(left.log_scale - base)
-    rm = rm * math.exp(right.log_scale - base)
+    lm = left.mat * math.exp(left.log_scale - base)
+    rm = right.mat * math.exp(right.log_scale - base)
     denom = max(np.max(np.abs(lm)), np.max(np.abs(rm)), floor)
     return float(np.max(np.abs(lm - rm)) / denom)
+
+
+def beyond_cap(n: int, d: int) -> str | None:
+    """The refusal note when n^d exceeds the dense cap MAX_TENSOR_DIM (read
+    at call time), else None."""
+    over = n ** d > MAX_TENSOR_DIM
+    return f"n^d = {n ** d} exceeds the dense cap {MAX_TENSOR_DIM}" if over else None
 
 
 def _check_dim(n: int, d: int):
     if d < 0:
         raise ValueError("tensor degree must be non-negative")
-    if n ** d > MAX_TENSOR_DIM:
-        raise ValueError(
-            f"tensor space dimension n^d = {n**d} exceeds the dense cap {MAX_TENSOR_DIM}"
-        )
+    if note := beyond_cap(n, d):
+        raise ValueError(f"tensor space dimension {note}")
 
 
 def perm_op(sigma, n: int, d: int) -> np.ndarray:
@@ -379,12 +363,17 @@ def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
     """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
     ``factors``: one :func:`site_product` of the factors at unit max-abs,
     with their log scales summed.  Each distinct argument is built once, all
-    of them in one :func:`r_matrices` call, and wrapped once."""
+    of them in one :func:`r_matrices` call, and divided by its own max-abs
+    (a zero or non-finite one is left as it is, for the product to refuse)."""
     args = list(dict.fromkeys(arg for arg, _ in factors))
-    scaled = dict(zip(args, map(ScaledOp.wrap, r_matrices(params, args))))
-    return ScaledOp(site_product(params.n, d, [(scaled[arg].mat, (pos, pos + 1))
+    mats = r_matrices(params, args)
+    scales = [float(s) if 0.0 < s < math.inf else 1.0
+              for s in np.max(np.abs(mats), axis=(1, 2))]
+    unit = dict(zip(args, mats / np.array(scales)[:, None, None]))
+    logs = dict(zip(args, map(math.log, scales)))
+    return ScaledOp(site_product(params.n, d, [(unit[arg], (pos, pos + 1))
                                                for arg, pos in factors]),
-                    sum(scaled[arg].log_scale for arg, _ in factors))
+                    sum(logs[arg] for arg, _ in factors))
 
 
 def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
@@ -407,25 +396,33 @@ def chain_desc_rev(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledO
     return _product(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, True))
 
 
-def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
-    """Cumulative chain product T_d(z_1, ..., z_{d-1}).
-
-    T_d is the left-to-right product over m = 2..d of the descending chain
-    from position m down to 1 with display arguments (z_1, ..., z_{m-1}),
-    formed as one running product.  T_0 and T_1 are the identity.
-    """
+def _t_factors(d: int, zs, shift: int = 0) -> list:
+    """The (argument, position) factors of T_d(zs), positions moved by
+    ``shift``: over m = 2..d, the descending chain from position m down to 1
+    with display arguments (z_1, ..., z_{m-1})."""
     zs = list(zs)
     if len(zs) != max(d - 1, 0):
         raise ValueError(f"T_{d} needs {max(d - 1, 0)} arguments, got {len(zs)}")
-    return _product(params, d, [
-        factor for m in range(2, d + 1)
-        for factor in _chain_factors(d, 1, m, zs[: m - 1][::-1], True, False)
-    ])
+    return [(arg, pos + shift) for m in range(2, d + 1)
+            for arg, pos in _chain_factors(d, 1, m, zs[: m - 1][::-1], True, False)]
+
+
+def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
+    """Cumulative chain product T_d(z_1, ..., z_{d-1}), formed as one running
+    product (see :func:`_t_factors`).  T_0 and T_1 are the identity."""
+    return _product(params, d, _t_factors(d, zs))
 
 
 def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
     """F_d(z) = T_d(z, ..., z)."""
     return t_op(params, d, [z] * max(d - 1, 0))
+
+
+def f_pair_op(params: AlgebraParams, a: int, b: int, z) -> ScaledOp:
+    """F_a(z) (x) F_b(z) on V^{(x)(a+b)} as one product: the factors of F_a,
+    then those of F_b moved by a (the two act on disjoint tensorands)."""
+    return _product(params, a + b, _t_factors(a, [z] * max(a - 1, 0))
+                    + _t_factors(b, [z] * max(b - 1, 0), a))
 
 
 def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
@@ -496,7 +493,7 @@ def grade_index(n: int, d: int) -> np.ndarray:
     return idx
 
 
-def scaled_spectrum(op: ScaledOp, n: int, policy: RankPolicy | None = None) -> Spectrum:
+def scaled_spectrum(op: ScaledOp, policy: RankPolicy | None = None) -> Spectrum:
     """Certified spectrum (rank, gap, image, kernel) of a scaled chain product
     on V^{(x)d}, from its n grade blocks: the image and kernel are given
     grade by grade (see :func:`grade_index`).
@@ -508,11 +505,11 @@ def scaled_spectrum(op: ScaledOp, n: int, policy: RankPolicy | None = None) -> S
     """
     if op.max_abs() < ZERO_OPERATOR_TOL:
         rows = math.prod(op.mat.shape[:-1])
-        return Spectrum.zero(rows, rows, grades=n)
+        return Spectrum.zero(rows, rows, grades=op.mat.shape[0])
     return spectrum(op.mat, policy)
 
 
-def scaled_rank(op: ScaledOp, n: int, policy: RankPolicy | None = None):
+def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
     """Certified (rank, gap) of a scaled chain product from the singular
     values of its grade blocks; see :func:`scaled_spectrum`."""
     if op.max_abs() < ZERO_OPERATOR_TOL:
@@ -525,11 +522,11 @@ def embedded_copies(pair: Subspace, n: int, d: int) -> list:
     subspace W = ``pair`` of V^{(x)2}, grade by grade.
 
     ``pair`` is given by its n pair-grade blocks, as the spectrum of the
-    grade blocks of an R-matrix gives it; at d = 2 it is its own copy.  The
-    grade-g block of copy p has a column e_L (x) w (x) e_R for every prefix
-    L of p-1 digits, suffix R of d-p-1 digits and column w of the pair
-    block of grade g - |L| - |R| mod n, with |.| the digit sum; its n
-    entries sit at the positions f // n of their flat indices f.  Each
+    grade blocks of an R-matrix gives it.  Padded with zero columns to
+    (n, n, n), they are the pair blocks of an operator on V^{(x)2} whose
+    image is W, and copy p is the image of its site-product embedding at
+    (p, p+1): the nonzero columns of each grade block, for the padding
+    columns are exact zeros and the basis columns have unit norm.  Each
     block is exactly orthonormal, so no SVD and no n^d basis is needed.
     """
     _check_dim(n, d)
@@ -537,25 +534,9 @@ def embedded_copies(pair: Subspace, n: int, d: int) -> list:
         raise ValueError("embedded copies need degree at least 2")
     if [B.shape[0] for B in pair.blocks] != [n] * n:
         raise ValueError("the pair subspace must be given by its n pair-grade blocks")
-    if d == 2:
-        return [pair]
-    W = np.hstack(pair.blocks)
-    # column c of W lies in pair grade s[c], on the pair indices support[c]
-    s = np.repeat(np.arange(n), [B.shape[1] for B in pair.blocks])
-    support = grade_index(n, 2)[s]
-    copies = []
-    for p in range(1, d):
-        lead, trail = n ** (p - 1), n ** (d - p - 1)
-        # one column per (L, c, R): its grade, and the positions of its entries
-        grade = (_digit_sums(n, p - 1)[:, None, None] + s[:, None]
-                 + _digit_sums(n, d - p - 1)) % n
-        rows = ((np.arange(lead)[:, None, None, None] * n * n + support[:, None, :]) * trail
-                + np.arange(trail)[:, None]) // n
-        # the d-2 digits of (L, R) give every grade n^(d-3) columns per column of W
-        order = np.argsort(grade, axis=None, kind="stable").reshape(n, -1)
-        blocks = np.zeros((n, n ** (d - 1), order.shape[1]), dtype=complex)
-        values = np.broadcast_to(W.T[:, None, :], rows.shape).reshape(-1, n)
-        blocks[np.arange(n)[:, None, None], rows.reshape(-1, n)[order],
-               np.arange(order.shape[1])[:, None]] = values[order]
-        copies.append(Subspace(tuple(blocks), pair.tol_used))
-    return copies
+    padded = np.zeros((n, n, n), dtype=complex)
+    for s, B in enumerate(pair.blocks):
+        padded[s, :, :B.shape[1]] = B
+    return [Subspace(tuple(B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))),
+                     pair.tol_used)
+            for p in range(1, d)]

@@ -51,6 +51,7 @@ from .linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
     Subspace,
+    singular_rank,
     svd_rank,
     svd_ranks,
     spectrum,
@@ -76,8 +77,8 @@ from .rmatrix import (
     det_closed_form,
     dual_transpose_check,
 )
-from . import tensorops
 from .tensorops import (
+    beyond_cap,
     scaled_residual,
     scaled_rank,
     scaled_spectrum,
@@ -88,6 +89,7 @@ from .tensorops import (
     antisymmetrizer,
     t_op,
     f_op,
+    f_pair_op,
     m_op,
     embedded_copies,
 )
@@ -247,13 +249,6 @@ def _refused(name, params, note, **extra) -> CheckResult:
     return CheckResult(name, _echo(params, **extra), note, "not attempted", None, "refused")
 
 
-def _beyond_cap(n: int, d: int) -> str | None:
-    """The refusal note when n^d exceeds the dense cap (read from
-    :mod:`ellr.tensorops` at call time), else None."""
-    cap = tensorops.MAX_TENSOR_DIM
-    return f"n^d = {n ** d} exceeds the dense cap {cap}" if n ** d > cap else None
-
-
 def _guard(fn):
     """Turn an exception escaping a check into a single result: an
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
@@ -410,9 +405,9 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     d1 = np.linalg.det(Rk)
     d2 = np.linalg.det(r_matrix(params.with_k(n - params.k), zk))
     k_resid = abs(d1 - d2) / max(abs(d1), abs(d2))
-    null_plus, _ = svd_rank(Rt, params.ranks)
-    null_minus, _ = svd_rank(Rmt, params.ranks)
-    zero_count = (n * n - null_plus) + (n * n - null_minus)
+    (rank_plus, _), (rank_minus, _) = svd_ranks(pair_blocks(np.array([Rt, Rmt]), n),
+                                                params.ranks)
+    zero_count = (n * n - rank_plus) + (n * n - rank_minus)
     return [
         _within("det.ratio", _echo(params, trials=trials, seed=seed), worst, TOL_DET,
                 "|det/closed_form - 1|"),
@@ -426,11 +421,11 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
 
 def _cell_ranks(params: AlgebraParams, sign: int) -> list:
     """Certified (rank, gap) of R(sign*tau + zeta) for every zeta in one
-    n x n torsion cell."""
+    n x n torsion cell, from the pair blocks of each."""
     n, eta = params.n, params.eta
     cell = r_matrices(params, [sign * params.tau + HalfPeriodPoint(a, b).value(n, eta)
                                for a in range(n) for b in range(n)])
-    return svd_ranks(cell, params.ranks)
+    return svd_ranks(pair_blocks(cell, n), params.ranks)
 
 
 @_guard
@@ -443,7 +438,8 @@ def nullity_table(params: AlgebraParams):
         # only an inequality is available on this locus; record, don't assert
         obs = {}
         try:
-            r_plus, _ = svd_rank(r_matrix(params, params.tau), params.ranks)
+            r_plus, _ = singular_rank(pair_blocks(r_matrix(params, params.tau), n),
+                                      params.ranks)
             obs["nullity_at_tau"] = n * n - r_plus
         except AmbiguousRankError as exc:
             obs["nullity_at_tau"] = f"ambiguous (gap {exc.gap:.2e})"
@@ -453,8 +449,8 @@ def nullity_table(params: AlgebraParams):
     expected = {"at_tau_coset": comb(n + 1, 2), "at_minus_tau_coset": comb(n, 2)}
     cells = {"at_tau_coset": _cell_ranks(params, 1),
              "at_minus_tau_coset": _cell_ranks(params, -1)}
-    generic = svd_ranks(r_matrices(params, _random_z(np.random.default_rng(11), 5)),
-                        params.ranks)
+    probes = r_matrices(params, _random_z(np.random.default_rng(11), 5))
+    generic = svd_ranks(pair_blocks(probes, n), params.ranks)
     observed = {key: sorted({n * n - rank for rank, _ in cell}) for key, cell in cells.items()}
     observed["min_gap"] = min(gap for cell in [*cells.values(), generic] for _, gap in cell)
     ok = (all(observed[key] == [expected[key]] for key in cells)
@@ -497,11 +493,11 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     pair = spectrum(pair_blocks(r_matrix(params, sign * params.tau), n), policy)
     results, ranks = [], []
     for d in range(2, top + 1):
-        if note := _beyond_cap(n, d):
+        if note := beyond_cap(n, d):
             results.append(_refused(f"{label}.rank", params, note, d=d))
             ranks.append(None)
             continue
-        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), n, policy)
+        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), policy)
         expected = expected_rank(d)
         results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, spec.rank))
         ranks.append(spec.rank)
@@ -594,7 +590,7 @@ def t_rank_table(params: AlgebraParams, d: int):
     ):
         cases = primary if table == "primary" else mirror
         for name, z, expected in cases:
-            rank, _ = scaled_rank(t_op(params, d, args_of(z)), n, params.ranks)
+            rank, _ = scaled_rank(t_op(params, d, args_of(z)), params.ranks)
             results.append(_equals(f"t_table.{table}", _echo(params, d=d, case=name),
                                    expected, rank))
     return results
@@ -668,8 +664,8 @@ def mult_identity_check(params: AlgebraParams,
         worst = 0.0
         for s in (1, -1):
             M = m_op(params, b, a, s * tau, validate=True)
-            FF = f_op(params, a, s * tau).kron(f_op(params, b, s * tau))
-            resid = scaled_residual(M @ FF, f_op(params, a + b, s * tau))
+            resid = scaled_residual(M @ f_pair_op(params, a, b, s * tau),
+                                    f_op(params, a + b, s * tau))
             worst = max(worst, resid)
         results.append(_within("mult.identity", _echo(params, a=a, b=b),
                                worst, TOL_RESIDUAL))
@@ -763,12 +759,12 @@ def frobenius_check(params: AlgebraParams):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
     Fs = f_op(params, n, params.tau)
-    rank, _ = scaled_rank(Fs, n, params.ranks)
+    rank, _ = scaled_rank(Fs, params.ranks)
     results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
-    if note := _beyond_cap(n, n + 1):
+    if note := beyond_cap(n, n + 1):
         results.append(_refused("frobenius.vanishing_above_top", params, note, d=n + 1))
     else:
-        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), n, params.ranks)
+        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
         results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
                                0, rank1))
     # the reference u = F x is the column of largest norm, in grade block g;
@@ -797,9 +793,10 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     worst = dual_transpose_check(params, _random_z(rng, 5))
     partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
                           ranks=params.ranks)
-    # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity
-    spec = spectrum(r_matrix(params, params.tau).T, params.ranks)
-    partner_image = image(r_matrix(partner, -params.tau), params.ranks)
+    # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity;
+    # both relation spaces are compared grade by grade, from the pair blocks
+    spec = spectrum(pair_blocks(r_matrix(params, params.tau).T, n), params.ranks)
+    partner_image = image(pair_blocks(r_matrix(partner, -params.tau), n), params.ranks)
     _, angle = subspace_equal(spec.image, partner_image, TOL_ANGLE)
     return [
         _within("dual_algebra.transpose_law", _echo(params, seed=seed), worst, TOL_TRANSFORM),

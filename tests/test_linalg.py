@@ -12,7 +12,6 @@ from ellr.linalg import (
     Subspace,
     svd_rank,
     svd_ranks,
-    SVD_BATCH_ENTRIES,
     singular_rank,
     spectrum,
     kernel,
@@ -53,33 +52,33 @@ def test_svd_rank_ambiguous_raises():
         svd_rank(M, RankPolicy(rel_threshold=1e-9, min_gap=1e4))
 
 
-def test_svd_ranks_certifies_each_matrix_as_svd_rank_does(monkeypatch):
-    # ranks and gaps equal to svd_rank's, bit for bit, over a stack that
-    # spans several batches and mixes scales, ranks and a zero matrix; one
-    # SVD call per batch
-    size = 5
-    mats = [1e3 ** (k % 7) * _random_rank(size, size, k % (size + 1))
-            for k in range(3 * SVD_BATCH_ENTRIES // size ** 2 + 1)]
-    mats[1] = np.zeros((size, size))
+def test_svd_ranks_certifies_each_operator_as_singular_rank_does(monkeypatch):
+    # ranks and gaps equal to singular_rank's of each block stack alone, bit
+    # for bit, over a batch that mixes scales, ranks, ragged block ranks and
+    # a zero operator; one values-only SVD call for the whole batch
+    blocks, size = 3, 4
+    stacks = [[1e3 ** (k % 7) * 2.0 ** g * _random_rank(size, size, (k + g) % (size + 1))
+               for g in range(blocks)] for k in range(40)]
+    stacks[1] = np.zeros((blocks, size, size))
     svd, calls = np.linalg.svd, []
 
     def recorded(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    found = svd_ranks(np.array(mats))
-    assert len(calls) == 4 and sum(shape[0] for shape in calls) == len(mats)
+    found = svd_ranks(np.array(stacks))
+    assert calls == [((len(stacks), blocks, size, size), False)]
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert found == [svd_rank(M) for M in mats]
+    assert found == [singular_rank(stack) for stack in stacks]
 
 
 def test_svd_ranks_refuses_as_svd_rank_does():
     policy = RankPolicy(rel_threshold=1e-9, min_gap=1e4)
     with pytest.raises(AmbiguousRankError):
-        svd_ranks(np.array([np.eye(3), np.diag([1.0, 1e-8, 1e-10])]), policy)
+        svd_ranks(np.array([[np.eye(3)], [np.diag([1.0, 1e-8, 1e-10])]]), policy)
     with pytest.raises(NonFiniteMatrixError):
-        svd_ranks(np.array([np.eye(2), np.diag([1.0, np.nan])]))
+        svd_ranks(np.array([[np.eye(2)], [np.diag([1.0, np.nan])]]))
 
 
 def _check_kernel_and_image(M, rank):

@@ -33,6 +33,7 @@ from ellr.tensorops import (
     chain_desc_rev,
     t_op,
     f_op,
+    f_pair_op,
     m_op,
     embedded_copies,
 )
@@ -97,47 +98,50 @@ def _dense(S, n, d):
 # ---------------------------------------------------------------------------
 
 
-def test_scaled_wrap_and_dense():
-    M = 1e30 * (np.arange(4).reshape(2, 2) + 1.0)
-    op = ScaledOp.wrap(M)
-    assert abs(op.max_abs() - 1.0) < 1e-15
-    assert np.allclose(op.dense(), M)
+def _stack(*blocks):
+    """A grade stack of the given square blocks."""
+    return np.array(blocks, dtype=complex)
+
+
+def test_scaled_op_holds_only_a_grade_stack():
+    with pytest.raises(ValueError):
+        ScaledOp(np.eye(4))
 
 
 def test_scaled_matmul_accumulates_log_scale():
-    A = ScaledOp.wrap(2e5 * np.eye(2))
-    B = ScaledOp.wrap(3e7 * np.eye(2))
+    # blockwise, the log scales added; exp(200 + 300) overflows a float
+    A = ScaledOp(_stack([[1.0, 0.5], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]), 200.0)
+    B = ScaledOp(_stack([[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]), 300.0)
     C = A @ B
-    assert abs(C.log_scale - (math.log(2e5) + math.log(3e7))) < 1e-9
-    assert np.allclose(C.dense(), 6e12 * np.eye(2))
+    assert C.log_scale == 500.0
+    assert np.array_equal(C.mat, _stack([[2.0, 0.5], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_scaled_matmul_keeps_cancellation_visible():
-    # a product that cancels to zero must leave a tiny .mat, not be
-    # renormalized back to unit size
-    A = ScaledOp.wrap(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    B = ScaledOp.wrap(np.array([[1.0], [-1.0]]))
-    assert (A @ B).max_abs() < 1e-15
-
-
-def test_scaled_kron():
-    A = ScaledOp.wrap(5.0 * np.eye(2))
-    B = ScaledOp.wrap(7.0 * np.eye(3))
-    K = A.kron(B)
-    assert np.allclose(K.dense(), 35.0 * np.eye(6))
+    # a product that cancels to zero in one grade must leave a tiny .mat
+    # there, not be renormalized back to unit size
+    A = ScaledOp(_stack([[1.0, 1.0], [1.0, 1.0]], np.eye(2)), 40.0)
+    B = ScaledOp(_stack([[1.0, 0.0], [-1.0, 0.0]], np.zeros((2, 2))), 40.0)
+    C = A @ B
+    assert C.max_abs() < 1e-15 and C.log_scale == 80.0
+    rank, gap = scaled_rank(C)
+    assert rank == 0 and gap == math.inf
 
 
 def test_scaled_residual_scale_matching():
-    A = ScaledOp(np.eye(2), 10.0)
-    B = ScaledOp(math.e * np.eye(2), 9.0)
+    A = ScaledOp(_stack(np.eye(2), 0.5 * np.eye(2)), 10.0)
+    B = ScaledOp(math.e * _stack(np.eye(2), 0.5 * np.eye(2)), 9.0)
     assert scaled_residual(A, B) < 1e-14
+    C = ScaledOp(math.e * _stack(np.eye(2), 0.6 * np.eye(2)), 9.0)
+    assert abs(scaled_residual(A, C) - 0.1) < 1e-14
 
 
 def test_scaled_rank_zero_detection():
-    dim = 4
-    noise = ScaledOp(1e-14 * np.random.default_rng(0).standard_normal((dim, dim)), 200.0)
-    rank, gap = scaled_rank(noise, 2)
+    noise = ScaledOp(1e-14 * np.random.default_rng(0).standard_normal((2, 2, 2)), 200.0)
+    rank, gap = scaled_rank(noise)
     assert rank == 0 and gap == math.inf
+    spec = scaled_spectrum(noise)
+    assert spec.rank == 0 and [B.shape for B in spec.kernel.blocks] == [(2, 2)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +396,22 @@ def test_t_m_commutation_laws():
     assert _rel(lhs2, M @ TLb) < 1e-12
 
 
+def test_f_pair_op_is_the_kronecker_product_of_f():
+    z = 0.09 + 0.04j
+    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
+        pair = f_pair_op(P31, a, b, z)
+        assert pair.mat.shape == (3, 3 ** (a + b - 1), 3 ** (a + b - 1))
+        assert _rel(np.kron(f_op(P31, a, z).dense(), f_op(P31, b, z).dense()),
+                    pair.dense()) < 1e-12
+
+
 def test_multiplication_identity():
     # M_{b,a}(s tau) (F_a (x) F_b) = F_{a+b}(s tau), both signs
     tau = P31.tau
     for (a, b) in ((1, 2), (2, 2)):
         for s in (1, -1):
             M = m_op(P31, b, a, s * tau)
-            FF = f_op(P31, a, s * tau).kron(f_op(P31, b, s * tau))
+            FF = f_pair_op(P31, a, b, s * tau)
             resid = scaled_residual(M @ FF, f_op(P31, a + b, s * tau))
             assert resid < 1e-10
 
@@ -421,9 +434,9 @@ def test_embedded_relation_annihilates_f():
 def test_f_rank_and_kernel():
     n, d = 3, 3
     F = f_op(P31, d, -P31.tau)
-    rank, _ = scaled_rank(F, n, P31.ranks)
+    rank, _ = scaled_rank(F, P31.ranks)
     assert rank == comb(n + d - 1, d)
-    ker = scaled_spectrum(F, n, P31.ranks).kernel
+    ker = scaled_spectrum(F, P31.ranks).kernel
     relations = subspace_sum(embedded_copies(_pair().image, n, d), P31.ranks)
     eq, angle = subspace_equal(ker, relations, 1e-6)
     assert eq
@@ -431,16 +444,16 @@ def test_f_rank_and_kernel():
 
 def test_f_dual_rank_and_vanishing():
     n = 3
-    r3, _ = scaled_rank(f_op(P31, 3, P31.tau), n, P31.ranks)
+    r3, _ = scaled_rank(f_op(P31, 3, P31.tau), P31.ranks)
     assert r3 == 1
-    r4, gap = scaled_rank(f_op(P31, 4, P31.tau), n, P31.ranks)
+    r4, gap = scaled_rank(f_op(P31, 4, P31.tau), P31.ranks)
     assert r4 == 0 and gap == math.inf
 
 
 def test_f_image_is_embedded_kernel_intersection():
     F = f_op(P31, 3, -P31.tau)
     cap = subspace_intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
-    eq, angle = subspace_equal(scaled_spectrum(F, 3, P31.ranks).image, cap, 1e-6)
+    eq, angle = subspace_equal(scaled_spectrum(F, P31.ranks).image, cap, 1e-6)
     assert eq
 
 
@@ -532,11 +545,11 @@ def _t_table_ops(p, d):
 
 def _assert_block_certificate_is_dense(op, n, d, policy):
     if op.max_abs() < ZERO_OPERATOR_TOL:
-        assert scaled_spectrum(op, n, policy).rank == 0
+        assert scaled_spectrum(op, policy).rank == 0
         return
-    graded, dense = scaled_spectrum(op, n, policy), spectrum(op.matrix(), policy)
+    graded, dense = scaled_spectrum(op, policy), spectrum(op.matrix(), policy)
     assert graded.rank == dense.rank
-    assert scaled_rank(op, n, policy)[0] == dense.rank
+    assert scaled_rank(op, policy)[0] == dense.rank
     # the largest dropped singular value is rounding noise, which the dense
     # and the block SVDs round differently: only its decade is reproducible
     assert graded.gap == dense.gap or abs(math.log10(graded.gap / dense.gap)) < 1
@@ -563,7 +576,7 @@ def test_ragged_grade_ranks():
     # the grades of F_d(-tau) need not have equal ranks
     for n, d, ranks in ((3, 3, [4, 3, 3]), (4, 4, [10, 8, 9, 8])):
         p = make_params(n, 1)
-        spec = scaled_spectrum(f_op(p, d, -p.tau), n, p.ranks)
+        spec = scaled_spectrum(f_op(p, d, -p.tau), p.ranks)
         assert [B.shape[1] for B in spec.image.blocks] == ranks
         assert [B.shape[1] for B in spec.kernel.blocks] == [n ** (d - 1) - r for r in ranks]
 
@@ -581,8 +594,8 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
         for _ in range(d - 1):
             Td = np.kron(Td, T)
         F = op.matrix()
-        assert scaled_residual(ScaledOp(Td @ F), ScaledOp(F @ Td)) < 1e-12
-        ranks = [B.shape[1] for B in scaled_spectrum(op, n, p.ranks).image.blocks]
+        assert np.max(np.abs(Td @ F - F @ Td)) < 1e-12
+        ranks = [B.shape[1] for B in scaled_spectrum(op, p.ranks).image.blocks]
         assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
 
 

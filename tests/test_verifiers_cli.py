@@ -198,6 +198,44 @@ def test_torsion_cells_are_built_one_at_a_time(check):
     assert peak <= 600 * 1024, peak // 1024
 
 
+@pytest.mark.parametrize("nk", ((3, 1), (4, 1), (5, 2)))
+def test_r_matrix_certificates_are_taken_from_pair_blocks(monkeypatch, nk):
+    # every certificate of an R-matrix is taken from its n x n pair blocks:
+    # no SVD operand has a side of n^2
+    n, svd, shapes = nk[0], np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    p = make_params(*nk)
+    for check in (V.nullity_table, V.twist_rank_check, V.det_check, V.dual_algebra_check):
+        shapes.clear()
+        assert all(r.status == "pass" for r in check(p)), check.__name__
+        assert shapes and all(n * n not in shape[-2:] for shape in shapes), (
+            check.__name__, shapes)
+
+
+def test_mult_identity_reads_no_product_as_a_matrix(monkeypatch):
+    # F_a (x) F_b is one graded product and M_{b,a} times it a blockwise
+    # one: the identity pairs add no ScaledOp.matrix call to the
+    # associativity probe's
+    import ellr.tensorops
+
+    matrix, calls = ellr.tensorops.ScaledOp.matrix, []
+
+    def recorded(self):
+        calls.append(self.mat.shape)
+        return matrix(self)
+
+    monkeypatch.setattr(ellr.tensorops.ScaledOp, "matrix", recorded)
+    assert [r.status for r in V.mult_identity_check(P31, pairs=())] == ["pass"]
+    probe = len(calls)
+    assert [r.status for r in V.mult_identity_check(P31)] == ["pass"] * 5
+    assert probe and len(calls) == 2 * probe
+
+
 def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
     # the number of points of every theta_alpha_rows call in ellr.rmatrix:
     # one call per r_matrices call, and one ([tau, 0]) per params whose
@@ -577,6 +615,27 @@ def test_cli_rejects_mistyped_config_values(config, message, tmp_path, monkeypat
     cfg.write_text(json.dumps(config))
     assert main(["report", "all", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("key, value", (("tau", "nan,0"), ("eta", "inf,1"), ("tau", "0.3,nan")))
+@pytest.mark.parametrize("source", ("flag", "config"))
+def test_cli_rejects_a_non_finite_eta_or_tau(key, value, source, tmp_path, monkeypatch,
+                                             capsys):
+    # named and refused before any parameters are built or checks run
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters built or checks run from a non-finite value")
+
+    monkeypatch.setattr("ellr.cli.make_params", refuse)
+    monkeypatch.setattr("ellr.cli.run_suite", refuse)
+    if source == "flag":
+        argv = [f"--{key}", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: [float(x) for x in value.split(",")]}))
+        argv = ["--config", str(cfg)]
+    assert main(["report", "all", "--n", "3", *argv]) == 2
+    (err,) = capsys.readouterr().err.strip().splitlines()
+    assert err.startswith(f"error: {key} must be finite"), err
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
