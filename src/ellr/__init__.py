@@ -38,6 +38,7 @@ from .rmatrix import (
     sym_op,
     r_plus_limit,
     weight_op,
+    weight_ops,
     weight_op_k,
     det_closed_form,
 )

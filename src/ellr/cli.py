@@ -58,7 +58,10 @@ def _parse_complex_pair(key, text) -> complex:
     parts = text.split(",") if isinstance(text, str) else text
     if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
         raise UsageError(f"expected a 're,im' pair, got {text!r}")
-    value = complex(float(parts[0]), float(parts[1]))
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except (TypeError, ValueError):  # float() of None, a list, or a non-number string
+        raise UsageError(f"{key} must be a pair of numbers, got {text!r}") from None
     if not cmath.isfinite(value):
         raise UsageError(f"{key} must be finite, got {text!r}")
     return value

@@ -99,13 +99,19 @@ class AlgebraParams:
     @functools.cached_property
     def _r_denominators(self) -> np.ndarray:
         """[theta_alpha(tau) * prod_{beta>=1} theta_beta(0) for alpha in Z_n], the
-        parameter-only denominators of r_matrix.  Raises TorsionParameterError
-        (and so caches nothing) when tau is torsion."""
+        parameter-only denominators of r_matrix.  The first r_matrices call
+        on these params fills it from its own series."""
+        return self._denominators(theta_alpha_rows([self.tau, 0.0], self.theta))
+
+    def _denominators(self, rows) -> np.ndarray:
+        """The denominators from the theta rows at tau and 0, rows[-2:].
+        Raises TorsionParameterError (and so caches nothing) when tau is
+        torsion."""
         if self.tau_is_torsion():
             raise TorsionParameterError(
                 "tau lies on (1/n)Lambda; use r_plus_limit for the limiting operators"
             )
-        th_t, th_0 = theta_alpha_rows([self.tau, 0.0], self.theta)
+        th_t, th_0 = rows[-2:]
         return th_t * np.prod(th_0[1:])
 
 
@@ -194,21 +200,26 @@ def r_matrices(params: AlgebraParams, zs) -> np.ndarray:
     symbolically; this realizes the removable singularities exactly and makes
     the entries finite for every z.  R(0) = I ⊗ I exactly.
 
-    The z-dependent theta rows of the whole stack come from one
-    theta_alpha_rows call over [-zs, -zs + tau]; the rows at tau and 0 are
-    cached on params.  Each row of the stack equals r_matrix at its z
-    exactly.  An entry that overflows complex128 is left inf or NaN without
-    a warning: linalg.spectrum refuses such a matrix.
+    The theta rows of the whole stack come from one theta_alpha_rows call
+    over [-zs, -zs + tau], with the rows at tau and 0 appended on the first
+    build on params, which fill its cached denominators (or raise
+    TorsionParameterError).  Each row of the stack equals r_matrix at its
+    z exactly.  An entry that overflows complex128 is left inf or NaN
+    without a warning: linalg.spectrum refuses such a matrix.
     """
     n = params.n
     z = np.asarray(zs, dtype=complex).reshape(-1)
     if not z.size:  # nothing to build: no denominators, so no torsion test
         return np.zeros((0, n * n, n * n), dtype=complex)
-    den = params._r_denominators
+    fresh = "_r_denominators" not in vars(params)
     front_idx, mzt_idx, den_idx, pos, entry = _r_indices(n, params.k)
     with np.errstate(over="ignore", invalid="ignore"):
-        th = theta_alpha_rows(np.concatenate((-z, -z + params.tau)), params.theta)
-        th_mz, th_mzt = th[:z.size], th[z.size:]
+        extra = [params.tau, 0.0] if fresh else []
+        th = theta_alpha_rows(np.concatenate((-z, -z + params.tau, extra)), params.theta)
+        if fresh:
+            vars(params)["_r_denominators"] = params._denominators(th)
+        den = params._r_denominators
+        th_mz, th_mzt = th[:z.size], th[z.size:2 * z.size]
         # front[:, s] = prod_{alpha != s} theta_alpha(-z), from prefix and
         # suffix products: theta_s(-z) may vanish, so it is never divided out
         ones = np.ones((z.size, 1))
@@ -277,7 +288,7 @@ def r_plus_limit(params: AlgebraParams, zeta: HalfPeriodPoint, sign: int) -> np.
 
 @functools.lru_cache(maxsize=32)
 def _weight_indices(n: int, step: int):
-    """Index arrays of _weight_sum for one (n, step mod n).
+    """Index arrays of weight_ops for one (n, step mod n).
 
     With J = I_{(s a, b)}, (J ⊗ J^{-1})(x_i ⊗ x_j) = omega^{(i-j-s a) b}
     x_{i-s a} ⊗ x_{j+s a}.  Returns, for every (a, i, j), its flat position
@@ -294,34 +305,39 @@ def _weight_indices(n: int, step: int):
     return out
 
 
-def _weight_sum(params: AlgebraParams, z, step: int) -> np.ndarray:
-    """sum_{(a,b) in Z_n^2} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(step*a, b)},
-    I_{(a,b)} x_i = omega^{i b} x_{i - a}, omega = e(1/n).
+def weight_ops(params: AlgebraParams, zs, step: int = 1) -> np.ndarray:
+    """The (len(zs), n^2, n^2) stack of sum_{(a,b) in Z_n^2} w_{(a,b)}(z) J ⊗ J^{-1}
+    with J = I_{(step*a, b)}, I_{(a,b)} x_i = omega^{i b} x_{i - a},
+    omega = e(1/n), for every z in zs: S(z) at step 1, S_k(z) at step -k'.
 
-    The n^2 weights come from one array call of w_fn.  Each a places its
-    terms at its own n^2 positions (step is a unit mod n), and the sum over
-    b there is (w @ phases)[a, i - j - step*a]: one gather and one scatter.
+    The weights of every z come from one w_fn call, so one theta_char
+    series.  Each a places its terms at its own n^2 positions (step is a
+    unit mod n), and the sum over b there is (w @ phases)[a, i - j - step*a]:
+    one gather and one scatter for the stack.
     """
     n = params.n
+    z = np.asarray(zs, dtype=complex).reshape(-1)
     pos, a, m, phases = _weight_indices(n, step % n)
     idx = np.arange(n)
     w = w_fn(idx[:, None], idx, z, params.tau, params.theta)
-    total = np.zeros(n ** 4, dtype=complex)
-    total[pos] = (w @ phases)[a, m]
-    return total.reshape(n * n, n * n)
+    total = np.zeros((z.size, n ** 4), dtype=complex)
+    total[:, pos] = (w @ phases)[:, a, m]
+    return total.reshape(z.size, n * n, n * n)
 
 
 def weight_op(params: AlgebraParams, z) -> np.ndarray:
-    """S(z) = sum_{(a,b) in Z_n^2} w_{(a,b)}(z) I_{(a,b)} ⊗ I_{(a,b)}^{-1}."""
-    return _weight_sum(params, z, 1)
+    """S(z) = sum_{(a,b) in Z_n^2} w_{(a,b)}(z) I_{(a,b)} ⊗ I_{(a,b)}^{-1}:
+    the one-point stack of :func:`weight_ops`."""
+    return weight_ops(params, [z])[0]
 
 
 def weight_op_k(params: AlgebraParams, z) -> np.ndarray:
     """S_k(z) = sum_{(a,b)} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(-k' a, b)},
-    i.e. J x_i = omega^{i b} x_{i + k' a}.  Satisfies
+    i.e. J x_i = omega^{i b} x_{i + k' a}: the one-point stack of
+    :func:`weight_ops` at step -k'.  Satisfies
     S_k(-n z) = n e(n(n+1) z / 2) P R_{n,k,tau}(z).
     """
-    return _weight_sum(params, z, -params.k_prime)
+    return weight_ops(params, [z], -params.k_prime)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +392,21 @@ def alt_norm_prefactor(params: AlgebraParams, z):
     return complex(np.prod(num / den))
 
 
+def transpose_residual(n: int, zs, R, R_dual) -> float:
+    """Worst relative residual over zs of R(z)^T = e(-n^2 z) R_dual(-z), the
+    transpose taken in the x-basis, for stacks R over zs, R_dual over -zs."""
+    residuals = []
+    for z, Rz, Rz_dual in zip(zs, R, R_dual):
+        lhs, rhs = Rz.T, e_fn(-n * n * z) * Rz_dual
+        residuals.append(float(np.linalg.norm(lhs - rhs)
+                               / max(np.linalg.norm(lhs), np.linalg.norm(rhs))))
+    return max(residuals)
+
+
 def dual_transpose_check(params: AlgebraParams, zs) -> float:
     """Worst relative residual over zs of
     R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z), the transpose taken in
     the x-basis.  Each side is one r_matrices call."""
     n, zs = params.n, list(zs)
     dual = AlgebraParams(n, n - params.k, -params.tau, params.theta, params.ranks)
-    residuals = []
-    for z, R, R_dual in zip(zs, r_matrices(params, zs), r_matrices(dual, [-z for z in zs])):
-        lhs, rhs = R.T, e_fn(-n * n * z) * R_dual
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-        residuals.append(float(np.linalg.norm(lhs - rhs) / scale))
-    return max(residuals)
+    return transpose_residual(n, zs, r_matrices(params, zs), r_matrices(dual, [-z for z in zs]))

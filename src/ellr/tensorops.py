@@ -36,7 +36,8 @@ of (digit p, last digit), and the pair block R^(s)[a, i] =
 R[(a, s-a), (i, s-i)] (``pair_blocks``) acts on digit p, one batched n x n
 matmul.  The chains, T_d, F_d and both assemblies of M_{a,b} are
 (argument, position) lists of R(argument)_{position,position+1} factors,
-whose distinct arguments are built in one ``r_matrices`` call; the
+whose distinct arguments are built in one ``r_matrices`` call
+(``r_product`` takes them from R's built elsewhere); the
 Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).  Each
 distinct factor is checked once: an entry between two pair grades, or an
 inf or NaN entry, is refused.  No n^d x n^d array is formed on these
@@ -360,19 +361,24 @@ def site_product(n: int, d: int, factors) -> np.ndarray:
 
 
 def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
-    """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
-    ``factors``: one :func:`site_product` of the factors at unit max-abs,
-    with their log scales summed.  Each distinct argument is built once, all
-    of them in one :func:`r_matrices` call, and divided by its own max-abs
-    (a zero or non-finite one is left as it is, for the product to refuse)."""
+    """The :func:`r_product` of (arg, pos) ``factors``, each distinct
+    argument built once, all of them in one :func:`r_matrices` call."""
     args = list(dict.fromkeys(arg for arg, _ in factors))
-    mats = r_matrices(params, args)
-    scales = [float(s) if 0.0 < s < math.inf else 1.0
-              for s in np.max(np.abs(mats), axis=(1, 2))]
-    unit = dict(zip(args, mats / np.array(scales)[:, None, None]))
-    logs = dict(zip(args, map(math.log, scales)))
-    return ScaledOp(site_product(params.n, d, [(unit[arg], (pos, pos + 1))
-                                               for arg, pos in factors]),
+    return r_product(params.n, d, factors, dict(zip(args, r_matrices(params, args))))
+
+
+def r_product(n: int, d: int, factors, mats: dict) -> ScaledOp:
+    """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
+    ``factors``, R(arg) given as ``mats[arg]``: one :func:`site_product` of
+    the factors at unit max-abs, with their log scales summed.  Each
+    distinct argument is divided by its own max-abs once (a zero or
+    non-finite one is left as it is, for the product to refuse)."""
+    unit, logs = {}, {}
+    for arg in dict.fromkeys(arg for arg, _ in factors):
+        scale = float(np.max(np.abs(mats[arg])))
+        scale = scale if 0.0 < scale < math.inf else 1.0
+        unit[arg], logs[arg] = mats[arg] / scale, math.log(scale)
+    return ScaledOp(site_product(n, d, [(unit[arg], (pos, pos + 1)) for arg, pos in factors]),
                     sum(logs[arg] for arg, _ in factors))
 
 
@@ -413,6 +419,12 @@ def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
     return _product(params, d, _t_factors(d, zs))
 
 
+def f_factors(d: int, z, shift: int = 0) -> list:
+    """The (argument, position) factors of F_d(z), positions moved by
+    ``shift``; for :func:`r_product` over R's built elsewhere."""
+    return _t_factors(d, [z] * max(d - 1, 0), shift)
+
+
 def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
     """F_d(z) = T_d(z, ..., z)."""
     return t_op(params, d, [z] * max(d - 1, 0))
@@ -421,8 +433,7 @@ def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
 def f_pair_op(params: AlgebraParams, a: int, b: int, z) -> ScaledOp:
     """F_a(z) (x) F_b(z) on V^{(x)(a+b)} as one product: the factors of F_a,
     then those of F_b moved by a (the two act on disjoint tensorands)."""
-    return _product(params, a + b, _t_factors(a, [z] * max(a - 1, 0))
-                    + _t_factors(b, [z] * max(b - 1, 0), a))
+    return _product(params, a + b, f_factors(a, z) + f_factors(b, z, a))
 
 
 def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,

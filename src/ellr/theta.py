@@ -182,14 +182,20 @@ def theta_char(a, b, z, eta):
     return _out(pref * _series(z + a * eta + b, eta, _window(eta), 0))
 
 
-def theta_char_shift_check(a, b, s: int, t: int, z, eta) -> float:
+def theta_char_shift_check(a, b, s: int, t: int, z, eta):
     """Relative residual of
     theta_char(z + s*eta + t) = e(a t - s (z+b) - s^2 eta / 2) * theta_char(z).
+
+    Elementwise over an array z, both sides of every entry taken in one
+    theta_char series; a float for a scalar z.  A scalar is computed as a
+    one-entry array, since numpy's scalar arithmetic may round differently.
     """
-    lhs = theta_char(a, b, z + s * eta + t, eta)
-    rhs = e_fn(a * t - s * (z + b) - 0.5 * s * s * eta) * theta_char(a, b, z, eta)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    lhs, rhs = theta_char(a, b, np.stack([z + s * eta + t, z]), eta)
+    rhs = np.exp(TWO_PI_I * (a * t - s * (z + b) - 0.5 * s * s * eta)) * rhs
+    resid = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return float(resid[0]) if shape == () else resid.reshape(shape)
 
 
 _FACTOR_SAMPLES = [(0, 0.3 + 0.2j), (1, 0.7 + 0.1j), (0, 0.13 - 0.08j), (1, -0.41 + 0.27j)]
@@ -233,16 +239,21 @@ def nearest_lattice_distance(z, eta) -> float:
 def w_fn(a, b, z, tau, ctx: ThetaContext):
     """Torsion-indexed weight w_{(a,b)}(z) = theta_char[a/n; b/n](z + xi) / theta_char[a/n; b/n](xi)
     with xi = tau + (1+eta)/2.  Depends on (a, b) only mod n; w_{(a,b)}(0) = 1.
-    a and b may be integer arrays (broadcast together); numerators and
-    denominators are then taken in one theta_char call.
+
+    a and b may be integer arrays (broadcast together) and z an array: the
+    result has shape z.shape + (the shape of a and b), the weights at every
+    z.  Every numerator and the shared row of denominators are taken in one
+    theta_char call.
     """
     n, eta = ctx.n, ctx.eta
     xi = tau + 0.5 * (1 + eta)
+    z = np.asarray(z, dtype=complex)
     ndim = np.broadcast(a, b).ndim
-    num, den = theta_char(np.divide(a, n), np.divide(b, n),
-                          np.reshape([z + xi, xi], (2,) + (1,) * ndim), eta)
+    args = np.append(z.ravel() + xi, xi).reshape((-1,) + (1,) * ndim)
+    vals = theta_char(np.divide(a, n), np.divide(b, n), args, eta)
+    num, den = vals[:-1], vals[-1]
     if np.min(np.abs(den)) < 1e-12:
         raise SingularParameterError(
             "w_{(a,b)} denominator vanishes: tau lies on the singular locus"
         )
-    return _out(num / den)
+    return _out((num / den).reshape(z.shape + den.shape))

@@ -31,16 +31,16 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from math import comb, factorial
 
 import numpy as np
 
 from .theta import (
+    TWO_PI_I,
     SingularParameterError,
     e_fn,
     theta1,
-    theta_alpha,
     theta_alpha_rows,
     theta_char,
     theta_char_shift_check,
@@ -64,7 +64,6 @@ from .rmatrix import (
     AlgebraParams,
     HalfPeriodPoint,
     TorsionParameterError,
-    make_params,
     basis_ops,
     torsion_op,
     r_matrix,
@@ -72,10 +71,9 @@ from .rmatrix import (
     sym_op,
     b_fn,
     f_fn,
-    weight_op,
-    weight_op_k,
+    weight_ops,
     det_closed_form,
-    dual_transpose_check,
+    transpose_residual,
 )
 from .tensorops import (
     beyond_cap,
@@ -89,7 +87,9 @@ from .tensorops import (
     antisymmetrizer,
     t_op,
     f_op,
+    f_factors,
     f_pair_op,
+    r_product,
     m_op,
     embedded_copies,
 )
@@ -130,7 +130,9 @@ class CheckResult:
             self.observed = float(self.observed)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the field values themselves, not deep copies: a reader that
+        # rewrites a row replaces its values, as emit does wall_time
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -308,10 +310,11 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     rng = np.random.default_rng(seed)
     dim = params.n ** 2
     zs = _random_z(rng, trials)
-    Rz, Rmz = r_matrices(params, zs + [-z for z in zs]).reshape(2, trials, dim, dim)
+    mats = r_matrices(params, zs + [-z for z in zs] + [0.0, params.tau, -params.tau])
+    Rz, Rmz = mats[:2 * trials].reshape(2, trials, dim, dim)
+    R0, Rt, Rmt = mats[2 * trials:]
     prod = Rz @ Rmz
     worst = _rel(prod - prod[:, :1, :1] * np.eye(dim), prod)
-    R0, Rt, Rmt = r_matrices(params, [0.0, params.tau, -params.tau])
     at_zero = float(np.max(np.abs(R0 - np.eye(dim))))
     vanish = float(
         np.max(np.abs(Rt @ Rmt)) / max(np.max(np.abs(Rt)) * np.max(np.abs(Rmt)), 1e-300)
@@ -397,10 +400,11 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     n = params.n
     zs = _random_z(rng, trials)
     zk = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.05, 0.05))
-    dets = np.linalg.det(r_matrices(params, zs))
+    mats = r_matrices(params, zs + [0.0, zk, params.tau, -params.tau])
+    dets = np.linalg.det(mats[:trials])
     worst = max(abs(det / complex(closed) - 1)
                 for det, closed in zip(dets, det_closed_form(params, zs)))
-    R0, Rk, Rt, Rmt = r_matrices(params, [0.0, zk, params.tau, -params.tau])
+    R0, Rk, Rt, Rmt = mats[trials:]
     at_zero = abs(np.linalg.det(R0) - 1.0)
     d1 = np.linalg.det(Rk)
     d2 = np.linalg.det(r_matrix(params.with_k(n - params.k), zk))
@@ -596,16 +600,20 @@ def t_rank_table(params: AlgebraParams, d: int):
     return results
 
 
-def _ladder(name, echo, pairs, exempt_decay=False) -> CheckResult:
-    """The ladder rule over (operator, target) pairs, one per eps from the
-    largest down: the raw relative deviation decays monotonically (unless
-    ``exempt_decay``) and the scalar-free deviation, the distance to the
-    target ray, is below TOL_LIMIT at the smallest eps."""
-    raw, structural = [], []
-    for A, B in pairs:
-        raw.append(float(np.linalg.norm(A - B) / np.linalg.norm(B)))
-        c = np.vdot(B, A) / np.vdot(B, B)
-        structural.append(float(np.linalg.norm(A - c * B) / np.linalg.norm(B)))
+def _deviation(A, B) -> tuple:
+    """The raw relative deviation of A from the target B, and the
+    scalar-free one, the distance to the target ray."""
+    raw = float(np.linalg.norm(A - B) / np.linalg.norm(B))
+    c = np.vdot(B, A) / np.vdot(B, B)
+    return raw, float(np.linalg.norm(A - c * B) / np.linalg.norm(B))
+
+
+def _ladder(name, echo, deviations, exempt_decay=False) -> CheckResult:
+    """The ladder rule over the (raw, scalar-free) :func:`_deviation` at
+    each eps from the largest down: the raw deviation decays monotonically
+    (unless ``exempt_decay``) and the scalar-free one is below TOL_LIMIT at
+    the smallest eps."""
+    raw, structural = map(list, zip(*deviations))
     monotone = exempt_decay or all(raw[i + 1] < raw[i] for i in range(len(raw) - 1))
     return CheckResult(name, echo, f"monotone raw decay; scalar-free deviation < {TOL_LIMIT}",
                        {"raw": raw, "scalar_free": structural}, structural[-1],
@@ -624,30 +632,30 @@ def limit_check(params: AlgebraParams, d: int = 3, m_range=(-1, 0, 1, 2),
     ladder asserts (a) monotone decay of the raw deviation and (b) the
     scalar-free deviation (which isolates the structural error) below
     TOL_LIMIT at the smallest eps; see :func:`_ladder`.  The ladder
-    replaces params.tau, so the results do not depend on it.
+    replaces params.tau, so the results do not depend on it.  Each rung
+    builds all its R's, those of R_eps(m*eps) and of both F_d, in one call.
     """
     n, k = params.n, params.k
-    rungs = [params.with_tau(eps) for eps in ladder]
-    # skew[rung][i] = R_eps(m_range[i] * eps), one call per rung
-    skew = [r_matrices(p, [m * eps for m in m_range]) for p, eps in zip(rungs, ladder)]
-    results = [
-        _ladder("limit.skew_symmetrization", {"n": n, "k": k, "m": m, "ladder": list(ladder)},
-                ((at_rung[i], sym_op(m, n)) for at_rung in skew),
-                exempt_decay=m == 0)
-        for i, m in enumerate(m_range)
-    ]
-    del skew  # freed before F_d is built, where the check peaks
     norm = float(np.prod([factorial(m) for m in range(1, d)]))
     idx = grade_index(n, d)
-    for sign, target, label in ((-1, symmetrizer, "symmetrizer"),
-                                (1, antisymmetrizer, "antisymmetrizer")):
-        # F_d and its target keep the total grade: compared grade block by block
-        target = target(n, d)[idx[:, :, None], idx[:, None, :]]
-        results.append(_ladder(
-            f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)},
-            ((math.exp(F.log_scale) * F.mat / norm, target)
-             for F in (f_op(p, d, sign * eps) for p, eps in zip(rungs, ladder)))))
-    return results
+    # F_d and its targets keep the total grade: compared grade block by block
+    targets = {sign: target(n, d)[idx[:, :, None], idx[:, None, :]]
+               for sign, target in ((-1, symmetrizer), (1, antisymmetrizer))}
+    ladders = [("limit.skew_symmetrization", {"n": n, "k": k, "m": m, "ladder": list(ladder)},
+                m == 0) for m in m_range] + [
+        (f"limit.{label}", {"n": n, "k": k, "d": d, "ladder": list(ladder)}, False)
+        for label in ("symmetrizer", "antisymmetrizer")]
+    rungs = []  # per rung, the deviation on every ladder
+    for eps in ladder:
+        factors = {sign: f_factors(d, sign * eps) for sign in targets}
+        args = [m * eps for m in m_range] + [arg for fs in factors.values() for arg, _ in fs]
+        mats = r_matrices(params.with_tau(eps), args)
+        Fs = {sign: r_product(n, d, fs, dict(zip(args, mats))) for sign, fs in factors.items()}
+        rungs.append([_deviation(R, sym_op(m, n)) for R, m in zip(mats, m_range)] + [
+            _deviation(math.exp(F.log_scale) * F.mat / norm, targets[sign])
+            for sign, F in Fs.items()])
+    return [_ladder(name, echo, [rung[i] for rung in rungs], exempt_decay)
+            for i, (name, echo, exempt_decay) in enumerate(ladders)]
 
 
 @_guard
@@ -788,15 +796,18 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     """Transpose duality: R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z),
     and the induced match of relation spaces between the (n,k) algebra and
     its (n, n-k) partner."""
-    n = params.n
-    rng = np.random.default_rng(seed)
-    worst = dual_transpose_check(params, _random_z(rng, 5))
-    partner = make_params(n, n - params.k, eta=params.eta, tau=-params.tau,
-                          ranks=params.ranks)
+    n, tau = params.n, params.tau
+    zs = _random_z(np.random.default_rng(seed), 5)
+    # the transpose partner (n, n-k, -tau) is also the relation-space
+    # partner: one build on each side, R(zs) with R(tau), R'(-zs) with R'(-tau)
+    partner = AlgebraParams(n, n - params.k, -tau, params.theta, params.ranks)
+    *R, R_tau = r_matrices(params, zs + [tau])
+    *R_dual, R_dual_tau = r_matrices(partner, [-z for z in zs] + [-tau])
+    worst = transpose_residual(n, zs, R, R_dual)
     # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity;
     # both relation spaces are compared grade by grade, from the pair blocks
-    spec = spectrum(pair_blocks(r_matrix(params, params.tau).T, n), params.ranks)
-    partner_image = image(pair_blocks(r_matrix(partner, -params.tau), n), params.ranks)
+    spec = spectrum(pair_blocks(R_tau.T, n), params.ranks)
+    partner_image = image(pair_blocks(R_dual_tau, n), params.ranks)
     _, angle = subspace_equal(spec.image, partner_image, TOL_ANGLE)
     return [
         _within("dual_algebra.transpose_law", _echo(params, seed=seed), worst, TOL_TRANSFORM),
@@ -816,18 +827,18 @@ def weight_family_check(params: AlgebraParams, trials: int = 3, seed: int = 0):
     n = params.n
     P = basis_ops(params)["P"]
     zs = _random_z(rng, trials)
-    Sk = np.array([weight_op_k(params, -n * z) for z in zs])
+    Sk = weight_ops(params, [-n * z for z in zs], -params.k_prime)
     scalars = np.array([n * e_fn(0.5 * n * (n + 1) * z) for z in zs])[:, None, None]
     rhs = scalars * P @ r_matrices(params, zs)
     worst_rel = _rel(Sk - rhs, Sk, rhs)
     u, v = np.reshape(_random_z(rng, 2 * trials), (trials, 2)).T
-    worst_qybe1 = []
-    for part in _trial_batches(n, trials):
-        # S(u), S(v), S(u+v) over a batch of trials
-        S = [np.array([weight_op(params, complex(w)) for w in ws[part]]) for ws in (u, v, u + v)]
-        worst_qybe1.append(_braid_residual(n, *S))
-    worst_qybe1 = float(np.max(worst_qybe1))
-    at_zero = float(np.max(np.abs(weight_op(params, 0.0) - n * P))) / n
+    # S(u), S(v), S(u+v) over every trial and S(0) in one build; the
+    # V^{(x)3} products still run over batches of trials
+    S = weight_ops(params, np.concatenate((u, v, u + v, [0.0])))
+    Su, Sv, Suv = S[:-1].reshape(3, trials, n * n, n * n)
+    worst_qybe1 = float(np.max([_braid_residual(n, Su[part], Sv[part], Suv[part])
+                                for part in _trial_batches(n, trials)]))
+    at_zero = float(np.max(np.abs(S[-1] - n * P))) / n
     return [
         _within("weights.relation_to_r", _echo(params, trials=trials, seed=seed),
                 worst_rel, TOL_RESIDUAL),
@@ -843,26 +854,29 @@ def theta_property_check(params: AlgebraParams, seed: int = 0):
     zero loci, and consistency of the order-n factorization constant."""
     n, eta, ctx = params.n, params.eta, params.theta
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(4):
-        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        tz, tz_period, tz_eta = map(complex, theta1(np.array([z, z + 1, z + eta]), ctx))
-        worst = max(worst, abs(tz_period - tz) / abs(tz))
-        worst = max(worst, abs(tz_eta + e_fn(-z) * tz) / abs(tz))
-        rows = theta_alpha_rows([z, z + 1 / n], ctx)
-        for alpha in range(n):
-            ta, shifted = map(complex, rows[:, alpha])
-            worst = max(worst, abs(shifted - e_fn(alpha / n) * ta) / abs(ta))
-        worst = max(worst, theta_char_shift_check(0.3, 0.6, 2, -1, z, eta))
-    zero = abs(theta1(0.0, ctx))
-    alpha_zero = abs(theta_alpha(1, -eta / n + 1 / n, ctx))
+    z = np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2)) for _ in range(4)])
+    # the factorization probes (alpha, w)
+    alpha, w = np.array([0, 1]), np.array([0.21 + 0.11j, -0.17 + 0.23j])
+    # one series per function and lattice: theta1 at the samples, their
+    # shifts by 1 and eta, and 0; theta_alpha at the samples, their shifts
+    # by 1/n, the zero -eta/n + 1/n and the probes w/n
+    t1 = theta1(np.concatenate((z, z + 1, z + eta, [0.0])), ctx)
+    tz, tz_period, tz_eta = t1[:-1].reshape(3, -1)
+    rows = theta_alpha_rows(np.concatenate((z, z + 1 / n, [-eta / n + 1 / n], w / n)), ctx)
+    ta, shifted = rows[:2 * z.size].reshape(2, z.size, n)
+    alpha_zero, probes = abs(rows[2 * z.size, 1]), rows[2 * z.size + 1:]
+    worst = float(np.max([
+        *(np.abs(tz_period - tz) / np.abs(tz)),
+        *(np.abs(tz_eta + np.exp(TWO_PI_I * -z) * tz) / np.abs(tz)),
+        *(np.abs(shifted - np.exp(TWO_PI_I * (np.arange(n) / n)) * ta) / np.abs(ta)).ravel(),
+        *theta_char_shift_check(0.3, 0.6, 2, -1, z, eta),
+    ]))
+    zero = abs(t1[-1])
     # factor constant agrees across its sample points
     c = factor_constant(ctx)
-    worst_c = 0.0
-    for alpha, z in ((0, 0.21 + 0.11j), (1, -0.17 + 0.23j)):
-        lhs = theta_char(alpha / n + 0.5, 0.5, z, n * eta)
-        rhs = e_fn(-0.5 * z) * theta_alpha(alpha, z / n, ctx) / c
-        worst_c = max(worst_c, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    lhs = theta_char(alpha / n + 0.5, 0.5, w, n * eta)
+    rhs = np.exp(TWO_PI_I * (-0.5 * w)) * probes[[0, 1], alpha] / c
+    worst_c = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
     return [
         _within("theta.quasi_periodicity", {"n": n, "eta": [eta.real, eta.imag]},
                 worst, TOL_THETA),

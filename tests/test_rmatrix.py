@@ -7,9 +7,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ellr.theta as theta_module
-from ellr.theta import TruncationError, e_fn, theta_alpha, w_fn
+from ellr.theta import (
+    TruncationError, e_fn, theta_alpha, theta_alpha_rows, theta_char_shift_check, w_fn,
+)
 from ellr.linalg import svd_rank
 from ellr.rmatrix import (
     DEFAULT_ETA,
@@ -27,6 +30,7 @@ from ellr.rmatrix import (
     r_plus_limit,
     weight_op,
     weight_op_k,
+    weight_ops,
     det_closed_form,
     alt_norm_det_closed_form,
     alt_norm_prefactor,
@@ -287,6 +291,52 @@ def test_r_matrix_matches_entrywise_reference(n):
 def test_nonconverging_lattice_is_refused_at_construction():
     with pytest.raises(TruncationError, match="^theta series did not converge"):
         make_params(3, 1, eta=0.3 + 1e-4j)
+
+
+_coord = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(2, 5), last_k=st.booleans(), eta_re=st.floats(-0.5, 0.5),
+       eta_im=st.one_of(st.floats(0.3, 2.0), st.floats(2.0, 12.0)),
+       coords=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=6))
+def test_batched_weights_and_theta_rows_equal_one_point_builds(n, last_k, eta_re, eta_im,
+                                                               coords):
+    # every entry of a batched build, large Im(eta) included, is the
+    # one-point build at its z, bit for bit
+    eta = complex(eta_re, eta_im)
+    p = make_params(n, n - 1 if last_k else 1, eta=eta)
+    zs = [x + y * eta for x, y in coords]
+    for step, one_point in ((1, weight_op), (-p.k_prime, weight_op_k)):
+        for z, S in zip(zs, weight_ops(p, zs, step)):
+            np.testing.assert_array_equal(S, one_point(p, z))
+    idx = np.arange(n)
+    for z, w in zip(zs, w_fn(idx[:, None], idx, zs, p.tau, p.theta)):
+        np.testing.assert_array_equal(w, w_fn(idx[:, None], idx, z, p.tau, p.theta))
+    for z, row in zip(zs, theta_alpha_rows(zs, p.theta)):
+        np.testing.assert_array_equal(row, theta_alpha_rows([z], p.theta)[0])
+    for z, resid in zip(zs, theta_char_shift_check(0.3, 0.6, 2, -1, zs, eta)):
+        assert resid == theta_char_shift_check(0.3, 0.6, 2, -1, z, eta)
+
+
+def test_first_r_matrices_call_fills_the_denominators_from_its_series(monkeypatch):
+    # a fresh params' first build appends [tau, 0] to its one series and
+    # caches the denominators a separate [tau, 0] series would give
+    calls = []
+    series = theta_module._series
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return series(*args, **kwargs)
+
+    p, ref = make_params(5, 2), make_params(5, 2)
+    monkeypatch.setattr(theta_module, "_series", counted)
+    stack = r_matrices(p, [0.1, -0.2 + 0.03j])
+    assert calls == [(2 * 2 + 2, 5, 5)]
+    monkeypatch.undo()
+    assert np.array_equal(p._r_denominators, ref._r_denominators)
+    for z, R in zip([0.1, -0.2 + 0.03j], stack):
+        assert np.array_equal(R, r_matrix(ref, z))
 
 
 def test_params_are_frozen_and_with_tau_is_fresh(p31):

@@ -238,8 +238,8 @@ def test_mult_identity_reads_no_product_as_a_matrix(monkeypatch):
 
 def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
     # the number of points of every theta_alpha_rows call in ellr.rmatrix:
-    # one call per r_matrices call, and one ([tau, 0]) per params whose
-    # denominators are not yet cached
+    # one call per r_matrices call, its [-z, -z + tau] rows followed by
+    # [tau, 0] when the denominators of its params are not yet cached
     import ellr.rmatrix
 
     p = make_params(3, 1)
@@ -261,8 +261,42 @@ def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
     points.clear()
     V.transform_check(p)
     # R(z) and four left-hand stacks at p over the five trials, then the
-    # denominators and the stack of each of params_neg, params_p1, params_pe
-    assert points == [2 * 25, 2, 2 * 5, 2, 2 * 5, 2, 2 * 5]
+    # stack of each of params_neg, params_p1, params_pe with its denominators
+    assert points == [2 * 25, 2 * 5 + 2, 2 * 5 + 2, 2 * 5 + 2]
+
+
+# theta series (theta._series calls) per invocation of each identity check,
+# its caches filled by a first invocation
+SERIES_PER_CHECK = {
+    (3, 1): {"theta": 4, "qybe": 2, "transforms": 4, "det": 3, "inverse": 1, "nullity": 3,
+             "twist": 1, "dual_algebra": 2, "weights": 3, "limits": 4},
+    (5, 2): {"theta": 4, "qybe": 20, "transforms": 4, "det": 3, "inverse": 1, "nullity": 3,
+             "twist": 1, "dual_algebra": 2, "weights": 3, "limits": 4},
+}
+
+
+@pytest.mark.parametrize("nk", sorted(SERIES_PER_CHECK))
+def test_each_identity_check_takes_few_theta_series(monkeypatch, nk):
+    # theta, weights, limits and transforms build their theta rows, weight
+    # operators and R's as stacks: one series per function, lattice or
+    # parameter set; qybe's trial batches and the torsion cells stay apart
+    import ellr.theta
+
+    p = make_params(*nk)
+    series, counts = ellr.theta._series, {}
+    for name in SERIES_PER_CHECK[nk]:
+        V.run_suite(p, [name])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(ellr.theta, "_series", counted)
+        V.run_suite(p, [name])
+        monkeypatch.undo()
+        counts[name] = len(calls)
+    assert counts == SERIES_PER_CHECK[nk]
 
 
 def test_results_share_one_string_per_name():
@@ -293,9 +327,37 @@ def test_batched_builds_leave_every_result_unchanged(monkeypatch, nk):
     for module in (ellr.rmatrix, ellr.tensorops, V):
         monkeypatch.setattr(module, "r_matrices", one_at_a_time)
     single = V.run_suite(p, GRID_CHECKS)
-    for r in batched + single:
+    weights = ellr.rmatrix.weight_ops
+
+    def one_weight_at_a_time(params, zs, step=1):
+        dim = params.n ** 2
+        return np.array([weights(params, [z], step)[0] for z in zs]).reshape(-1, dim, dim)
+
+    for module in (ellr.rmatrix, V):
+        monkeypatch.setattr(module, "weight_ops", one_weight_at_a_time)
+    single_weights = V.run_suite(p, GRID_CHECKS)
+    for r in batched + single + single_weights:
         r.wall_time = 0.0
     assert single == batched
+    assert single_weights == batched
+
+
+@pytest.mark.parametrize("check", (V.theta_property_check, V.weight_family_check,
+                                   V.limit_check), ids=("theta", "weights", "limits"))
+def test_batched_identity_checks_keep_a_small_peak(check):
+    # a stack per check invocation stays below the traced peak of the
+    # largest grid check at (5, 2), transform_check's 638 KiB
+    import tracemalloc
+
+    p = make_params(5, 2)
+    check(p)  # the index and theta caches are filled once
+    tracemalloc.start()
+    try:
+        check(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024, peak // 1024
 
 
 def _dense3(A, sites, n):
@@ -636,6 +698,45 @@ def test_cli_rejects_a_non_finite_eta_or_tau(key, value, source, tmp_path, monke
     assert main(["report", "all", "--n", "3", *argv]) == 2
     (err,) = capsys.readouterr().err.strip().splitlines()
     assert err.startswith(f"error: {key} must be finite"), err
+
+
+@pytest.mark.parametrize("key, pair", (("eta", [None, 1]), ("tau", [[1], 2])))
+def test_cli_rejects_a_config_pair_holding_a_non_number(key, pair, tmp_path, monkeypatch,
+                                                         capsys):
+    # float() of None or of a list raises TypeError: still one usage error
+    # line naming the key and exit 2, before any parameters are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters built or checks run from a non-number")
+
+    monkeypatch.setattr("ellr.cli.make_params", refuse)
+    monkeypatch.setattr("ellr.cli.run_suite", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: pair}))
+    assert main(["report", "all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {key} must be a pair of numbers, got {pair!r}"]
+
+
+def test_emit_matches_the_deep_copied_serialization():
+    # to_dict shares the field values instead of deep-copying them: emit
+    # still writes the bytes of the asdict-based rows, and zeroing the
+    # emitted wall times leaves the results' own untouched
+    import dataclasses
+
+    results = V.run_suite(P31, ["nullity", "limits", "det", "theta"])
+    report = V.Report(V.VERSION, {"n": 3, "k": 1}, results).finalize()
+    times = [r.wall_time for r in report.results]
+    assert any(times)
+    for keep_times in (False, True):
+        data = {"version": report.version, "config": report.config,
+                "results": [dataclasses.asdict(r) for r in report.results],
+                "summary": report.summary}
+        if not keep_times:
+            for row in data["results"]:
+                row["wall_time"] = 0.0
+        expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert emit(report, keep_times=keep_times) == expected
+        assert [r.wall_time for r in report.results] == times
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
