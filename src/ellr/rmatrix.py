@@ -14,7 +14,6 @@ call; nothing caches R itself.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -368,30 +367,6 @@ def det_closed_form(params: AlgebraParams, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def alt_norm_det_closed_form(params: AlgebraParams, z):
-    """Closed form for the determinant of the alternative normalization
-    R^alt(z) := R_tau(z) / prod_alpha (theta_alpha(-z+tau)/theta_alpha(tau)):
-
-    (-1)^m e(m n^2 tau)
-      * (prod_alpha theta_alpha(-z-tau) / prod_alpha theta_alpha(-z+tau))^m,  m = n(n-1)/2.
-
-    The three factors are combined in the exponent, exp(m (2 pi i n^2 tau +
-    log ratio)), since apart they underflow and overflow at n = 5.
-    """
-    n, tau = params.n, params.tau
-    num, den = theta_alpha_rows([-z - tau, -z + tau], params.theta)
-    ratio = complex(np.prod(num / den))
-    m = n * (n - 1) // 2
-    return (-1) ** m * cmath.exp(m * (2j * cmath.pi * n * n * tau + cmath.log(ratio)))
-
-
-def alt_norm_prefactor(params: AlgebraParams, z):
-    """prod_alpha theta_alpha(-z+tau)/theta_alpha(tau), the scalar relating
-    R_tau(z) to the alternative normalization."""
-    num, den = theta_alpha_rows([-z + params.tau, params.tau], params.theta)
-    return complex(np.prod(num / den))
-
-
 def transpose_residual(n: int, zs, R, R_dual) -> float:
     """Worst relative residual over zs of R(z)^T = e(-n^2 z) R_dual(-z), the
     transpose taken in the x-basis, for stacks R over zs, R_dual over -zs."""
@@ -401,12 +376,3 @@ def transpose_residual(n: int, zs, R, R_dual) -> float:
         residuals.append(float(np.linalg.norm(lhs - rhs)
                                / max(np.linalg.norm(lhs), np.linalg.norm(rhs))))
     return max(residuals)
-
-
-def dual_transpose_check(params: AlgebraParams, zs) -> float:
-    """Worst relative residual over zs of
-    R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z), the transpose taken in
-    the x-basis.  Each side is one r_matrices call."""
-    n, zs = params.n, list(zs)
-    dual = AlgebraParams(n, n - params.k, -params.tau, params.theta, params.ranks)
-    return transpose_residual(n, zs, r_matrices(params, zs), r_matrices(dual, [-z for z in zs]))

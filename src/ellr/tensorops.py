@@ -37,10 +37,12 @@ R[(a, s-a), (i, s-i)] (``pair_blocks``) acts on digit p, one batched n x n
 matmul.  The chains, T_d, F_d and both assemblies of M_{a,b} are
 (argument, position) lists of R(argument)_{position,position+1} factors,
 whose distinct arguments are built in one ``r_matrices`` call
-(``r_product`` takes them from R's built elsewhere); the
-Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).  Each
-distinct factor is checked once: an entry between two pair grades, or an
-inf or NaN entry, is refused.  No n^d x n^d array is formed on these
+(``factor_mats``); ``r_product`` forms a list from R's built elsewhere.
+``t_ranks`` certifies a batch of T_d of one degree from one such call,
+one site product with the batch on a leading axis and one ``svd_ranks``
+call.  The Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
+Each distinct factor is checked once: an entry between two pair grades,
+or an inf or NaN entry, is refused.  No n^d x n^d array is formed on these
 paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 (read at call time, one
 rule for the builders and the checks that refuse: ``beyond_cap``).
 
@@ -87,9 +89,11 @@ from .linalg import (
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
     singular_rank,
     spectrum,
+    svd_ranks,
 )
 
 MAX_TENSOR_DIM = 5 ** 5
+T_BATCH_ENTRIES = 2 ** 20  # per batched product stack of t_ranks
 
 
 class ScaledOp:
@@ -360,11 +364,17 @@ def site_product(n: int, d: int, factors) -> np.ndarray:
     return out
 
 
-def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
-    """The :func:`r_product` of (arg, pos) ``factors``, each distinct
-    argument built once, all of them in one :func:`r_matrices` call."""
+def factor_mats(params: AlgebraParams, factors) -> dict:
+    """R(arg) for each distinct argument of the (arg, pos) ``factors``,
+    keyed by argument, all of them from one :func:`r_matrices` call."""
     args = list(dict.fromkeys(arg for arg, _ in factors))
-    return r_product(params.n, d, factors, dict(zip(args, r_matrices(params, args))))
+    return dict(zip(args, r_matrices(params, args)))
+
+
+def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
+    """The :func:`r_product` of (arg, pos) ``factors`` over their
+    :func:`factor_mats`."""
+    return r_product(params.n, d, factors, factor_mats(params, factors))
 
 
 def r_product(n: int, d: int, factors, mats: dict) -> ScaledOp:
@@ -380,26 +390,6 @@ def r_product(n: int, d: int, factors, mats: dict) -> ScaledOp:
         unit[arg], logs[arg] = mats[arg] / scale, math.log(scale)
     return ScaledOp(site_product(n, d, [(unit[arg], (pos, pos + 1)) for arg, pos in factors]),
                     sum(logs[arg] for arg, _ in factors))
-
-
-def chain_asc(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
-    """Ascending chain from position i to j with arguments ts = [t_i..t_{j-1}]."""
-    return _product(params, d, _chain_factors(d, i, j, ts, False, False))
-
-
-def chain_asc_rev(params: AlgebraParams, d: int, i: int, j: int, ts) -> ScaledOp:
-    """Reversed ascending chain from i to j with ts = [t_i..t_{j-1}]."""
-    return _product(params, d, _chain_factors(d, i, j, ts, False, True))
-
-
-def chain_desc(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
-    """Descending chain from position j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _product(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, False))
-
-
-def chain_desc_rev(params: AlgebraParams, d: int, j: int, i: int, ts) -> ScaledOp:
-    """Reversed descending chain from j down to i, ts in display order [t_{j-1}..t_i]."""
-    return _product(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, True))
 
 
 def _t_factors(d: int, zs, shift: int = 0) -> list:
@@ -526,6 +516,35 @@ def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
     if op.max_abs() < ZERO_OPERATOR_TOL:
         return 0, math.inf
     return singular_rank(op.mat, policy)
+
+
+def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None) -> list:
+    """Certified (rank, gap) of T_d at each argument list of ``zss``, as
+    :func:`scaled_rank` of :func:`t_op` certifies each alone.
+
+    Every T_d has the factor positions of :func:`_t_factors`, so the lists
+    run as one batch: their distinct arguments in one :func:`r_matrices`
+    call, each R at unit max-abs under :func:`r_product`'s rule, one
+    :func:`site_product` with the lists on a leading batch axis, a product
+    below ZERO_OPERATOR_TOL the zero operator, and one :func:`svd_ranks`
+    over the others.  The batch runs in slices of at most T_BATCH_ENTRIES
+    product entries, which bounds its memory (13 lists a slice at n^d = 5^4)."""
+    n, lists = params.n, [_t_factors(d, zs) for zs in zss]
+    mats = factor_mats(params, [factor for factors in lists for factor in factors])
+    unit = {}
+    for arg, mat in mats.items():
+        scale = float(np.max(np.abs(mat)))
+        unit[arg] = mat / (scale if 0.0 < scale < math.inf else 1.0)
+    step = max(1, T_BATCH_ENTRIES // n ** (2 * d - 1))
+    out = []
+    for start in range(0, len(lists), step):
+        batch = lists[start:start + step]
+        stack = site_product(n, d, [(np.stack([unit[factors[i][0]] for factors in batch]),
+                                     (pos, pos + 1)) for i, (_, pos) in enumerate(batch[0])])
+        live = np.max(np.abs(stack), axis=(-3, -2, -1)) >= ZERO_OPERATOR_TOL
+        certified = iter(svd_ranks(stack[live], policy) if live.any() else [])
+        out += [next(certified) if alive else (0, math.inf) for alive in live]
+    return out
 
 
 def embedded_copies(pair: Subspace, n: int, d: int) -> list:

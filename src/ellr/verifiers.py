@@ -85,12 +85,12 @@ from .tensorops import (
     site_product,
     symmetrizer,
     antisymmetrizer,
-    t_op,
     f_op,
     f_factors,
     f_pair_op,
     r_product,
     m_op,
+    t_ranks,
     embedded_copies,
 )
 from .classical import classical_w_dim, shuffle_identity_check
@@ -565,7 +565,8 @@ def t_rank_table(params: AlgebraParams, d: int):
     """Rank of the cumulative chain operator with one free argument.
 
     T_d(z, -tau, ..., -tau) has four rank regimes in z; the mirrored table
-    holds for T_d(tau, ..., tau, z)."""
+    holds for T_d(tau, ..., tau, z).  Every case of both tables is
+    certified in one batch (:func:`t_ranks`)."""
     if tau_excluded(params, d):
         return [_refused("t_table.primary", params, "tau on excluded torsion locus", d=d)]
     n, eta, tau = params.n, params.eta, params.tau
@@ -587,17 +588,12 @@ def t_rank_table(params: AlgebraParams, d: int):
     ]
     for m in range(1, d - 1):
         mirror.append((f"z=-{m}tau", -m * tau, 0))
-    results = []
-    for table, args_of in (
-        ("primary", lambda z: [z] + [-tau] * (d - 2)),
-        ("mirror", lambda z: [tau] * (d - 2) + [z]),
-    ):
-        cases = primary if table == "primary" else mirror
-        for name, z, expected in cases:
-            rank, _ = scaled_rank(t_op(params, d, args_of(z)), params.ranks)
-            results.append(_equals(f"t_table.{table}", _echo(params, d=d, case=name),
-                                   expected, rank))
-    return results
+    cases = [("primary", name, [z] + [-tau] * (d - 2), expected)
+             for name, z, expected in primary] + [
+        ("mirror", name, [tau] * (d - 2) + [z], expected) for name, z, expected in mirror]
+    ranks = t_ranks(params, d, [zs for _, _, zs, _ in cases], params.ranks)
+    return [_equals(f"t_table.{table}", _echo(params, d=d, case=name), expected, rank)
+            for (table, name, _, expected), (rank, _) in zip(cases, ranks)]
 
 
 def _deviation(A, B) -> tuple:

@@ -1,6 +1,7 @@
 """R-matrix unit tests: normalization, symmetry operators, transformation
 laws, determinant closed forms, torsion limits, and the duality laws."""
 
+import cmath
 import dataclasses
 import math
 from math import comb
@@ -32,9 +33,7 @@ from ellr.rmatrix import (
     weight_op_k,
     weight_ops,
     det_closed_form,
-    alt_norm_det_closed_form,
-    alt_norm_prefactor,
-    dual_transpose_check,
+    transpose_residual,
 )
 
 
@@ -144,6 +143,30 @@ def test_det_k_independent(p31, p32):
     assert abs(d1 - d2) < 1e-10 * abs(d1)
 
 
+def alt_norm_det_closed_form(params, z):
+    """Closed form for the determinant of the alternative normalization
+    R^alt(z) := R_tau(z) / prod_alpha (theta_alpha(-z+tau)/theta_alpha(tau)):
+
+    (-1)^m e(m n^2 tau)
+      * (prod_alpha theta_alpha(-z-tau) / prod_alpha theta_alpha(-z+tau))^m,  m = n(n-1)/2.
+
+    The three factors are combined in the exponent, exp(m (2 pi i n^2 tau +
+    log ratio)), since apart they underflow and overflow at n = 5.
+    """
+    n, tau = params.n, params.tau
+    num, den = theta_alpha_rows([-z - tau, -z + tau], params.theta)
+    ratio = complex(np.prod(num / den))
+    m = n * (n - 1) // 2
+    return (-1) ** m * cmath.exp(m * (2j * cmath.pi * n * n * tau + cmath.log(ratio)))
+
+
+def alt_norm_prefactor(params, z):
+    """prod_alpha theta_alpha(-z+tau)/theta_alpha(tau), the scalar relating
+    R_tau(z) to the alternative normalization."""
+    num, den = theta_alpha_rows([-z + params.tau, params.tau], params.theta)
+    return complex(np.prod(num / den))
+
+
 def test_alt_normalization_det_and_prefactor():
     # n = 2 fixes the sign (-1)^{n(n-1)/2}; n = 5 needs the factors combined
     # in the exponent, where e(m n^2 tau) alone underflows
@@ -239,6 +262,15 @@ def test_weight_sum_matches_kron_loop_reference(n):
             for got, step in ((weight_op(p, z), 1), (weight_op_k(p, z), -p.k_prime)):
                 ref = _kron_weight_sum(p, z, step)
                 assert _rel(got - ref, ref) < 1e-13, (n, k, z, step)
+
+
+def dual_transpose_check(params, zs):
+    """Worst relative residual over zs of
+    R_{n,k,tau}(z)^T = e(-n^2 z) R_{n,n-k,-tau}(-z), the transpose taken in
+    the x-basis.  Each side is one r_matrices call."""
+    n, zs = params.n, list(zs)
+    dual = AlgebraParams(n, n - params.k, -params.tau, params.theta, params.ranks)
+    return transpose_residual(n, zs, r_matrices(params, zs), r_matrices(dual, [-z for z in zs]))
 
 
 def test_dual_transpose(p31, p32):

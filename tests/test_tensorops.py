@@ -27,10 +27,9 @@ from ellr.tensorops import (
     perm_sign,
     symmetrizer,
     antisymmetrizer,
-    chain_asc,
-    chain_asc_rev,
-    chain_desc,
-    chain_desc_rev,
+    _chain_factors,
+    factor_mats,
+    r_product,
     t_op,
     f_op,
     f_pair_op,
@@ -50,6 +49,32 @@ def embed_pair(op, pos, n, d):
     """The dense embedding of a two-site operator at tensorands (pos, pos+1),
     pos one-based: the reference the in-place site products are tested on."""
     return np.kron(np.kron(np.eye(n ** (pos - 1)), op), np.eye(n ** (d - pos - 1)))
+
+
+def _chain(params, d, factors):
+    """The product of the (argument, position) ``factors`` on V^(x)d."""
+    return r_product(params.n, d, factors, factor_mats(params, factors))
+
+
+def chain_asc(params, d, i, j, ts):
+    """Ascending chain from position i to j with arguments ts = [t_i..t_{j-1}]:
+    the witness the chain factor lists are tested on."""
+    return _chain(params, d, _chain_factors(d, i, j, ts, False, False))
+
+
+def chain_asc_rev(params, d, i, j, ts):
+    """Reversed ascending chain from i to j with ts = [t_i..t_{j-1}]."""
+    return _chain(params, d, _chain_factors(d, i, j, ts, False, True))
+
+
+def chain_desc(params, d, j, i, ts):
+    """Descending chain from position j down to i, ts in display order [t_{j-1}..t_i]."""
+    return _chain(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, False))
+
+
+def chain_desc_rev(params, d, j, i, ts):
+    """Reversed descending chain from j down to i, ts in display order [t_{j-1}..t_i]."""
+    return _chain(params, d, _chain_factors(d, i, j, list(ts)[::-1], True, True))
 
 
 def dense_site_product(n, d, factors, cols=None):

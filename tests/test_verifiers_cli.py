@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ellr.linalg import Subspace, subspace_equal
+from ellr.linalg import RankPolicy, Subspace, subspace_equal
 from ellr.rmatrix import (
     HalfPeriodPoint, b_fn, basis_ops, f_fn, make_params, r_matrix, torsion_op, weight_op,
     weight_op_k,
@@ -297,6 +297,77 @@ def test_each_identity_check_takes_few_theta_series(monkeypatch, nk):
         monkeypatch.undo()
         counts[name] = len(calls)
     assert counts == SERIES_PER_CHECK[nk]
+
+
+@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
+def test_t_table_builds_its_rs_once_per_degree(monkeypatch, nk):
+    # one r_matrices call, so one theta series, per degree (3 and 4) of a
+    # t_table invocation whose caches a first invocation filled
+    import ellr.rmatrix
+    import ellr.tensorops
+    import ellr.theta
+
+    p = make_params(*nk)
+    V.run_suite(p, ["t_table"])
+    series, build, calls = ellr.theta._series, ellr.rmatrix.r_matrices, Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ellr.theta, "_series", counted(series, "series"))
+    for module in (ellr.rmatrix, ellr.tensorops, V):
+        monkeypatch.setattr(module, "r_matrices", counted(build, "builds"))
+    V.run_suite(p, ["t_table"])
+    assert calls == {"series": 2, "builds": 2}
+
+
+@pytest.mark.parametrize("nk", ((2, 1), (3, 1), (4, 1), (5, 2)))
+def test_batched_t_table_certifies_each_case_as_alone(monkeypatch, nk):
+    # the batch of each degree gives every case the rank scaled_rank(t_op)
+    # gives it alone, the zero-rank z = m*tau cases included, in one slice
+    # and in slices of one and of five cases
+    import ellr.tensorops
+    from ellr.tensorops import scaled_rank, t_op
+
+    p = make_params(*nk)
+    for d in (3, 4):
+        batched = [V.t_rank_table(p, d)]
+        for entries in (1, 5 * nk[0] ** (2 * d - 1)):
+            monkeypatch.setattr(ellr.tensorops, "T_BATCH_ENTRIES", entries)
+            batched.append(V.t_rank_table(p, d))
+        monkeypatch.setattr(V, "t_ranks", lambda params, d, zss, policy: [
+            scaled_rank(t_op(params, d, zs), policy) for zs in zss])
+        alone = V.t_rank_table(p, d)
+        monkeypatch.undo()
+        assert all(repr(results) == repr(alone) for results in batched), d
+        zero_cases = [r for r in alone if r.params["case"].endswith(f"{d - 2}tau")]
+        assert len(zero_cases) == 2 and all(r.observed == 0 for r in zero_cases), d
+        assert all(r.status == "pass" for r in alone), d
+
+
+def test_tensor_checks_keep_their_failure_statuses(monkeypatch):
+    # an uncertifiable gap gives one ambiguous result per t_table degree,
+    # and a NaN entry in one R (an overflowed r_matrices gives NaN) one
+    # refused result per invocation of t_table and of mult: never a traceback
+    import ellr.tensorops
+
+    strict = make_params(3, 1, ranks=RankPolicy(min_gap=1e300))
+    assert [r.status for r in V.run_suite(strict, ["t_table"])] == ["ambiguous"] * 2
+    build = ellr.tensorops.r_matrices
+
+    def overflowed(params, zs):
+        mats = build(params, zs).copy()
+        mats[-1, 0, 0] = np.nan
+        return mats
+
+    monkeypatch.setattr(ellr.tensorops, "r_matrices", overflowed)
+    for name, count in (("t_table", 2), ("mult", 1)):
+        results = V.run_suite(P31, [name])
+        assert [r.status for r in results] == ["refused"] * count, name
+        assert all("inf or NaN" in r.expected for r in results), name
 
 
 def test_results_share_one_string_per_name():
