@@ -24,7 +24,7 @@ from .linalg import (
     kernel,
     image,
     subspace_sum,
-    subspace_intersect,
+    complement_of_sum,
     subspace_equal,
 )
 from .rmatrix import (

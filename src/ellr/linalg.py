@@ -18,13 +18,14 @@ over all blocks.  So a stack's certificate (rank, gap) is the dense one up
 to rounding, and a block of pure noise beside a large one is cut as noise.
 
 Subspaces are kept grade by grade in the same way (:class:`Subspace`), and
-sums, intersections and comparisons run grade by grade.  One SVD per call:
+sums, complements and comparisons run grade by grade.  One SVD per call:
 :func:`spectrum` returns the certified rank, the gap, the image and the
 kernel together, and ``svd_rank``, ``kernel``, ``image``, ``subspace_sum``
-and ``subspace_intersect`` read from it; :func:`singular_rank` certifies a
-rank from the singular values alone.  :func:`svd_ranks` certifies a batch
-of separate block stacks (the pair blocks of many R-matrices), each on its
-own, from one values-only SVD.
+and ``complement_of_sum`` read from it; :func:`singular_rank` certifies a
+rank from the singular values alone.  No intersection is formed from
+projectors: it is the complement of the sum of the members' complements.
+:func:`svd_ranks` certifies a batch of separate block stacks (the pair
+blocks of many R-matrices), each on its own, from one values-only SVD.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class Subspace:
     grade g.  An ungraded subspace is a single block."""
 
     blocks: tuple  # blocks[g] of shape (dim of grade g, dim of the part)
-    tol_used: float = 0.0
 
     @property
     def ambient_dim(self) -> int:
@@ -93,9 +93,6 @@ class Subspace:
             out[row:row + B.shape[0], col:col + B.shape[1]] = B
             row, col = row + B.shape[0], col + B.shape[1]
         return out
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
     @staticmethod
     def full(ambient_dim: int, grades: int = 1) -> "Subspace":
@@ -134,28 +131,29 @@ def _blocks(M) -> list:
     return [np.asarray(M, dtype=complex)]
 
 
-def _normalized(blocks) -> list:
-    """The blocks divided by their common max-abs entry."""
+def _max_abs(blocks) -> float:
+    """The common max-abs entry of the blocks, by which a stack is
+    normalized (1.0 when every block is zero or empty).  Raises
+    NonFiniteMatrixError on an inf or NaN entry."""
     scales = [float(np.max(np.abs(B))) for B in blocks if B.size]
     if not all(map(math.isfinite, scales)):
         raise NonFiniteMatrixError(
             "matrix has inf or NaN entries: its construction overflowed complex128")
-    scale = max(scales, default=0.0)
-    return [B / scale for B in blocks] if scale else blocks
+    return max(scales, default=0.0) or 1.0
 
 
-def _svds(blocks, compute_uv: bool = True, full: bool = True) -> list:
-    """``np.linalg.svd`` of every block, one call per group of blocks of one
-    shape.  The full V only for a wide block when ``full`` (its kernel needs
+def _svds(blocks, compute_uv: bool = True, full: bool = True, scale: float = 1.0) -> list:
+    """``np.linalg.svd`` of every block divided by ``scale``, one call per
+    group of blocks of one shape, divided in place in the copy np.stack
+    makes.  The full V only for a wide block when ``full`` (its kernel needs
     the rows of Vh beyond min(m, n)); a tall block never builds a square U."""
     out = [None] * len(blocks)
     groups = {}
     for i, B in enumerate(blocks):
         groups.setdefault(B.shape, []).append(i)
     for (rows, cols), members in groups.items():
-        # one block goes in as a view, without the copy np.stack makes
-        stack = blocks[members[0]][None] if len(members) == 1 else np.stack(
-            [blocks[i] for i in members])
+        stack = np.stack([blocks[i] for i in members])
+        stack /= scale
         res = np.linalg.svd(stack, full_matrices=full and rows < cols, compute_uv=compute_uv)
         for j, i in enumerate(members):
             out[i] = tuple(x[j] for x in res) if compute_uv else res[j]
@@ -191,20 +189,20 @@ def spectrum(M, policy: RankPolicy | None = None) -> Spectrum:
     M has an inf or NaN entry.
     """
     policy = policy or RankPolicy()
-    svds = _svds(_normalized(_blocks(M)))
+    blocks = _blocks(M)
+    svds = _svds(blocks, scale=_max_abs(blocks))
     ranks, gap = _cut([s for _, s, _ in svds], policy)
-    tol = policy.rel_threshold
-    return Spectrum(
-        sum(ranks), gap,
-        Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)), tol),
-        Subspace(tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks)), tol))
+    return Spectrum(sum(ranks), gap,
+                    Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks))),
+                    Subspace(tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks))))
 
 
 def singular_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
     """Certified (rank, gap) of M, one matrix or a block stack, from its
     singular values alone, through the cut of :func:`spectrum`."""
     policy = policy or RankPolicy()
-    ranks, gap = _cut(_svds(_normalized(_blocks(M)), compute_uv=False), policy)
+    blocks = _blocks(M)
+    ranks, gap = _cut(_svds(blocks, compute_uv=False, scale=_max_abs(blocks)), policy)
     return sum(ranks), gap
 
 
@@ -258,22 +256,16 @@ def subspace_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
     policy = policy or RankPolicy()
     stacks = [np.hstack(grade) for grade in _by_grade(spaces)]
     # only the image is read, so a wide stack needs no square V
-    svds = _svds(_normalized(stacks), full=False)
+    svds = _svds(stacks, full=False, scale=_max_abs(stacks))
     ranks, _ = _cut([s for _, s, _ in svds], policy)
-    return Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)),
-                    policy.rel_threshold)
+    return Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)))
 
 
-def subspace_intersect(spaces, policy: RankPolicy | None = None) -> Subspace:
-    """Intersection via stacked orthogonal-projector complements.
-
-    v lies in the intersection iff (I - P_i) v = 0 for every member, so the
-    intersection is the kernel of the vertically stacked complements, taken
-    grade by grade at one cut.
-    """
-    stacks = [np.vstack([np.eye(len(B), dtype=complex) - B @ B.conj().T for B in grade])
-              for grade in _by_grade(spaces)]
-    return spectrum(stacks, policy).kernel
+def complement_of_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
+    """Orthogonal complement of the sum of subspaces: the kernel of the
+    conjugate transpose of each grade's bases side by side, from one
+    spectrum at one cut over all grades."""
+    return spectrum([np.hstack(grade).conj().T for grade in _by_grade(spaces)], policy).kernel
 
 
 def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
@@ -366,14 +358,3 @@ def exact_nullspace(rows, ncols: int):
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
         basis.append([int(x * lcm) for x in vec])
     return basis
-
-
-def exact_row_space_intersection(rows_a, rows_b, ncols: int):
-    """Integer row basis of rowspace(A) ∩ rowspace(B).
-
-    Uses annihilators: the intersection is the annihilator of the sum of the
-    two annihilators.
-    """
-    ann_a = exact_nullspace(rows_a, ncols)
-    ann_b = exact_nullspace(rows_b, ncols)
-    return exact_nullspace(ann_a + ann_b, ncols)

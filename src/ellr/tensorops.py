@@ -58,14 +58,15 @@ log scales (F_a (x) F_b is itself one product, ``f_pair_op``); and
 ``.matrix()`` / ``.dense()`` scatter the stack for the few readers of a
 plain matrix.
 
-The embedded relation spaces are sums and intersections (formed with
-``linalg.subspace_sum`` / ``subspace_intersect``, grade by grade) of the
-copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2}
-(the image or the kernel of R(+-tau), from its n pair blocks); the
-degree-d relation space is the sum of the copies of im R(tau).  Each copy
-is the image of W's orthonormal pair blocks embedded by the site product,
-so the only rank decision below the sum or intersection is the one made on
-R(+-tau) itself.
+The embedded relation spaces are built grade by grade from the copies
+V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} taken
+from the n pair blocks of R(+-tau) or of R^H, whose images and kernels
+give W and its complement W^perp; the degree-d relation space is the sum
+of the copies of im R(tau).  Each copy is W's orthonormal pair blocks
+embedded by the site product, so the only rank decision below a sum or a
+``linalg.complement_of_sum`` is the one made on R(+-tau), and no
+intersection is formed: ``lattice_dims`` reads every dimension of the
+lattice the copies generate from certified ranks alone.
 """
 
 from __future__ import annotations
@@ -377,19 +378,22 @@ def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
     return r_product(params.n, d, factors, factor_mats(params, factors))
 
 
+def _unit(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """An R at unit max-abs and the log of the scale removed; a zero or
+    non-finite R is left as it is (log scale 0), for the product to treat
+    as the zero operator or for :func:`pair_blocks` to refuse."""
+    scale = float(np.max(np.abs(mat)))
+    return (mat / scale, math.log(scale)) if 0.0 < scale < math.inf else (mat, 0.0)
+
+
 def r_product(n: int, d: int, factors, mats: dict) -> ScaledOp:
     """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
     ``factors``, R(arg) given as ``mats[arg]``: one :func:`site_product` of
-    the factors at unit max-abs, with their log scales summed.  Each
-    distinct argument is divided by its own max-abs once (a zero or
-    non-finite one is left as it is, for the product to refuse)."""
-    unit, logs = {}, {}
-    for arg in dict.fromkeys(arg for arg, _ in factors):
-        scale = float(np.max(np.abs(mats[arg])))
-        scale = scale if 0.0 < scale < math.inf else 1.0
-        unit[arg], logs[arg] = mats[arg] / scale, math.log(scale)
-    return ScaledOp(site_product(n, d, [(unit[arg], (pos, pos + 1)) for arg, pos in factors]),
-                    sum(logs[arg] for arg, _ in factors))
+    the factors at unit max-abs (:func:`_unit`, once per distinct argument),
+    with their log scales summed."""
+    unit = {arg: _unit(mats[arg]) for arg in dict.fromkeys(arg for arg, _ in factors)}
+    return ScaledOp(site_product(n, d, [(unit[arg][0], (pos, pos + 1)) for arg, pos in factors]),
+                    sum(unit[arg][1] for arg, _ in factors))
 
 
 def _t_factors(d: int, zs, shift: int = 0) -> list:
@@ -524,17 +528,14 @@ def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None
 
     Every T_d has the factor positions of :func:`_t_factors`, so the lists
     run as one batch: their distinct arguments in one :func:`r_matrices`
-    call, each R at unit max-abs under :func:`r_product`'s rule, one
+    call, each R at unit max-abs (:func:`_unit`), one
     :func:`site_product` with the lists on a leading batch axis, a product
     below ZERO_OPERATOR_TOL the zero operator, and one :func:`svd_ranks`
     over the others.  The batch runs in slices of at most T_BATCH_ENTRIES
     product entries, which bounds its memory (13 lists a slice at n^d = 5^4)."""
     n, lists = params.n, [_t_factors(d, zs) for zs in zss]
     mats = factor_mats(params, [factor for factors in lists for factor in factors])
-    unit = {}
-    for arg, mat in mats.items():
-        scale = float(np.max(np.abs(mat)))
-        unit[arg] = mat / (scale if 0.0 < scale < math.inf else 1.0)
+    unit = {arg: _unit(mat)[0] for arg, mat in mats.items()}
     step = max(1, T_BATCH_ENTRIES // n ** (2 * d - 1))
     out = []
     for start in range(0, len(lists), step):
@@ -567,6 +568,47 @@ def embedded_copies(pair: Subspace, n: int, d: int) -> list:
     padded = np.zeros((n, n, n), dtype=complex)
     for s, B in enumerate(pair.blocks):
         padded[s, :, :B.shape[1]] = B
-    return [Subspace(tuple(B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))),
-                     pair.tol_used)
+    return [Subspace(tuple(B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))))
             for p in range(1, d)]
+
+
+
+def lattice_dims(pair: Subspace, complement: Subspace, n: int, d: int,
+                 policy: RankPolicy | None = None) -> tuple[list, list]:
+    """Dimensions of the lattice that the copies W_1..W_{d-1} of W = ``pair``
+    (:func:`embedded_copies`) generate in V^{(x)d}, from certified ranks of
+    grade stacks; ``complement`` is W^perp, both by their pair blocks.
+
+    With B_ell the copies 1..ell of W and A_r the last r of W^perp side by
+    side, Sig_ell = W_1 + ... + W_ell has dim rank B_ell, Cap_r =
+    W_{d-r} ^ ... ^ W_{d-1} has dim n^d - rank A_r, and dim(Sig_ell ^ Cap_r)
+    = dim Sig_ell - rank(A_r^H B_ell).  Returns the corners
+    dim(Sig_ell ^ Cap_{d-1-ell}), ell = 0..d-1 (Sig_0 = Cap_0 the whole
+    space), and for ell = 1..d-2 the dims (lhs, rhs) of the modular triple
+    Sig_{ell-1} + Cap_{r+1} = Sig_ell ^ (Sig_{ell-1} + Cap_r), r = d-1-ell,
+    with Sig_0 the zero space: by dim(X + Y) = dim X + dim Y - dim(X ^ Y),
+    the right side being Sig_{ell-1} + (Sig_ell ^ Cap_r)."""
+    sides = []
+    for W in (pair, complement):
+        copies = embedded_copies(W, n, d)
+        starts = np.cumsum([[0] * n] + [[B.shape[1] for B in S.blocks] for S in copies], axis=0)
+        sides.append(([np.hstack(grade) for grade in zip(*(S.blocks for S in copies))], starts))
+    (B, b_cols), (A, a_cols) = sides
+    sig_sides = [[X[:, :end] for X, end in zip(B, b_cols[ell])] for ell in range(d)]
+    cap_perps = [[X[:, start:] for X, start in zip(A, a_cols[d - 1 - r])] for r in range(d)]
+    sig = [0] + [singular_rank(side, policy)[0] for side in sig_sides[1:]]
+    cap = [n ** d] + [n ** d - singular_rank(side, policy)[0] for side in cap_perps[1:]]
+    meets = {}
+
+    def meet(ell, r):
+        """dim(Sig_ell ^ Cap_r), with Sig_0 the zero space; each rank once."""
+        if ell and r and (ell, r) not in meets:
+            meets[ell, r] = sig[ell] - singular_rank(
+                [a.conj().T @ b for a, b in zip(cap_perps[r], sig_sides[ell])], policy)[0]
+        return meets.get((ell, r), sig[ell])
+
+    corners = [cap[d - 1]] + [meet(ell, d - 1 - ell) for ell in range(1, d)]
+    triples = [(sig[ell - 1] + cap[d - ell] - meet(ell - 1, d - ell),
+                sig[ell - 1] + meet(ell, d - 1 - ell) - meet(ell - 1, d - 1 - ell))
+               for ell in range(1, d - 1)]
+    return corners, triples

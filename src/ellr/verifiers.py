@@ -50,14 +50,14 @@ from .theta import (
 from .linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
-    Subspace,
     singular_rank,
     svd_rank,
     svd_ranks,
     spectrum,
     image,
+    kernel,
     subspace_sum,
-    subspace_intersect,
+    complement_of_sum,
     subspace_equal,
 )
 from .rmatrix import (
@@ -92,6 +92,7 @@ from .tensorops import (
     m_op,
     t_ranks,
     embedded_copies,
+    lattice_dims,
 )
 from .classical import classical_w_dim, shuffle_identity_check
 
@@ -489,12 +490,15 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     relation spaces of R(sign*tau): rank ``expected_rank(d)``, kernel equal
     to the sum of the embedded images of R(sign*tau) (result
     ``kernel_name``), image equal to the intersection of its embedded
-    kernels, all grade by grade.  R(sign*tau) is decomposed once, from its
-    pair-grade blocks.  A degree past the dense cap is refused before
-    anything is built, and a degree expected to vanish gets no angles.
-    Returns the results and the rank per degree (None where refused)."""
+    kernels (the complement of the sum of the copies of im R^H), all grade
+    by grade, from the pair blocks of R(sign*tau) and R^H.  A degree past
+    the dense cap is refused before anything is built, and a degree
+    expected to vanish gets no angles.  Returns the results and the rank
+    per degree (None where refused)."""
     n, policy = params.n, params.ranks
-    pair = spectrum(pair_blocks(r_matrix(params, sign * params.tau), n), policy)
+    blocks = pair_blocks(r_matrix(params, sign * params.tau), n)
+    pair = image(blocks, policy)
+    coimage = image(blocks.conj().swapaxes(-1, -2), policy)
     results, ranks = [], []
     for d in range(2, top + 1):
         if note := beyond_cap(n, d):
@@ -507,12 +511,12 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
         ranks.append(spec.rank)
         if expected == 0:
             continue
-        for name, found, copies in (
-            (kernel_name, spec.kernel, subspace_sum(embedded_copies(pair.image, n, d), policy)),
-            (f"{label}.image_is_kernel_intersection", spec.image,
-             subspace_intersect(embedded_copies(pair.kernel, n, d), policy)),
+        # each side is built when it is compared, so one is held at a time
+        for name, found, combine, W in (
+            (kernel_name, spec.kernel, subspace_sum, pair),
+            (f"{label}.image_is_kernel_intersection", spec.image, complement_of_sum, coimage),
         ):
-            _, angle = subspace_equal(found, copies, TOL_ANGLE)
+            _, angle = subspace_equal(found, combine(embedded_copies(W, n, d), policy), TOL_ANGLE)
             results.append(_within(name, _echo(params, d=d), angle, TOL_ANGLE,
                                    "principal angle"))
     return results, ranks
@@ -705,49 +709,20 @@ def koszul_check(params: AlgebraParams, d: int):
 
     For every corner ell the dimension of Sig_ell ^ I_{d-1-ell} (built from
     the embedded images of R(tau)) must equal the exact classical oracle
-    value; the three-subspace modular condition is checked as a dimension
-    equality.  Every subspace is kept grade by grade, and a dimension is the
-    sum over the grades."""
+    value, and the two sides of each modular triple must have equal
+    dimensions, every one read from certified ranks (:func:`lattice_dims`)
+    with (im R)^perp = ker R^H from the pair blocks of R^H."""
     if tau_excluded(params, d):
         return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
-    n = params.n
-    policy = params.ranks
-    pair = spectrum(pair_blocks(r_matrix(params, params.tau), n), policy)
-    W = embedded_copies(pair.image, n, d)
-    ambient = Subspace.full(n ** d, n)
-    # Sig[ell] = W_1 + ... + W_ell and Cap[r] = W_{d-r} ^ ... ^ W_{d-1}, each
-    # built once; Sig[0] = Cap[0] is the whole space
-    Sig = [ambient] + [subspace_sum(W[:ell], policy) for ell in range(1, d)]
-    Cap = [ambient] + [subspace_intersect(W[d - 1 - r:], policy) for r in range(1, d)]
-
-    results = []
-    for ell in range(d):
-        r = d - 1 - ell
-        # the two end corners are Cap[d-1] and Sig[d-1] themselves
-        if ell == 0:
-            corner = Cap[r]
-        elif r == 0:
-            corner = Sig[ell]
-        else:
-            corner = subspace_intersect([Sig[ell], Cap[r]], policy)
-        if ell == 1:
-            sig1_cap = corner
-        results.append(_equals("koszul.corner_dim", _echo(params, d=d, ell=ell, r=r),
-                               classical_w_dim(n, d, ell, r), corner.dim))
-    # modular triple condition: Sig_{ell-1} + I_{r+1} = Sig_ell ^ (Sig_{ell-1} + I_r)
-    # (inside this identity the empty sum Sig_0 is the zero space)
-    for ell in range(1, d - 1):
-        r = d - ell - 1
-        if ell == 1:
-            # with Sig_0 = 0 the right side is the corner Sig_1 ^ I_r
-            lhs, rhs = Cap[r + 1], sig1_cap
-        else:
-            lhs = subspace_sum([Sig[ell - 1], Cap[r + 1]], policy)
-            inner = subspace_sum([Sig[ell - 1], Cap[r]], policy)
-            rhs = subspace_intersect([Sig[ell], inner], policy)
-        results.append(_equals("koszul.modular_triple", _echo(params, d=d, ell=ell),
-                               lhs.dim, rhs.dim))
-    return results
+    n, policy = params.n, params.ranks
+    blocks = pair_blocks(r_matrix(params, params.tau), n)
+    corners, triples = lattice_dims(image(blocks, policy),
+                                    kernel(blocks.conj().swapaxes(-1, -2), policy), n, d, policy)
+    return [_equals("koszul.corner_dim", _echo(params, d=d, ell=ell, r=d - 1 - ell),
+                    classical_w_dim(n, d, ell, d - 1 - ell), dim)
+            for ell, dim in enumerate(corners)] + [
+        _equals("koszul.modular_triple", _echo(params, d=d, ell=ell), lhs, rhs)
+        for ell, (lhs, rhs) in enumerate(triples, start=1)]
 
 
 @_guard

@@ -9,7 +9,7 @@ import pytest
 
 import ellr.classical
 import ellr.linalg
-from ellr.linalg import exact_rank, exact_row_space_intersection
+from ellr.linalg import exact_nullspace, exact_rank
 from ellr.classical import (
     lambda_rows,
     sigma_rows,
@@ -48,6 +48,36 @@ def test_classical_w_dim_tables():
     assert [classical_w_dim(3, 3, l, 2 - l) for l in range(3)] == [1, 1, 17]
     assert [classical_w_dim(3, 4, l, 3 - l) for l in range(4)] == [0, 0, 12, 66]
     assert [classical_w_dim(2, 5, l, 4 - l) for l in range(5)] == [0, 0, 0, 4, 26]
+
+
+def exact_row_space_intersection(rows_a, rows_b, ncols: int):
+    """Integer row basis of rowspace(A) ^ rowspace(B): the annihilator of
+    the sum of the two annihilators.  The witness the flat spanning sets
+    are intersected with."""
+    return exact_nullspace(exact_nullspace(rows_a, ncols) + exact_nullspace(rows_b, ncols), ncols)
+
+
+def test_exact_row_space_intersection():
+    A = [[1, 0, 0], [0, 1, 0]]
+    B = [[0, 1, 0], [0, 0, 1]]
+    inter = exact_row_space_intersection(A, B, 3)
+    assert exact_rank(inter) == 1
+    v = inter[0]
+    assert v[0] == 0 and v[2] == 0 and v[1] != 0
+
+
+def test_exact_intersection_of_full_rank_sets_is_the_whole_space():
+    # both annihilators are empty, so their sum is zero and its annihilator
+    # is all of Q^2
+    inter = exact_row_space_intersection([[1, 0], [0, 1]], [[1, 1], [1, -1]], 2)
+    assert exact_rank(inter) == 2
+
+
+def test_exact_intersection_with_empty_is_zero():
+    # empty row list spans the zero space, so any intersection with it is zero
+    A = [[1, 2, 3]]
+    inter = exact_row_space_intersection(A, [], 3)
+    assert exact_rank(inter) == 0
 
 
 # sizes the graded oracle is compared with the flat spanning sets at

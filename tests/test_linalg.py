@@ -17,15 +17,19 @@ from ellr.linalg import (
     kernel,
     image,
     subspace_sum,
-    subspace_intersect,
+    complement_of_sum,
     principal_angles,
     subspace_equal,
     exact_rank,
     exact_nullspace,
-    exact_row_space_intersection,
 )
 
 RNG = np.random.default_rng(42)
+
+
+def _projector(S):
+    """The orthogonal projector onto S, from its orthonormal basis."""
+    return S.basis @ S.basis.conj().T
 
 
 def _random_rank(m, n, r):
@@ -90,7 +94,7 @@ def _check_kernel_and_image(M, rank):
     assert np.allclose(I.basis.conj().T @ I.basis, np.eye(I.dim), atol=1e-12)
     assert np.max(np.abs(M @ K.basis)) < 1e-9 * np.max(np.abs(M))
     # the image basis spans the columns of M
-    resid = M - I.projector() @ M
+    resid = M - _projector(I) @ M
     assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(M))
 
 
@@ -139,17 +143,25 @@ def test_subspace_sum_and_intersect():
     A = Subspace((e[:, :2],))
     B = Subspace((e[:, 1:3],))
     assert subspace_sum([A, B]).dim == 3
-    C = subspace_intersect([A, B])
+    # the complement of span{x0, x1, x2} is the line of x3
+    rest = complement_of_sum([A, B])
+    assert rest.dim == 1 and abs(abs(rest.basis[3, 0]) - 1) < 1e-12
+    # A ^ B is the complement of A^perp + B^perp
+    C = complement_of_sum([Subspace((e[:, 2:],)), Subspace((e[:, [0, 3]],))])
     assert C.dim == 1
     assert abs(abs(C.basis[1, 0]) - 1) < 1e-12
 
 
 def test_intersect_with_full_and_zero():
+    # S ^ X is the complement of S^perp + X^perp; full^perp is zero and
+    # zero^perp is full
     full, zero = Subspace.full(3), Subspace.zero(3)
     M = _random_rank(3, 3, 2)
-    S = image(M)
-    assert subspace_intersect([S, full]).dim == S.dim
-    assert subspace_intersect([S, zero]).dim == 0
+    S, S_perp = image(M), kernel(M.conj().T)
+    assert complement_of_sum([S_perp, zero]).dim == S.dim
+    assert complement_of_sum([S_perp, full]).dim == 0
+    assert subspace_equal(complement_of_sum([S_perp]), S)[0]
+    assert complement_of_sum([zero]).dim == 3
     assert subspace_sum([S, zero]).dim == S.dim
 
 
@@ -213,8 +225,8 @@ def test_block_stack_is_certified_as_its_block_diagonal_matrix():
     assert [B.shape[1] for B in stacked.image.blocks] == [3, 1, 2, 0]
     assert [B.shape[1] for B in stacked.kernel.blocks] == [2, 4, 4, 5]
     for part in ("image", "kernel"):
-        P = getattr(stacked, part).projector()
-        assert np.max(np.abs(P - getattr(dense, part).projector())) < 1e-10, part
+        P = _projector(getattr(stacked, part))
+        assert np.max(np.abs(P - _projector(getattr(dense, part)))) < 1e-10, part
     for M in (blocks, _block_diag(blocks)):
         rank, gap = singular_rank(M)
         assert rank == 6 and abs(gap / dense.gap - 1) < 1e-3
@@ -254,11 +266,12 @@ def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
     B = _graded(_random_rank(4, 3, 3), _random_rank(4, 2, 2), _random_rank(4, 1, 1))
     dense = [Subspace((S.basis,)) for S in (A, B)]
     assert (A.ambient_dim, A.dim) == (12, 3)
-    for op in (subspace_sum, subspace_intersect):
+    for op in (subspace_sum, complement_of_sum):
         graded, flat = op([A, B]), op(dense)
         assert graded.dim == flat.dim
         assert subspace_equal(Subspace((graded.basis,)), flat)[0]
-    assert subspace_intersect([A, Subspace.full(12, 3)]).dim == A.dim
+    assert complement_of_sum([A, Subspace.zero(12, 3)]).dim == 12 - A.dim
+    assert [C.shape[1] for C in complement_of_sum([A]).blocks] == [2, 3, 4]
     assert subspace_sum([A, Subspace.zero(12, 3)]).dim == A.dim
     # equal total dims split differently over the grades differ by a right angle
     C = _graded(_random_rank(4, 1, 1), _random_rank(4, 1, 1), _random_rank(4, 1, 1))
@@ -292,28 +305,5 @@ def test_exact_nullspace():
     assert np.all(np.array(rows) @ v == 0)
 
 
-def test_exact_row_space_intersection():
-    A = [[1, 0, 0], [0, 1, 0]]
-    B = [[0, 1, 0], [0, 0, 1]]
-    inter = exact_row_space_intersection(A, B, 3)
-    assert exact_rank(inter) == 1
-    v = np.array(inter[0])
-    assert v[0] == 0 and v[2] == 0 and v[1] != 0
-
-
 def test_exact_nullspace_of_no_rows_is_the_whole_space():
     assert exact_nullspace([], 2) == [[1, 0], [0, 1]]
-
-
-def test_exact_intersection_of_full_rank_sets_is_the_whole_space():
-    # both annihilators are empty, so their sum is zero and its annihilator
-    # is all of Q^2
-    inter = exact_row_space_intersection([[1, 0], [0, 1]], [[1, 1], [1, -1]], 2)
-    assert exact_rank(inter) == 2
-
-
-def test_exact_intersection_with_empty_is_zero():
-    # empty row list spans the zero space, so any intersection with it is zero
-    A = [[1, 2, 3]]
-    inter = exact_row_space_intersection(A, [], 3)
-    assert exact_rank(inter) == 0

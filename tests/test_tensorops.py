@@ -11,8 +11,9 @@ import pytest
 
 from ellr.linalg import (
     NonFiniteMatrixError, Subspace, svd_rank, spectrum, image, subspace_equal, subspace_sum,
-    subspace_intersect,
+    complement_of_sum,
 )
+from ellr.classical import classical_w_dim
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
     ZERO_OPERATOR_TOL,
@@ -35,6 +36,7 @@ from ellr.tensorops import (
     f_pair_op,
     m_op,
     embedded_copies,
+    lattice_dims,
 )
 
 P31 = make_params(3, 1)
@@ -108,6 +110,21 @@ def _pair(sign=1):
     """Spectrum of R(sign*tau) from its pair-grade blocks, whose image and
     kernel the relation spaces embed."""
     return spectrum(pair_blocks(r_matrix(P31, sign * P31.tau), 3), P31.ranks)
+
+
+def _projector(S):
+    """The orthogonal projector onto S, from its orthonormal basis."""
+    return S.basis @ S.basis.conj().T
+
+
+def intersect(spaces, policy):
+    """Intersection of subspaces through stacked projector complements: v
+    lies in it iff (I - P_i) v = 0 for every member, so it is the kernel of
+    the vertically stacked complements, grade by grade at one cut.  The
+    dense witness the complements and the rank-only lattice are tested on."""
+    stacks = [np.vstack([np.eye(len(B)) - B @ B.conj().T for B in grade])
+              for grade in zip(*(S.blocks for S in spaces))]
+    return spectrum(stacks, policy).kernel
 
 
 def _dense(S, n, d):
@@ -476,10 +493,16 @@ def test_f_dual_rank_and_vanishing():
 
 
 def test_f_image_is_embedded_kernel_intersection():
+    # the intersection of the embedded kernels of R(tau) is the complement
+    # of the sum of the embedded copies of im R(tau)^H = (ker R(tau))^perp
     F = f_op(P31, 3, -P31.tau)
-    cap = subspace_intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
+    coimage = image(pair_blocks(r_matrix(P31, P31.tau).conj().T, 3), P31.ranks)
+    cap = complement_of_sum(embedded_copies(coimage, 3, 3), P31.ranks)
     eq, angle = subspace_equal(scaled_spectrum(F, P31.ranks).image, cap, 1e-6)
     assert eq
+    witness = intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
+    assert [B.shape[1] for B in cap.blocks] == [B.shape[1] for B in witness.blocks]
+    assert subspace_equal(cap, witness, 1e-6)[0]
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -493,7 +516,7 @@ def test_embedded_copies_match_embedded_projector_images(sign):
         for pos, copy in enumerate(copies, start=1):
             gram = copy.basis.conj().T @ copy.basis
             assert np.allclose(gram, np.eye(copy.dim), atol=1e-13)
-            reference = image(embed_pair(_dense(W, n, 2).projector(), pos, n, d), P31.ranks)
+            reference = image(embed_pair(_projector(_dense(W, n, 2)), pos, n, d), P31.ranks)
             eq, angle = subspace_equal(_dense(copy, n, d), reference, 1e-6)
             assert eq, (sign, pos, angle)
 
@@ -579,8 +602,8 @@ def _assert_block_certificate_is_dense(op, n, d, policy):
     # and the block SVDs round differently: only its decade is reproducible
     assert graded.gap == dense.gap or abs(math.log10(graded.gap / dense.gap)) < 1
     for part in ("image", "kernel"):
-        P = _dense(getattr(graded, part), n, d).projector()
-        assert np.max(np.abs(P - getattr(dense, part).projector())) < 1e-10, part
+        P = _projector(_dense(getattr(graded, part), n, d))
+        assert np.max(np.abs(P - _projector(getattr(dense, part)))) < 1e-10, part
 
 
 @pytest.mark.parametrize("n, d", NDS)
@@ -625,20 +648,66 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
 
 
 def _dense_lattice(pair, n, d, policy):
-    """Sig and Cap of the koszul lattice from dense Kronecker copies."""
+    """The corners and modular-triple sides of :func:`lattice_dims`, from
+    orthonormal bases of dense Kronecker copies of ``pair``, every sum
+    re-orthonormalized and every intersection the :func:`intersect`
+    witness."""
     W = _dense(pair, n, 2).basis
     copies = [Subspace((np.kron(np.kron(np.eye(n ** (p - 1)), W), np.eye(n ** (d - p - 1))),))
               for p in range(1, d)]
-    sig = [subspace_sum(copies[:ell], policy).dim for ell in range(1, d)]
-    cap = [subspace_intersect(copies[d - 1 - r:], policy).dim for r in range(1, d)]
-    return sig, cap
+    whole = Subspace.full(n ** d)
+    sig = [whole] + [subspace_sum(copies[:ell], policy) for ell in range(1, d)]
+    cap = [whole] + [intersect(copies[d - 1 - r:], policy) for r in range(1, d)]
+    # the end corners are Cap_{d-1} and Sig_{d-1} themselves (I - P of a
+    # whole space is rounding noise, which no cut reads as zero)
+    corners = [cap[d - 1].dim] + [intersect([sig[ell], cap[d - 1 - ell]], policy).dim
+                                  for ell in range(1, d - 1)] + [sig[d - 1].dim]
+    triples = []
+    for ell in range(1, d - 1):
+        r = d - 1 - ell
+        if ell == 1:
+            # inside the triple Sig_0 is the zero space: the sides are
+            # Cap_{r+1} and the corner Sig_1 ^ Cap_r
+            triples.append((cap[r + 1].dim, corners[1]))
+            continue
+        inner = subspace_sum([sig[ell - 1], cap[r]], policy)
+        triples.append((subspace_sum([sig[ell - 1], cap[r + 1]], policy).dim,
+                        intersect([sig[ell], inner], policy).dim))
+    return corners, triples
+
+
+def _complement(pair):
+    """The orthogonal complement of a pair subspace, block by block."""
+    return Subspace(tuple(np.linalg.qr(B, mode="complete")[0][:, B.shape[1]:] for B in pair.blocks))
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n, d in NDS if d > 2])
 def test_graded_koszul_dims_match_the_dense_ones(n, d):
+    # every corner and both sides of every modular triple of the rank-only
+    # lattice of im R(tau), with (im R)^perp = ker R(tau)^H, equal the dense
+    # ones, and equal the exact oracle at the corners
     p = make_params(n, 1)
-    pair = spectrum(pair_blocks(r_matrix(p, p.tau), n), p.ranks)
-    W = embedded_copies(pair.image, n, d)
-    sig = [subspace_sum(W[:ell], p.ranks).dim for ell in range(1, d)]
-    cap = [subspace_intersect(W[d - 1 - r:], p.ranks).dim for r in range(1, d)]
-    assert (sig, cap) == _dense_lattice(pair.image, n, d, p.ranks)
+    blocks = pair_blocks(r_matrix(p, p.tau), n)
+    pair = spectrum(blocks, p.ranks).image
+    complement = spectrum(blocks.conj().swapaxes(-1, -2), p.ranks).kernel
+    corners, triples = lattice_dims(pair, complement, n, d, p.ranks)
+    assert (corners, triples) == _dense_lattice(pair, n, d, p.ranks)
+    assert corners == [classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)]
+    assert all(lhs == rhs for lhs, rhs in triples)
+    assert (corners, triples) == lattice_dims(pair, _complement(pair), n, d, p.ranks)
+
+
+@pytest.mark.parametrize("n, d, dims, sides", [
+    (2, 4, [1, 1], (8, 12)),
+    (3, 4, [1, 2, 1], (36, 47)),
+])
+def test_random_lattices_break_the_modular_triple(n, d, dims, sides):
+    # a random graded W generates a lattice that is not distributive: a
+    # triple rule that always read equal sides would miss it
+    rng = np.random.default_rng(7)
+    pair = Subspace(tuple(
+        np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+        for k in dims))
+    corners, triples = lattice_dims(pair, _complement(pair), n, d, P31.ranks)
+    assert (corners, triples) == _dense_lattice(pair, n, d, P31.ranks)
+    assert sides in triples

@@ -370,6 +370,32 @@ def test_tensor_checks_keep_their_failure_statuses(monkeypatch):
         assert all("inf or NaN" in r.expected for r in results), name
 
 
+def test_an_infinite_r_factor_is_refused_without_a_warning(monkeypatch):
+    # an R with an inf entry is left undivided by the unit scaling of its
+    # products, so pair_blocks refuses it: dividing it would make inf+nanj
+    # and a RuntimeWarning, which pytest turns into an error
+    import warnings
+
+    import ellr.rmatrix
+    import ellr.tensorops
+
+    build = ellr.rmatrix.r_matrices
+
+    def overflowed(params, zs):
+        mats = build(params, zs).copy()
+        mats[-1, 0, 0] = np.inf
+        return mats
+
+    for module in (ellr.tensorops, V):
+        monkeypatch.setattr(module, "r_matrices", overflowed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, count in (("t_table", 2), ("limits", 1)):
+            results = V.run_suite(P31, [name])
+            assert [r.status for r in results] == ["refused"] * count, name
+            assert all("inf or NaN" in r.expected for r in results), name
+
+
 def test_results_share_one_string_per_name():
     # a formatted name is interned, so results kept from many calls hold
     # one copy of it
