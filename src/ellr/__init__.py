@@ -53,13 +53,7 @@ from .tensorops import (
     f_op,
     m_op,
 )
-from .classical import (
-    classical_w_dim,
-    classical_dims,
-    classical_hilbert,
-    inclusion_exclusion_check,
-    shuffle_identity_check,
-)
+from .classical import classical_w_dim, shuffle_identity_check
 from .verifiers import CheckResult, Report, run_suite, ALL_CHECKS, VERSION
 
 __version__ = VERSION

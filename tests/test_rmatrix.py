@@ -73,8 +73,14 @@ def test_heisenberg_relations(p31):
     assert np.allclose(P @ v, v.reshape(3, 3).T.reshape(-1))
 
 
-def test_r_identity_at_zero(p31):
-    assert np.max(np.abs(r_matrix(p31, 0.0) - np.eye(9))) < 1e-12
+def test_r_identity_at_zero():
+    # every off-diagonal entry of R(0) carries the factor theta_0(0), an
+    # exact zero of the theta series; the diagonal is 1 to rounding
+    for n in range(2, 6):
+        R = r_matrix(make_params(n, 1), 0.0)
+        diag = np.diag(R)
+        assert np.all(R - np.diag(diag) == 0), n
+        assert np.max(np.abs(diag - 1)) <= 1e-15, n
 
 
 def test_r_commutes_with_diagonal_symmetries(p31):

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellr.theta import (
+    TWO_PI_I,
+    _series,
+    _window,
     e_fn,
     LatticeParams,
     ThetaContext,
@@ -58,8 +61,9 @@ def test_theta1_multi_eta_shift(ctx):
 
 
 def test_theta1_vanishes_on_lattice(ctx):
+    # the terms m and 1 - m cancel exactly at the reduced point z0 = 0
     for pt in (0.0, 1.0, ETA, 2 - ETA):
-        assert abs(theta1(pt, ctx)) < 1e-13
+        assert theta1(pt, ctx) == 0
 
 
 def test_theta_alpha_index_period(ctx):
@@ -367,3 +371,38 @@ def test_array_calls_agree_with_scalar_calls(ctx):
     assert got.shape == (5, 3)
     for (i, j), value in np.ndenumerate(got):
         assert same(value, theta_char(a[i, 0], b[j], zs[0, 0], ETA))
+
+
+def _direct_series(z, eta, M, odd):
+    """Reference kernel: the series of ``ellr.theta._series`` with one
+    complex exponential per term.  Returns the sum and its term bound,
+    |carry-back factor| * sum_m |term_m|."""
+    z = np.asarray(z, dtype=complex)
+    s = np.round(z.imag / eta.imag)
+    z0 = z - s * eta
+    z0 = z0 - np.round(z0.real)
+    m = np.arange(-M, M + 2)
+    terms = (1 - 2 * (odd * m % 2)) * np.exp(
+        TWO_PI_I * (np.multiply.outer(z0, m) + 0.5 * m * (m - odd) * eta))
+    total = (terms[..., M + 1:] + terms[..., M::-1]).sum(axis=-1)
+    factor = (1 - 2 * (odd * s % 2)) * np.exp(TWO_PI_I * (-s * z0 - 0.5 * s * (s - odd) * eta))
+    return factor * total, np.abs(factor) * np.abs(terms).sum(axis=-1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(eta_im=st.floats(0.3, 200),
+       z=st.tuples(_unit, _unit, st.integers(-3, 3), st.integers(-3, 3)),
+       odd=st.sampled_from((0, 1)))
+def test_kernel_matches_the_direct_series(eta_im, z, odd):
+    # up to three periods from the base cell in each direction; where the
+    # carry-back factor overflows, both kernels overflow
+    eta = complex(0.31, eta_im)
+    x, y, t, s = z
+    zs = np.array([x + t + (y + s) * eta, x + y * eta])
+    M = _window(eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _series(zs, eta, M, odd)
+        want, bound = _direct_series(zs, eta, M, odd)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    ok = np.isfinite(want)
+    assert np.all(np.abs(got - want)[ok] <= 1e-13 * bound[ok])

@@ -6,6 +6,10 @@ import functools
 import gc
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -726,6 +730,25 @@ def test_cli_refuses_an_overflowed_r_instead_of_exit_2(tmp_path, capsys):
     (result,) = json.loads(out.read_text())["results"]
     assert result["status"] == "refused"
     assert "overflow" in result["expected"]
+
+
+def test_cli_refuses_a_scalar_overflow_at_extreme_eta(tmp_path):
+    # at Im(eta) = 200 the scalar b(z) = e(...) of transform_check is past
+    # the float range and cmath raises OverflowError: the check is refused,
+    # and the command ends with a report and the exit code of its verdicts
+    out = tmp_path / "r.json"
+    src = pathlib.Path(V.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellr.cli", "report", "all", "--n", "3", "--d-max", "3",
+         "--eta", "0.31,200", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    results = json.loads(out.read_text())["results"]
+    (transform,) = [r for r in results if r["name"] == "transform_check"]
+    assert transform["status"] == "refused"
+    assert "overflow" in transform["expected"]
 
 
 def test_cli_usage_errors():
