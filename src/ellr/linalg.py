@@ -122,6 +122,15 @@ class Spectrum:
                         Subspace.full(ncols, grades))
 
 
+def require_finite(values) -> None:
+    """Raise NonFiniteMatrixError when an entry of ``values`` (matrices,
+    or their max-abs entries) is inf or NaN: no rank or residual is read
+    from an overflowed construction."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteMatrixError(
+            "matrix has inf or NaN entries: its construction overflowed complex128")
+
+
 def _blocks(M) -> list:
     """The blocks of M: the members of a sequence of matrices or of a 3-D
     stack, else M itself."""
@@ -135,9 +144,7 @@ def _max_abs(blocks) -> float:
     normalized (1.0 when every block is zero or empty).  Raises
     NonFiniteMatrixError on an inf or NaN entry."""
     scales = [float(np.max(np.abs(B))) for B in blocks if B.size]
-    if not all(map(math.isfinite, scales)):
-        raise NonFiniteMatrixError(
-            "matrix has inf or NaN entries: its construction overflowed complex128")
+    require_finite(scales)
     return max(scales, default=0.0) or 1.0
 
 
@@ -221,9 +228,7 @@ def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
     policy = policy or RankPolicy()
     stacks = np.asarray(stacks, dtype=complex)
     scales = np.max(np.abs(stacks), axis=(1, 2, 3))
-    if not np.all(np.isfinite(scales)):
-        raise NonFiniteMatrixError(
-            "matrix has inf or NaN entries: its construction overflowed complex128")
+    require_finite(scales)
     values = np.linalg.svd(stacks / np.where(scales > 0, scales, 1.0)[:, None, None, None],
                            compute_uv=False)
     cuts = [_cut(list(blocks), policy) for blocks in values]

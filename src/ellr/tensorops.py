@@ -37,7 +37,9 @@ R[(a, s-a), (i, s-i)] (``pair_blocks``) acts on digit p, one batched n x n
 matmul.  The chains, T_d, F_d and both assemblies of M_{a,b} are
 (argument, position) lists of R(argument)_{position,position+1} factors,
 whose distinct arguments are built in one ``r_matrices`` call
-(``factor_mats``); ``r_product`` forms a list from R's built elsewhere.
+(``factor_mats``; ``f_factors`` and ``m_factors`` give the lists);
+``r_product`` forms a list from R's built elsewhere, so a check that
+multiplies several lists builds all their R's in one call.
 ``t_ranks`` certifies a batch of T_d of one degree from one such call,
 one site product with the batch on a leading axis and one ``svd_ranks``
 call.  The Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
@@ -54,7 +56,8 @@ log of the removed scale, accumulated separately.  Rank/kernel/image
 questions only need the stack, read block by block (``scaled_spectrum``,
 ``scaled_rank``) at a cost about n^2 below a dense SVD; products and
 identities between chain products run block by block after matching the
-log scales (F_a (x) F_b is itself one product, ``f_pair_op``); and
+log scales (F_a (x) F_b is itself one product, the factors of F_a and then
+those of F_b moved by a); and
 ``.matrix()`` / ``.dense()`` scatter the stack for the few readers of a
 plain matrix.
 
@@ -83,11 +86,11 @@ from .rmatrix import (
     r_matrix,  # noqa: F401  (bound here for ellrbench's tracer test)
 )
 from .linalg import (
-    NonFiniteMatrixError,
     RankPolicy,
     Spectrum,
     Subspace,
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
+    require_finite,
     singular_rank,
     spectrum,
     svd_ranks,
@@ -266,9 +269,7 @@ def pair_blocks(mats, n: int) -> np.ndarray:
     mats = np.asarray(mats)
     if mats.shape[-2:] != (n * n, n * n):
         raise ValueError(f"a {mats.shape[-2:]} matrix is no operator on V (x) V for n = {n}")
-    if not np.all(np.isfinite(mats)):
-        raise NonFiniteMatrixError(
-            "matrix has inf or NaN entries: its construction overflowed complex128")
+    require_finite(mats)
     blocks = mats.reshape(*mats.shape[:-2], -1)[..., _pair_block_index(n)]
     if np.count_nonzero(blocks) != np.count_nonzero(mats):
         raise ValueError("operator does not keep the pair grade")
@@ -365,10 +366,11 @@ def site_product(n: int, d: int, factors) -> np.ndarray:
     return out
 
 
-def factor_mats(params: AlgebraParams, factors) -> dict:
-    """R(arg) for each distinct argument of the (arg, pos) ``factors``,
-    keyed by argument, all of them from one :func:`r_matrices` call."""
-    args = list(dict.fromkeys(arg for arg, _ in factors))
+def factor_mats(params: AlgebraParams, *lists) -> dict:
+    """R(arg) for each distinct argument of the (arg, pos) factor
+    ``lists``, keyed by argument, all of them from one :func:`r_matrices`
+    call."""
+    args = list(dict.fromkeys(arg for factors in lists for arg, _ in factors))
     return dict(zip(args, r_matrices(params, args)))
 
 
@@ -424,10 +426,30 @@ def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
     return t_op(params, d, [z] * max(d - 1, 0))
 
 
-def f_pair_op(params: AlgebraParams, a: int, b: int, z) -> ScaledOp:
-    """F_a(z) (x) F_b(z) on V^{(x)(a+b)} as one product: the factors of F_a,
-    then those of F_b moved by a (the two act on disjoint tensorands)."""
-    return _product(params, a + b, f_factors(a, z) + f_factors(b, z, a))
+def m_factors(a: int, b: int, z, xs=None, ys=None) -> tuple[list, list]:
+    """The (argument, position) factors of both assemblies of M_{a,b}(z;
+    xs; ys) (see :func:`m_op`): the rows top to bottom, each left to right,
+    and the columns left to right, each top to bottom.  Both are empty when
+    a = 0 or b = 0; omitted increments default to z."""
+    d = a + b
+    xs = list(xs) if xs is not None else [z] * max(a - 1, 0)
+    ys = list(ys) if ys is not None else [z] * max(b - 1, 0)
+    if len(xs) != max(a - 1, 0) or len(ys) != max(b - 1, 0):
+        raise ValueError("M_{a,b} needs a-1 row increments and b-1 column increments")
+    if a == 0 or b == 0:
+        return [], []
+    # row idx is the reversed ascending chain from a-idx to a+b-idx, column
+    # idx the reversed descending chain from a+1+idx to 1+idx
+    rows = [factor for idx in range(a)
+            for factor in _chain_factors(d, a - idx, a + b - idx,
+                                         [z + sum(xs[:idx])] + ys, False, True)]
+    columns = [factor for idx in range(b)
+               for factor in _chain_factors(d, 1 + idx, a + 1 + idx,
+                                            ([z + sum(ys[:idx])] + xs)[::-1], True, True)]
+    return rows, columns
+
+
+M_AGREEMENT_TOL = 1e-8
 
 
 def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
@@ -439,34 +461,21 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
     (a - row + col, a - row + col + 1); the operator is the product of the
     rows top to bottom, each row multiplied left to right.  The same value
     arises as the product of the columns left to right, each column
-    multiplied top to bottom; ``validate=True`` checks the two assemblies
-    agree.  M with a = 0 or b = 0 is the identity on V^{(x)(a+b)}.
+    multiplied top to bottom (:func:`m_factors` gives both);
+    ``validate=True`` raises AssertionError when the two assemblies differ
+    by more than M_AGREEMENT_TOL.  M with a = 0 or b = 0 is the identity on
+    V^{(x)(a+b)}.
 
     When xs/ys are omitted every increment defaults to z itself (the
     one-argument shorthand M_{a,b}(z)).
     """
-    d = a + b
-    xs = list(xs) if xs is not None else [z] * max(a - 1, 0)
-    ys = list(ys) if ys is not None else [z] * max(b - 1, 0)
-    if len(xs) != max(a - 1, 0) or len(ys) != max(b - 1, 0):
-        raise ValueError("M_{a,b} needs a-1 row increments and b-1 column increments")
-    if a == 0 or b == 0:
-        return _product(params, d, [])
-    # row idx is the reversed ascending chain from a-idx to a+b-idx
-    out = _product(params, d, [
-        factor for idx in range(a)
-        for factor in _chain_factors(d, a - idx, a + b - idx,
-                                     [z + sum(xs[:idx])] + ys, False, True)
-    ])
-    if validate:
-        # column idx is the reversed descending chain a+1+idx -> 1+idx
-        alt = _product(params, d, [
-            factor for idx in range(b)
-            for factor in _chain_factors(d, 1 + idx, a + 1 + idx,
-                                         ([z + sum(ys[:idx])] + xs)[::-1], True, True)
-        ])
-        if scaled_residual(out, alt) > 1e-8:
-            raise AssertionError("row-wise and column-wise assemblies of M_{a,b} disagree")
+    rows, columns = m_factors(a, b, z, xs, ys)
+    if not validate:
+        return _product(params, a + b, rows)
+    mats = factor_mats(params, rows, columns)
+    out, alt = (r_product(params.n, a + b, factors, mats) for factors in (rows, columns))
+    if scaled_residual(out, alt) > M_AGREEMENT_TOL:
+        raise AssertionError("row-wise and column-wise assemblies of M_{a,b} disagree")
     return out
 
 
@@ -534,7 +543,7 @@ def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None
     over the others.  The batch runs in slices of at most T_BATCH_ENTRIES
     product entries, which bounds its memory (13 lists a slice at n^d = 5^4)."""
     n, lists = params.n, [_t_factors(d, zs) for zs in zss]
-    mats = factor_mats(params, [factor for factors in lists for factor in factors])
+    mats = factor_mats(params, *lists)
     unit = {arg: _unit(mat)[0] for arg, mat in mats.items()}
     step = max(1, T_BATCH_ENTRIES // n ** (2 * d - 1))
     out = []

@@ -50,6 +50,7 @@ from .theta import (
 from .linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
+    require_finite,
     singular_rank,
     svd_rank,
     svd_ranks,
@@ -85,11 +86,11 @@ from .tensorops import (
     site_product,
     symmetrizer,
     antisymmetrizer,
-    f_op,
+    M_AGREEMENT_TOL,
     f_factors,
-    f_pair_op,
+    factor_mats,
     r_product,
-    m_op,
+    m_factors,
     t_ranks,
     embedded_copies,
     lattice_dims,
@@ -315,6 +316,7 @@ def inverse_pair_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     dim = params.n ** 2
     zs = _random_z(rng, trials)
     mats = r_matrices(params, zs + [-z for z in zs] + [0.0, params.tau, -params.tau])
+    require_finite(mats)
     Rz, Rmz = mats[:2 * trials].reshape(2, trials, dim, dim)
     R0, Rt, Rmt = mats[2 * trials:]
     prod = Rz @ Rmz
@@ -496,10 +498,13 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     kernels (the complement of the sum of the copies of im R^H), all grade
     by grade, from the pair blocks of R(sign*tau) and R^H.  A degree past
     the dense cap is refused before anything is built, and a degree
-    expected to vanish gets no angles.  Returns the results and the rank
-    per degree (None where refused)."""
-    n, policy = params.n, params.ranks
-    blocks = pair_blocks(r_matrix(params, sign * params.tau), n)
+    expected to vanish gets no angles.  R(sign*tau) and the R's of every
+    F_d inside the cap come from one build.  Returns the results and the
+    rank per degree (None where refused)."""
+    n, policy, tau = params.n, params.ranks, sign * params.tau
+    factors = {d: f_factors(d, -tau) for d in range(2, top + 1) if not beyond_cap(n, d)}
+    mats = factor_mats(params, [(tau, 1)], *factors.values())
+    blocks = pair_blocks(mats[tau], n)
     pair = image(blocks, policy)
     coimage = image(blocks.conj().swapaxes(-1, -2), policy)
     results, ranks = [], []
@@ -508,7 +513,7 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
             results.append(_refused(f"{label}.rank", params, note, d=d))
             ranks.append(None)
             continue
-        spec = scaled_spectrum(f_op(params, d, -sign * params.tau), policy)
+        spec = scaled_spectrum(r_product(n, d, factors[d], mats), policy)
         expected = expected_rank(d)
         results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, spec.rank))
         ranks.append(spec.rank)
@@ -668,32 +673,43 @@ def mult_identity_check(params: AlgebraParams,
     """The operator-array multiplication identity
     M_{b,a}(s*tau).(F_a(s*tau) (x) F_b(s*tau)) = F_{a+b}(s*tau) for both
     signs s, plus an associativity probe of the induced product on the
-    images of F."""
+    images of F.  Every R of the check comes from one build.  A pair whose
+    row-wise and column-wise assemblies of M differ by more than
+    M_AGREEMENT_TOL fails with that difference as its residual."""
+    n, tau = params.n, params.tau
+    a, b, c = 1, 2, 1  # the probe's split
+    # per pair and sign: both assemblies of M_{b,a}, F_a (x) F_b (the
+    # factors of F_a, then those of F_b moved by a) and F_{a+b}
+    identity = {(p, q, s): (*m_factors(q, p, s * tau),
+                            f_factors(p, s * tau) + f_factors(q, s * tau, p),
+                            f_factors(p + q, s * tau))
+                for p, q in pairs for s in (1, -1)}
+    images = {x: f_factors(x, -tau) for x in (a, b, c)}
+    products = {(x, y): m_factors(y, x, -tau)[0] for x, y in ((a, b), (a + b, c), (b, c),
+                                                              (a, b + c))}
+    mats = factor_mats(params, *(fs for group in identity.values() for fs in group),
+                       *images.values(), *products.values())
     results = []
-    tau = params.tau
-    for (a, b) in pairs:
-        worst = 0.0
+    for p, q in pairs:
+        worst = agree = 0.0
         for s in (1, -1):
-            M = m_op(params, b, a, s * tau, validate=True)
-            resid = scaled_residual(M @ f_pair_op(params, a, b, s * tau),
-                                    f_op(params, a + b, s * tau))
-            worst = max(worst, resid)
-        results.append(_within("mult.identity", _echo(params, a=a, b=b),
-                               worst, TOL_RESIDUAL))
+            M, alt, pair, whole = (r_product(n, p + q, fs, mats) for fs in identity[p, q, s])
+            agree = max(agree, scaled_residual(M, alt))
+            worst = max(worst, scaled_residual(M @ pair, whole))
+        results.append(_within("mult.identity", _echo(params, a=p, b=q),
+                               agree if agree > M_AGREEMENT_TOL else worst, TOL_RESIDUAL))
     # associativity of the induced product u*v = M_{b,a}(-tau)(u (x) v)
     rng = np.random.default_rng(seed)
-    n = params.n
 
-    def rand_image(a):
-        F = f_op(params, a, -tau)
-        v = F.matrix() @ (rng.standard_normal(n ** a) + 1j * rng.standard_normal(n ** a))
+    def rand_image(x):
+        F = r_product(n, x, images[x], mats)
+        v = F.matrix() @ (rng.standard_normal(n ** x) + 1j * rng.standard_normal(n ** x))
         return v / np.linalg.norm(v)
 
-    def product(u, a, v, b):
-        M = m_op(params, b, a, -tau)
+    def product(u, x, v, y):
+        M = r_product(n, x + y, products[x, y], mats)
         return M.matrix() @ np.kron(u, v), M.log_scale
 
-    a, b, c = 1, 2, 1
     u, v, w = rand_image(a), rand_image(b), rand_image(c)
     uv, l1 = product(u, a, v, b)
     lhs, l2 = product(uv, a + b, w, c)
@@ -735,18 +751,21 @@ def frobenius_check(params: AlgebraParams):
     F_n(tau) has rank one and F_{n+1}(tau) vanishes; writing
     F_n(tau)(v_j (x) w_k) = c_{jk} F_n(tau)(x) for a reference x, the
     coefficient matrix for the split i | n-i has rank C(n,i).  The
-    vanishing is refused when n^(n+1) exceeds the dense cap."""
+    vanishing is refused when n^(n+1) exceeds the dense cap.  Both F come
+    from one build."""
     n = params.n
     if tau_excluded(params, n + 1):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
-    Fs = f_op(params, n, params.tau)
+    factors = {d: f_factors(d, params.tau) for d in (n, n + 1) if not beyond_cap(n, d)}
+    mats = factor_mats(params, *factors.values())
+    Fs = r_product(n, n, factors[n], mats)
     rank, _ = scaled_rank(Fs, params.ranks)
     results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
     if note := beyond_cap(n, n + 1):
         results.append(_refused("frobenius.vanishing_above_top", params, note, d=n + 1))
     else:
-        rank1, _ = scaled_rank(f_op(params, n + 1, params.tau), params.ranks)
+        rank1, _ = scaled_rank(r_product(n, n + 1, factors[n + 1], mats), params.ranks)
         results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
                                0, rank1))
     # the reference u = F x is the column of largest norm, in grade block g;

@@ -33,7 +33,8 @@ from ellr.tensorops import (
     r_product,
     t_op,
     f_op,
-    f_pair_op,
+    f_factors,
+    m_factors,
     m_op,
     embedded_copies,
     lattice_dims,
@@ -56,6 +57,12 @@ def embed_pair(op, pos, n, d):
 def _chain(params, d, factors):
     """The product of the (argument, position) ``factors`` on V^(x)d."""
     return r_product(params.n, d, factors, factor_mats(params, factors))
+
+
+def f_pair_op(params, a, b, z):
+    """F_a(z) (x) F_b(z) on V^(x)(a+b) as one product: the factors of F_a,
+    then those of F_b moved by a (the two act on disjoint tensorands)."""
+    return _chain(params, a + b, f_factors(a, z) + f_factors(b, z, a))
 
 
 def chain_asc(params, d, i, j, ts):
@@ -395,6 +402,30 @@ def test_m_op_row_column_assemblies_agree():
     # validate=True compares the row-wise and column-wise products
     m_op(P31, 2, 2, 0.13 + 0.02j, xs=[0.07 - 0.01j], ys=[-0.04 + 0.03j],
          validate=True)
+
+
+def test_m_factors_give_both_assemblies():
+    # the row and column lists hold the same a*b entries of the array (their
+    # arguments summed in two orders), and their products agree
+    z, x, y = 0.13 + 0.02j, [0.07 - 0.01j], [-0.04 + 0.03j, 0.05 + 0.01j]
+    rows, columns = m_factors(2, 3, z, xs=x, ys=y)
+    entries = [sorted(fs, key=lambda f: (f[1], f[0].real)) for fs in (rows, columns)]
+    assert [pos for _, pos in entries[0]] == [pos for _, pos in entries[1]] == [1, 2, 2, 3, 3, 4]
+    assert np.allclose(*([arg for arg, _ in fs] for fs in entries), rtol=0, atol=1e-15)
+    assert scaled_residual(_chain(P31, 5, rows), _chain(P31, 5, columns)) < 1e-12
+    assert m_factors(0, 2, z) == m_factors(2, 0, z) == ([], [])
+    with pytest.raises(ValueError):
+        m_factors(2, 2, z, xs=[])
+
+
+def test_m_op_validate_raises_when_the_assemblies_disagree(monkeypatch):
+    import ellr.tensorops
+
+    z = 0.13 + 0.02j
+    wrong = m_factors(2, 2, z)[0], m_factors(2, 2, 2 * z)[1]
+    monkeypatch.setattr(ellr.tensorops, "m_factors", lambda *args: wrong)
+    with pytest.raises(AssertionError, match="disagree"):
+        m_op(P31, 2, 2, z, validate=True)
 
 
 def test_m_op_default_increments_are_z():

@@ -245,6 +245,7 @@ def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
     # one call per r_matrices call, its [-z, -z + tau] rows followed by
     # [tau, 0] when the denominators of its params are not yet cached
     import ellr.rmatrix
+    from ellr.tensorops import f_op
 
     p = make_params(3, 1)
     V.r_matrix(p, 0.1)  # caches the denominators of p
@@ -256,7 +257,7 @@ def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
         return rows(ws, ctx)
 
     monkeypatch.setattr(ellr.rmatrix, "theta_alpha_rows", counted)
-    V.f_op(p, 4, 0.13 + 0.02j)  # six factors, three distinct arguments z, 2z, 3z
+    f_op(p, 4, 0.13 + 0.02j)  # six factors, three distinct arguments z, 2z, 3z
     assert points == [2 * 3]
     points.clear()
     V._cell_ranks(p, 1)
@@ -303,16 +304,14 @@ def test_each_identity_check_takes_few_theta_series(monkeypatch, nk):
     assert counts == SERIES_PER_CHECK[nk]
 
 
-@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
-def test_t_table_builds_its_rs_once_per_degree(monkeypatch, nk):
-    # one r_matrices call, so one theta series, per degree (3 and 4) of a
-    # t_table invocation whose caches a first invocation filled
+def _warm_builds(monkeypatch, p, name) -> Counter:
+    """The r_matrices calls ("builds") and theta series ("series") of one
+    invocation of check group ``name``, its caches filled by a first one."""
     import ellr.rmatrix
     import ellr.tensorops
     import ellr.theta
 
-    p = make_params(*nk)
-    V.run_suite(p, ["t_table"])
+    V.run_suite(p, [name])
     series, build, calls = ellr.theta._series, ellr.rmatrix.r_matrices, Counter()
 
     def counted(fn, key):
@@ -324,8 +323,45 @@ def test_t_table_builds_its_rs_once_per_degree(monkeypatch, nk):
     monkeypatch.setattr(ellr.theta, "_series", counted(series, "series"))
     for module in (ellr.rmatrix, ellr.tensorops, V):
         monkeypatch.setattr(module, "r_matrices", counted(build, "builds"))
-    V.run_suite(p, ["t_table"])
-    assert calls == {"series": 2, "builds": 2}
+    V.run_suite(p, [name])
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
+def test_t_table_builds_its_rs_once_per_degree(monkeypatch, nk):
+    # one r_matrices call, so one theta series, per degree (3 and 4) of a
+    # t_table invocation whose caches a first invocation filled
+    assert _warm_builds(monkeypatch, make_params(*nk), "t_table") == {"series": 2, "builds": 2}
+
+
+@pytest.mark.parametrize("nk", ((3, 1), (5, 2)))
+@pytest.mark.parametrize("name", ("hilbert", "dual", "mult", "frobenius"))
+def test_tau_multiple_checks_build_their_rs_once(monkeypatch, nk, name):
+    # every R(m*tau) that hilbert, dual, mult or frobenius multiplies comes
+    # from one r_matrices call, so one theta series, per warm invocation
+    assert _warm_builds(monkeypatch, make_params(*nk), name) == {"series": 1, "builds": 1}
+
+
+def test_mult_reads_fail_when_its_m_assemblies_disagree(monkeypatch):
+    # a column list of M that is not the row list's operator makes each pair
+    # fail with the disagreement as its residual, never an AssertionError;
+    # the associativity probe reads rows only
+    from ellr.tensorops import factor_mats, m_factors, r_product, scaled_residual
+
+    def wrong(a, b, z, xs=None, ys=None):
+        return m_factors(a, b, z, xs, ys)[0], m_factors(a, b, 2 * z)[1]
+
+    monkeypatch.setattr(V, "m_factors", wrong)
+    results = V.mult_identity_check(P31)
+    assert [r.status for r in results] == ["fail"] * 4 + ["pass"]
+    disagreement = []
+    for s in (1, -1):
+        rows, columns = wrong(1, 1, s * P31.tau)
+        mats = factor_mats(P31, rows, columns)
+        M, alt = (r_product(3, 2, fs, mats) for fs in (rows, columns))
+        disagreement.append(scaled_residual(M, alt))
+    assert results[0].residual == max(disagreement) > V.M_AGREEMENT_TOL
 
 
 @pytest.mark.parametrize("nk", ((2, 1), (3, 1), (4, 1), (5, 2)))
@@ -743,12 +779,21 @@ def test_cli_refuses_a_scalar_overflow_at_extreme_eta(tmp_path):
          "--eta", "0.31,200", "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120)
-    assert proc.returncode in (0, 1)
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stdout + proc.stderr
     results = json.loads(out.read_text())["results"]
+    assert {r["status"] for r in results} == {"pass", "refused"}
     (transform,) = [r for r in results if r["name"] == "transform_check"]
     assert transform["status"] == "refused"
     assert "overflow" in transform["expected"]
+
+
+def test_inverse_pair_check_refuses_an_overflowed_r():
+    # at Im(eta) = 200, R(z)R(-z) is not finite at n = 3: one refused result
+    # naming the overflow, not three NaN residuals that fail
+    results = V.inverse_pair_check(make_params(3, 1, eta=0.31 + 200j))
+    assert [r.status for r in results] == ["refused"]
+    assert "inf or NaN" in results[0].expected
 
 
 def test_cli_usage_errors():
