@@ -23,9 +23,6 @@ from .linalg import (
     svd_rank,
     kernel,
     image,
-    subspace_sum,
-    complement_of_sum,
-    subspace_equal,
 )
 from .rmatrix import (
     DEFAULT_ETA,

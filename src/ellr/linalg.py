@@ -1,5 +1,6 @@
 """Dense complex linear algebra with tolerance-governed rank decisions,
-subspace arithmetic, and exact integer elimination for the classical oracle.
+one subspace-equality rule, and exact integer elimination for the
+classical oracle.
 
 Rank decisions are only accepted when the singular-value gap across the cut
 exceeds ``RankPolicy.min_gap``; otherwise an :class:`AmbiguousRankError` is
@@ -17,15 +18,21 @@ with the gap taken between the smallest kept and the largest dropped value
 over all blocks.  So a stack's certificate (rank, gap) is the dense one up
 to rounding, and a block of pure noise beside a large one is cut as noise.
 
-Subspaces are kept grade by grade in the same way (:class:`Subspace`), and
-sums, complements and comparisons run grade by grade.  One SVD per call:
-:func:`spectrum` returns the certified rank, the gap, the image and the
-kernel together, and ``svd_rank``, ``kernel``, ``image``, ``subspace_sum``
-and ``complement_of_sum`` read from it; :func:`singular_rank` certifies a
-rank from the singular values alone.  No intersection is formed from
-projectors: it is the complement of the sum of the members' complements.
-:func:`svd_ranks` certifies a batch of separate block stacks (the pair
-blocks of many R-matrices), each on its own, from one values-only SVD.
+:func:`spectrum` returns the certified rank, the gap, and the image and
+the kernel grade by grade (:class:`Subspace`) from one SVD per block;
+``svd_rank``, ``kernel`` and ``image`` read from it, and it serves the
+small pair blocks of an R-matrix.  :func:`singular_cut` certifies a rank
+from the singular values alone, with the smallest kept value, and
+:func:`svd_ranks` a batch of separate block stacks (the pair blocks of
+many R-matrices), each on its own, from one values-only SVD.
+
+Subspaces of a tensor power are never compared through bases.  The one
+equality rule, :func:`kernel_span_bound`, decides ker M = span B from two
+values-only cuts and one product: the dimensions must agree, and
+||M B||_F / (s_M s_B), s_M and s_B the smallest kept singular values,
+bounds the sine of the largest principal angle from above.  An image
+equality im F = X is the rule on F^H and a spanning set of X^perp, and
+F^H takes F's cut.
 """
 
 from __future__ import annotations
@@ -80,29 +87,6 @@ class Subspace:
     def dim(self) -> int:
         return sum(B.shape[1] for B in self.blocks)
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal basis columns in grade-ordered coordinates (grade 0
-        first): the blocks placed block-diagonally."""
-        if len(self.blocks) == 1:
-            return self.blocks[0]
-        out = np.zeros((self.ambient_dim, self.dim), dtype=complex)
-        row = col = 0
-        for B in self.blocks:
-            out[row:row + B.shape[0], col:col + B.shape[1]] = B
-            row, col = row + B.shape[0], col + B.shape[1]
-        return out
-
-    @staticmethod
-    def full(ambient_dim: int, grades: int = 1) -> "Subspace":
-        size = ambient_dim // grades
-        return Subspace((np.eye(size, dtype=complex),) * grades)
-
-    @staticmethod
-    def zero(ambient_dim: int, grades: int = 1) -> "Subspace":
-        size = ambient_dim // grades
-        return Subspace((np.zeros((size, 0), dtype=complex),) * grades)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -115,11 +99,6 @@ class Spectrum:
     gap: float
     image: Subspace
     kernel: Subspace
-
-    @staticmethod
-    def zero(nrows: int, ncols: int, grades: int = 1) -> "Spectrum":
-        return Spectrum(0, math.inf, Subspace.zero(nrows, grades),
-                        Subspace.full(ncols, grades))
 
 
 def require_finite(values) -> None:
@@ -148,11 +127,11 @@ def _max_abs(blocks) -> float:
     return max(scales, default=0.0) or 1.0
 
 
-def _svds(blocks, compute_uv: bool = True, full: bool = True, scale: float = 1.0) -> list:
+def _svds(blocks, compute_uv: bool = True, scale: float = 1.0) -> list:
     """``np.linalg.svd`` of every block divided by ``scale``, one call per
     group of blocks of one shape, divided in place in the copy np.stack
-    makes.  The full V only for a wide block when ``full`` (its kernel needs
-    the rows of Vh beyond min(m, n)); a tall block never builds a square U."""
+    makes.  The full V only for a wide block (its kernel needs the rows of
+    Vh beyond min(m, n)); a tall block never builds a square U."""
     out = [None] * len(blocks)
     groups = {}
     for i, B in enumerate(blocks):
@@ -160,14 +139,15 @@ def _svds(blocks, compute_uv: bool = True, full: bool = True, scale: float = 1.0
     for (rows, cols), members in groups.items():
         stack = np.stack([blocks[i] for i in members])
         stack /= scale
-        res = np.linalg.svd(stack, full_matrices=full and rows < cols, compute_uv=compute_uv)
+        res = np.linalg.svd(stack, full_matrices=rows < cols, compute_uv=compute_uv)
         for j, i in enumerate(members):
             out[i] = tuple(x[j] for x in res) if compute_uv else res[j]
     return out
 
 
-def _cut(values, policy: RankPolicy) -> tuple[list, float]:
-    """Ranks per block and the gap of one cut shared by every block.
+def _cut(values, policy: RankPolicy) -> tuple[list, float, float]:
+    """Ranks per block, the gap of one cut shared by every block, and the
+    smallest kept value (0.0 when nothing is kept).
 
     A block's rank counts its singular values above ``policy.rel_threshold``
     times the largest of the whole stack; the gap is the ratio of the
@@ -175,14 +155,14 @@ def _cut(values, policy: RankPolicy) -> tuple[list, float]:
     AmbiguousRankError when gap < policy.min_gap."""
     top = max((float(s[0]) for s in values if s.size), default=0.0)
     if top == 0.0:
-        return [0] * len(values), math.inf
+        return [0] * len(values), math.inf, 0.0
     ranks = [int(np.count_nonzero(s > policy.rel_threshold * top)) for s in values]
-    kept = min(s[r - 1] for s, r in zip(values, ranks) if r)
+    kept = float(min(s[r - 1] for s, r in zip(values, ranks) if r))
     dropped = max((s[r] for s, r in zip(values, ranks) if r < s.size), default=0.0)
     gap = float(kept / dropped) if dropped > 0.0 else math.inf
     if gap < policy.min_gap:
         raise AmbiguousRankError(sum(ranks), gap, policy.min_gap)
-    return ranks, gap
+    return ranks, gap, kept
 
 
 def spectrum(M, policy: RankPolicy | None = None) -> Spectrum:
@@ -197,19 +177,27 @@ def spectrum(M, policy: RankPolicy | None = None) -> Spectrum:
     policy = policy or RankPolicy()
     blocks = _blocks(M)
     svds = _svds(blocks, scale=_max_abs(blocks))
-    ranks, gap = _cut([s for _, s, _ in svds], policy)
+    ranks, gap, _ = _cut([s for _, s, _ in svds], policy)
     return Spectrum(sum(ranks), gap,
                     Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks))),
                     Subspace(tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks))))
 
 
-def singular_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
-    """Certified (rank, gap) of M, one matrix or a block stack, from its
-    singular values alone, through the cut of :func:`spectrum`."""
+def singular_cut(M, policy: RankPolicy | None = None) -> tuple[int, float, float]:
+    """Certified (rank, gap, smallest kept singular value) of M, one matrix
+    or a block stack, from its singular values alone, through the cut of
+    :func:`spectrum`; the smallest kept value is M's own (not of M at unit
+    max-abs), and 0.0 at rank 0."""
     policy = policy or RankPolicy()
     blocks = _blocks(M)
-    ranks, gap = _cut(_svds(blocks, compute_uv=False, scale=_max_abs(blocks)), policy)
-    return sum(ranks), gap
+    scale = _max_abs(blocks)
+    ranks, gap, kept = _cut(_svds(blocks, compute_uv=False, scale=scale), policy)
+    return sum(ranks), gap, kept * scale
+
+
+def singular_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
+    """Certified (rank, gap) of M; see :func:`singular_cut`."""
+    return singular_cut(M, policy)[:2]
 
 
 def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
@@ -232,7 +220,7 @@ def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
     values = np.linalg.svd(stacks / np.where(scales > 0, scales, 1.0)[:, None, None, None],
                            compute_uv=False)
     cuts = [_cut(list(blocks), policy) for blocks in values]
-    return [(sum(ranks), gap) for ranks, gap in cuts]
+    return [(sum(ranks), gap) for ranks, gap, _ in cuts]
 
 
 def kernel(M, policy: RankPolicy | None = None) -> Subspace:
@@ -245,53 +233,33 @@ def image(M, policy: RankPolicy | None = None) -> Subspace:
     return spectrum(M, policy).image
 
 
-def _by_grade(spaces) -> list:
-    """The blocks of the subspaces grade by grade; raises ValueError unless
-    every subspace has the same grades of the same dimensions."""
-    layouts = {tuple(B.shape[0] for B in S.blocks) for S in spaces}
-    if len(layouts) != 1:
-        raise ValueError("subspaces live in different ambient spaces")
-    return list(zip(*(S.blocks for S in spaces)))
+def kernel_span_bound(M, B, policy: RankPolicy | None = None, m_cut=None) -> float:
+    """The equality rule ker M = span B: an upper bound on the sine of the
+    largest principal angle between the two, or 1.0, the sine of a right
+    angle, when their dimensions differ.
 
-
-def subspace_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
-    """Sum of subspaces: concatenate the bases grade by grade and
-    re-orthonormalize at one cut over all grades."""
-    policy = policy or RankPolicy()
-    stacks = [np.hstack(grade) for grade in _by_grade(spaces)]
-    # only the image is read, so a wide stack needs no square V
-    svds = _svds(stacks, full=False, scale=_max_abs(stacks))
-    ranks, _ = _cut([s for _, s, _ in svds], policy)
-    return Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks)))
-
-
-def complement_of_sum(spaces, policy: RankPolicy | None = None) -> Subspace:
-    """Orthogonal complement of the sum of subspaces: the kernel of the
-    conjugate transpose of each grade's bases side by side, from one
-    spectrum at one cut over all grades."""
-    return spectrum([np.hstack(grade).conj().T for grade in _by_grade(spaces)], policy).kernel
-
-
-def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
-    """Principal angles (radians) between two subspaces, ascending: the
-    union of the angles of their grades, padded with right angles to
-    min(S1.dim, S2.dim)."""
-    count = min(S1.dim, S2.dim)
-    pairs = [B1.conj().T @ B2 for B1, B2 in _by_grade([S1, S2])]
-    cosines = np.sort(np.concatenate([np.zeros(count)] + _svds(pairs, compute_uv=False)))
-    return np.arccos(np.clip(cosines[::-1][:count], 0.0, 1.0))
-
-
-def subspace_equal(S1: Subspace, S2: Subspace, tol: float = 1e-6):
-    """Equality test: dims match in every grade and the largest principal
-    angle is below tol.  A dim mismatch in any grade reads as a right angle."""
-    grades = _by_grade([S1, S2])
-    if any(B1.shape[1] != B2.shape[1] for B1, B2 in grades):
-        return False, math.pi / 2
-    if S1.dim == 0:
-        return True, 0.0
-    worst = float(np.max(principal_angles(S1, S2)))
-    return worst < tol, worst
+    M and B are matrices or block stacks with one block per grade, block g
+    of B having block g of M's column count as rows.  The dimensions are
+    cols(M) - rank M and rank B at their certified cuts
+    (:func:`singular_cut`); when they agree the bound is
+    ||M B||_F / (s_M s_B), s_M and s_B the smallest kept singular values,
+    at most 1.  For a unit y = B x with x orthogonal to ker B,
+    ||x|| <= 1/s_B, and ||M y|| >= s_M sin(y, ker M).  The bound does not
+    change when M or B is scaled.  A zero M has the whole space as its
+    kernel and a B of rank 0 spans the zero space, so equal dimensions
+    there read 0.0.  ``m_cut`` is M's :func:`singular_cut` when the caller
+    has it already (M^H takes M's, for its singular values are M's)."""
+    Ms, Bs = _blocks(M), _blocks(B)
+    if [X.shape[1] for X in Ms] != [Y.shape[0] for Y in Bs]:
+        raise ValueError("B needs one block per grade of M, with M's column counts as rows")
+    m_rank, _, s_m = m_cut or singular_cut(Ms, policy)
+    b_rank, _, s_b = singular_cut(Bs, policy)
+    if sum(X.shape[1] for X in Ms) - m_rank != b_rank:
+        return 1.0
+    if not (m_rank and b_rank):
+        return 0.0
+    norm = math.sqrt(sum(np.linalg.norm(X @ Y) ** 2 for X, Y in zip(Ms, Bs)))
+    return min(1.0, norm / (s_m * s_b))
 
 
 # ---------------------------------------------------------------------------

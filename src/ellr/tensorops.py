@@ -52,8 +52,8 @@ Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
 :class:`ScaledOp`: its grade stack, the only form an operator that keeps
 the grade takes, each R factor entered at unit max-abs, and the natural
-log of the removed scale, accumulated separately.  Rank/kernel/image
-questions only need the stack, read block by block (``scaled_spectrum``,
+log of the removed scale, accumulated separately.  Rank questions only
+need the stack's singular values, read block by block (``scaled_cut``,
 ``scaled_rank``) at a cost about n^2 below a dense SVD; products and
 identities between chain products run block by block after matching the
 log scales (F_a (x) F_b is itself one product, the factors of F_a and then
@@ -66,10 +66,12 @@ V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} taken
 from the n pair blocks of R(+-tau) or of R^H, whose images and kernels
 give W and its complement W^perp; the degree-d relation space is the sum
 of the copies of im R(tau).  Each copy is W's orthonormal pair blocks
-embedded by the site product, so the only rank decision below a sum or a
-``linalg.complement_of_sum`` is the one made on R(+-tau), and no
-intersection is formed: ``lattice_dims`` reads every dimension of the
-lattice the copies generate from certified ranks alone.
+embedded by the site product, so the only rank decision below the copies
+is the one made on R(+-tau).  ``copy_stacks`` sets the copies side by
+side grade by grade: the spanning sets that ``linalg.kernel_span_bound``
+compares with ker F_d and ker F_d^H, and from whose certified ranks
+``lattice_dims`` reads every dimension of the lattice the copies
+generate.  No basis of a sum or an intersection is formed.
 """
 
 from __future__ import annotations
@@ -87,12 +89,11 @@ from .rmatrix import (
 )
 from .linalg import (
     RankPolicy,
-    Spectrum,
     Subspace,
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
     require_finite,
+    singular_cut,
     singular_rank,
-    spectrum,
     svd_ranks,
 )
 
@@ -507,28 +508,25 @@ def grade_index(n: int, d: int) -> np.ndarray:
     return idx
 
 
-def scaled_spectrum(op: ScaledOp, policy: RankPolicy | None = None) -> Spectrum:
-    """Certified spectrum (rank, gap, image, kernel) of a scaled chain product
-    on V^{(x)d}, from its n grade blocks: the image and kernel are given
-    grade by grade (see :func:`grade_index`).
+def scaled_cut(op: ScaledOp, policy: RankPolicy | None = None) -> tuple[int, float, float]:
+    """Certified (rank, gap, smallest kept singular value) of a scaled chain
+    product from the singular values of its grade blocks
+    (:func:`linalg.singular_cut` of ``op.mat``).
 
     Factors enter chains at unit max-abs, so a product whose matrix part
-    has cancelled below ``ZERO_OPERATOR_TOL`` is the zero operator; an SVD
-    of such pure cancellation noise would otherwise report a meaningless
-    rank.
+    has cancelled below ``ZERO_OPERATOR_TOL`` is the zero operator, rank 0;
+    an SVD of such pure cancellation noise would otherwise report a
+    meaningless rank.
     """
     if op.max_abs() < ZERO_OPERATOR_TOL:
-        rows = math.prod(op.mat.shape[:-1])
-        return Spectrum.zero(rows, rows, grades=op.mat.shape[0])
-    return spectrum(op.mat, policy)
+        return 0, math.inf, 0.0
+    return singular_cut(op.mat, policy)
 
 
 def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
-    """Certified (rank, gap) of a scaled chain product from the singular
-    values of its grade blocks; see :func:`scaled_spectrum`."""
-    if op.max_abs() < ZERO_OPERATOR_TOL:
-        return 0, math.inf
-    return singular_rank(op.mat, policy)
+    """Certified (rank, gap) of a scaled chain product; see
+    :func:`scaled_cut`."""
+    return scaled_cut(op, policy)[:2]
 
 
 def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None) -> list:
@@ -581,6 +579,15 @@ def embedded_copies(pair: Subspace, n: int, d: int) -> list:
             for p in range(1, d)]
 
 
+def copy_stacks(pair: Subspace, n: int, d: int) -> tuple[list, np.ndarray]:
+    """The d-1 copies of W = ``pair`` (:func:`embedded_copies`) side by
+    side, grade by grade: per grade the copies' blocks in one matrix, and
+    the (d, n) table of column starts, row p-1 where copy p starts in each
+    grade and row d-1 the widths."""
+    copies = embedded_copies(pair, n, d)
+    starts = np.cumsum([[0] * n] + [[B.shape[1] for B in S.blocks] for S in copies], axis=0)
+    return [np.hstack(grade) for grade in zip(*(S.blocks for S in copies))], starts
+
 
 def lattice_dims(pair: Subspace, complement: Subspace, n: int, d: int,
                  policy: RankPolicy | None = None) -> tuple[list, list]:
@@ -597,12 +604,7 @@ def lattice_dims(pair: Subspace, complement: Subspace, n: int, d: int,
     Sig_{ell-1} + Cap_{r+1} = Sig_ell ^ (Sig_{ell-1} + Cap_r), r = d-1-ell,
     with Sig_0 the zero space: by dim(X + Y) = dim X + dim Y - dim(X ^ Y),
     the right side being Sig_{ell-1} + (Sig_ell ^ Cap_r)."""
-    sides = []
-    for W in (pair, complement):
-        copies = embedded_copies(W, n, d)
-        starts = np.cumsum([[0] * n] + [[B.shape[1] for B in S.blocks] for S in copies], axis=0)
-        sides.append(([np.hstack(grade) for grade in zip(*(S.blocks for S in copies))], starts))
-    (B, b_cols), (A, a_cols) = sides
+    (B, b_cols), (A, a_cols) = copy_stacks(pair, n, d), copy_stacks(complement, n, d)
     sig_sides = [[X[:, :end] for X, end in zip(B, b_cols[ell])] for ell in range(d)]
     cap_perps = [[X[:, start:] for X, start in zip(A, a_cols[d - 1 - r])] for r in range(d)]
     sig = [0] + [singular_rank(side, policy)[0] for side in sig_sides[1:]]

@@ -13,8 +13,8 @@ deformation parameter sits on a locus the underlying statements exclude.
 A refused or ambiguous check never silently counts as a pass.
 
 Two verdict rules cover almost every result: :func:`_within` passes a
-residual, angle or deviation iff it is strictly below its tolerance (a NaN
-fails), recording the value as both observation and residual;
+residual, sine bound or deviation iff it is strictly below its tolerance
+(a NaN fails), recording the value as both observation and residual;
 :func:`_equals` passes a rank, dimension or table iff it equals the
 expected value.  The few results that follow neither rule build their
 :class:`CheckResult` explicitly.
@@ -51,15 +51,13 @@ from .linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
     require_finite,
+    singular_cut,
     singular_rank,
     svd_rank,
     svd_ranks,
-    spectrum,
     image,
     kernel,
-    subspace_sum,
-    complement_of_sum,
-    subspace_equal,
+    kernel_span_bound,
 )
 from .rmatrix import (
     AlgebraParams,
@@ -79,8 +77,8 @@ from .rmatrix import (
 from .tensorops import (
     beyond_cap,
     scaled_residual,
+    scaled_cut,
     scaled_rank,
-    scaled_spectrum,
     grade_index,
     pair_blocks,
     site_product,
@@ -92,7 +90,7 @@ from .tensorops import (
     r_product,
     m_factors,
     t_ranks,
-    embedded_copies,
+    copy_stacks,
     lattice_dims,
 )
 from .classical import classical_w_dim, shuffle_identity_check
@@ -399,7 +397,9 @@ def transform_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
 def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     """Closed-form determinant: ratio at generic points, value 1 at z = 0,
     independence of k, and the nullity-weighted count of determinant zeros
-    (one torsion cell carries total nullity n^2)."""
+    (one torsion cell carries total nullity n^2).  The count is refused on
+    the half-torsion locus, where R(tau) and R(-tau) share a torsion cell,
+    as ``nullity`` and ``twist`` refuse theirs."""
     if tau_excluded(params):
         return [_refused("det.ratio", params, "tau on excluded torsion locus")]
     rng = np.random.default_rng(seed)
@@ -415,18 +415,21 @@ def det_check(params: AlgebraParams, trials: int = 5, seed: int = 0):
     d1 = np.linalg.det(Rk)
     d2 = np.linalg.det(r_matrix(params.with_k(n - params.k), zk))
     k_resid = abs(d1 - d2) / max(abs(d1), abs(d2))
-    (rank_plus, _), (rank_minus, _) = svd_ranks(pair_blocks(np.array([Rt, Rmt]), n),
-                                                params.ranks)
-    zero_count = (n * n - rank_plus) + (n * n - rank_minus)
-    return [
+    results = [
         _within("det.ratio", _echo(params, trials=trials, seed=seed), worst, TOL_DET,
                 "|det/closed_form - 1|"),
         _within("det.normalized_at_zero", _echo(params), at_zero, TOL_DET, "|det R(0) - 1|"),
         _within("det.k_independence", _echo(params, other_k=n - params.k), k_resid, TOL_DET),
-        CheckResult("det.zero_count_per_cell", _echo(params),
-                    n * n, zero_count, float(abs(zero_count - n * n)),
-                    "pass" if zero_count == n * n else "fail"),
     ]
+    if tau_excluded(params, 2):
+        return results + [_refused("det.zero_count_per_cell", params,
+                                   "tau on half-torsion locus: R(tau) and R(-tau) share a cell")]
+    (rank_plus, _), (rank_minus, _) = svd_ranks(pair_blocks(np.array([Rt, Rmt]), n),
+                                                params.ranks)
+    zero_count = (n * n - rank_plus) + (n * n - rank_minus)
+    return results + [CheckResult("det.zero_count_per_cell", _echo(params),
+                                  n * n, zero_count, float(abs(zero_count - n * n)),
+                                  "pass" if zero_count == n * n else "fail")]
 
 
 def _cell_ranks(params: AlgebraParams, sign: int) -> list:
@@ -495,12 +498,14 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     relation spaces of R(sign*tau): rank ``expected_rank(d)``, kernel equal
     to the sum of the embedded images of R(sign*tau) (result
     ``kernel_name``), image equal to the intersection of its embedded
-    kernels (the complement of the sum of the copies of im R^H), all grade
-    by grade, from the pair blocks of R(sign*tau) and R^H.  A degree past
-    the dense cap is refused before anything is built, and a degree
-    expected to vanish gets no angles.  R(sign*tau) and the R's of every
-    F_d inside the cap come from one build.  Returns the results and the
-    rank per degree (None where refused)."""
+    kernels, that is ker F_d^H equal to the sum of the copies of
+    im R(sign*tau)^H, both by :func:`kernel_span_bound` over the grade
+    blocks, from the pair blocks of R(sign*tau) and R^H.  F_d takes one
+    values-only SVD, shared by both sides.  A degree past the dense cap is
+    refused before anything is built, and a degree expected to vanish is
+    compared with nothing.  R(sign*tau) and the R's of every F_d inside the
+    cap come from one build.  Returns the results and the rank per degree
+    (None where refused)."""
     n, policy, tau = params.n, params.ranks, sign * params.tau
     factors = {d: f_factors(d, -tau) for d in range(2, top + 1) if not beyond_cap(n, d)}
     mats = factor_mats(params, [(tau, 1)], *factors.values())
@@ -513,20 +518,19 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
             results.append(_refused(f"{label}.rank", params, note, d=d))
             ranks.append(None)
             continue
-        spec = scaled_spectrum(r_product(n, d, factors[d], mats), policy)
+        F = r_product(n, d, factors[d], mats)
+        cut = scaled_cut(F, policy)
         expected = expected_rank(d)
-        results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, spec.rank))
-        ranks.append(spec.rank)
+        results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, cut[0]))
+        ranks.append(cut[0])
         if expected == 0:
             continue
-        # each side is built when it is compared, so one is held at a time
-        for name, found, combine, W in (
-            (kernel_name, spec.kernel, subspace_sum, pair),
-            (f"{label}.image_is_kernel_intersection", spec.image, complement_of_sum, coimage),
-        ):
-            _, angle = subspace_equal(found, combine(embedded_copies(W, n, d), policy), TOL_ANGLE)
-            results.append(_within(name, _echo(params, d=d), angle, TOL_ANGLE,
-                                   "principal angle"))
+        # each side's copies are built when it is compared, so one is held at a time
+        for name, adjoint, W in ((kernel_name, False, pair),
+                                 (f"{label}.image_is_kernel_intersection", True, coimage)):
+            M = F.mat.conj().swapaxes(-1, -2) if adjoint else F.mat
+            bound = kernel_span_bound(M, copy_stacks(W, n, d)[0], policy, cut)
+            results.append(_within(name, _echo(params, d=d), bound, TOL_ANGLE, "sine bound"))
     return results, ranks
 
 
@@ -675,7 +679,9 @@ def mult_identity_check(params: AlgebraParams,
     signs s, plus an associativity probe of the induced product on the
     images of F.  Every R of the check comes from one build.  A pair whose
     row-wise and column-wise assemblies of M differ by more than
-    M_AGREEMENT_TOL fails with that difference as its residual."""
+    M_AGREEMENT_TOL fails with that difference as its residual.  The probe
+    multiplies over R(m*tau), m up to 3, and is refused where some
+    m*n*tau, m <= 3, is on the lattice; the identities still run."""
     n, tau = params.n, params.tau
     a, b, c = 1, 2, 1  # the probe's split
     # per pair and sign: both assemblies of M_{b,a}, F_a (x) F_b (the
@@ -684,9 +690,10 @@ def mult_identity_check(params: AlgebraParams,
                             f_factors(p, s * tau) + f_factors(q, s * tau, p),
                             f_factors(p + q, s * tau))
                 for p, q in pairs for s in (1, -1)}
-    images = {x: f_factors(x, -tau) for x in (a, b, c)}
+    probe = not tau_excluded(params, 3)
+    images = {x: f_factors(x, -tau) for x in (a, b, c)} if probe else {}
     products = {(x, y): m_factors(y, x, -tau)[0] for x, y in ((a, b), (a + b, c), (b, c),
-                                                              (a, b + c))}
+                                                              (a, b + c))} if probe else {}
     mats = factor_mats(params, *(fs for group in identity.values() for fs in group),
                        *images.values(), *products.values())
     results = []
@@ -698,6 +705,9 @@ def mult_identity_check(params: AlgebraParams,
             worst = max(worst, scaled_residual(M @ pair, whole))
         results.append(_within("mult.identity", _echo(params, a=p, b=q),
                                agree if agree > M_AGREEMENT_TOL else worst, TOL_RESIDUAL))
+    if not probe:
+        return results + [_refused("mult.associativity_probe", params,
+                                   "tau on excluded torsion locus", split=[a, b, c])]
     # associativity of the induced product u*v = M_{b,a}(-tau)(u (x) v)
     rng = np.random.default_rng(seed)
 
@@ -797,17 +807,18 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     *R, R_tau = r_matrices(params, zs + [tau])
     *R_dual, R_dual_tau = r_matrices(partner, [-z for z in zs] + [-tau])
     worst = transpose_residual(n, zs, R, R_dual)
-    # R(tau)^T has the rank of R(tau): one SVD gives the image and the nullity;
-    # both relation spaces are compared grade by grade, from the pair blocks
-    spec = spectrum(pair_blocks(R_tau.T, n), params.ranks)
-    partner_image = image(pair_blocks(R_dual_tau, n), params.ranks)
-    _, angle = subspace_equal(spec.image, partner_image, TOL_ANGLE)
+    # im R(tau)^T = im R'(-tau) iff ker (R(tau)^T)^H = ker R'(-tau)^H, grade
+    # by grade from the pair blocks; (R^T)^H = conj R has the rank of R(tau)
+    conj_blocks = pair_blocks(R_tau.conj(), n)
+    cut = singular_cut(conj_blocks, params.ranks)
+    partner_kernel = kernel(pair_blocks(R_dual_tau, n).conj().swapaxes(-1, -2), params.ranks)
+    bound = kernel_span_bound(conj_blocks, partner_kernel.blocks, params.ranks, cut)
     return [
         _within("dual_algebra.transpose_law", _echo(params, seed=seed), worst, TOL_TRANSFORM),
         _within("dual_algebra.relation_space_match", _echo(params, partner_k=n - params.k),
-                angle, TOL_ANGLE, "principal angle"),
+                bound, TOL_ANGLE, "sine bound"),
         _equals("dual_algebra.kernel_dim_at_tau", _echo(params), comb(n + 1, 2),
-                n * n - spec.rank),
+                n * n - cut[0]),
     ]
 
 

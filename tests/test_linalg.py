@@ -1,4 +1,5 @@
-"""Rank certification, subspace arithmetic, and exact integer elimination."""
+"""Rank certification, the kernel-equals-span rule, and exact integer
+elimination."""
 
 import math
 from fractions import Fraction
@@ -13,23 +14,62 @@ from ellr.linalg import (
     Subspace,
     svd_rank,
     svd_ranks,
+    singular_cut,
     singular_rank,
     spectrum,
     kernel,
     image,
-    subspace_sum,
-    complement_of_sum,
-    principal_angles,
-    subspace_equal,
+    kernel_span_bound,
     exact_rank,
 )
 
 RNG = np.random.default_rng(42)
 
 
+def basis(S):
+    """Orthonormal basis columns of a graded subspace in grade-ordered
+    coordinates (grade 0 first): its blocks placed block-diagonally."""
+    return block_diag(S.blocks)
+
+
 def _projector(S):
     """The orthogonal projector onto S, from its orthonormal basis."""
-    return S.basis @ S.basis.conj().T
+    Q = basis(S)
+    return Q @ Q.conj().T
+
+
+def orth(X, tol=1e-10):
+    """Orthonormal basis of the column span of X, cut at tol times its
+    largest singular value."""
+    U, s, _ = np.linalg.svd(X)
+    return U[:, :int(np.count_nonzero(s > tol * s[0])) if s.size else 0]
+
+
+def null(M, tol=1e-10):
+    """Orthonormal basis of the kernel of M, cut at tol times its largest
+    singular value."""
+    _, s, Vh = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    return Vh[rank:].conj().T
+
+
+def dense_sine(X, Y):
+    """The sine of the largest principal angle between the spans of the
+    orthonormal columns X and Y, 1.0 when their dimensions differ: the
+    2-norm of the part of X outside span Y, which keeps the digits of a
+    small angle (an arccos of the cosines near 1 does not).  The dense
+    reference the equality rule is tested against."""
+    if X.shape[1] != Y.shape[1]:
+        return 1.0
+    if X.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(X - Y @ (Y.conj().T @ X), 2))
+
+
+def kernel_span_sine(M, B):
+    """The dense reference for :func:`kernel_span_bound`: the sine between
+    ker M and span B, M and B dense matrices."""
+    return dense_sine(null(M), orth(B))
 
 
 def _random_rank(m, n, r):
@@ -90,9 +130,9 @@ def _check_kernel_and_image(M, rank):
     nrows, ncols = M.shape
     assert (K.ambient_dim, I.ambient_dim) == (ncols, nrows)
     assert I.dim == rank and K.dim + rank == ncols
-    assert np.allclose(K.basis.conj().T @ K.basis, np.eye(K.dim), atol=1e-12)
-    assert np.allclose(I.basis.conj().T @ I.basis, np.eye(I.dim), atol=1e-12)
-    assert np.max(np.abs(M @ K.basis)) < 1e-9 * np.max(np.abs(M))
+    assert np.allclose(basis(K).conj().T @ basis(K), np.eye(K.dim), atol=1e-12)
+    assert np.allclose(basis(I).conj().T @ basis(I), np.eye(I.dim), atol=1e-12)
+    assert np.max(np.abs(M @ basis(K))) < 1e-9 * np.max(np.abs(M))
     # the image basis spans the columns of M
     resid = M - _projector(I) @ M
     assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(M))
@@ -111,8 +151,8 @@ def test_spectrum_matches_its_readers():
     M = _random_rank(6, 8, 3)
     spec = spectrum(M)
     assert (spec.rank, spec.gap) == svd_rank(M)
-    assert subspace_equal(spec.kernel, kernel(M))[0]
-    assert subspace_equal(spec.image, image(M))[0]
+    assert dense_sine(basis(spec.kernel), basis(kernel(M))) < 1e-12
+    assert dense_sine(basis(spec.image), basis(image(M))) < 1e-12
 
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))
@@ -134,49 +174,36 @@ def test_kernel_image_orthonormal_and_complementary():
     M = _random_rank(7, 7, 4)
     K, I = kernel(M), image(M)
     assert K.dim == 3 and I.dim == 4
-    assert np.allclose(K.basis.conj().T @ K.basis, np.eye(3), atol=1e-12)
-    assert np.max(np.abs(M @ K.basis)) < 1e-9 * np.max(np.abs(M))
+    assert np.allclose(basis(K).conj().T @ basis(K), np.eye(3), atol=1e-12)
+    assert np.max(np.abs(M @ basis(K))) < 1e-9 * np.max(np.abs(M))
 
 
-def test_subspace_sum_and_intersect():
-    e = np.eye(4, dtype=complex)
-    A = Subspace((e[:, :2],))
-    B = Subspace((e[:, 1:3],))
-    assert subspace_sum([A, B]).dim == 3
-    # the complement of span{x0, x1, x2} is the line of x3
-    rest = complement_of_sum([A, B])
-    assert rest.dim == 1 and abs(abs(rest.basis[3, 0]) - 1) < 1e-12
-    # A ^ B is the complement of A^perp + B^perp
-    C = complement_of_sum([Subspace((e[:, 2:],)), Subspace((e[:, [0, 3]],))])
-    assert C.dim == 1
-    assert abs(abs(C.basis[1, 0]) - 1) < 1e-12
-
-
-def test_intersect_with_full_and_zero():
-    # S ^ X is the complement of S^perp + X^perp; full^perp is zero and
-    # zero^perp is full
-    full, zero = Subspace.full(3), Subspace.zero(3)
+def test_kernel_span_bound_at_the_zero_and_the_whole_space():
+    # a zero M has the whole space as its kernel, and a B of rank 0 spans
+    # the zero space: equal dimensions read 0.0, unequal ones 1.0
     M = _random_rank(3, 3, 2)
-    S, S_perp = image(M), kernel(M.conj().T)
-    assert complement_of_sum([S_perp, zero]).dim == S.dim
-    assert complement_of_sum([S_perp, full]).dim == 0
-    assert subspace_equal(complement_of_sum([S_perp]), S)[0]
-    assert complement_of_sum([zero]).dim == 3
-    assert subspace_sum([S, zero]).dim == S.dim
+    whole, none = np.eye(3), np.zeros((3, 0))
+    assert kernel_span_bound(np.zeros((3, 3)), whole) == 0.0
+    assert kernel_span_bound(np.zeros((3, 3)), _random_rank(3, 3, 3)) == 0.0
+    assert kernel_span_bound(_random_rank(3, 3, 3), none) == 0.0
+    assert kernel_span_bound(_random_rank(3, 3, 3), np.zeros((3, 2))) == 0.0
+    assert kernel_span_bound(np.zeros((3, 3)), basis(image(M))) == 1.0
+    assert kernel_span_bound(M, none) == 1.0
+    assert kernel_span_bound(M, basis(kernel(M))) < 1e-15
+    with pytest.raises(ValueError, match="column counts"):
+        kernel_span_bound(M, np.eye(4))
 
 
 def test_principal_angles_and_equality():
     M = _random_rank(6, 6, 3)
-    S = image(M)
-    Q = image(M @ (RNG.standard_normal((6, 6)) + 1j * RNG.standard_normal((6, 6))))
-    # same column space under generic right multiplication... not guaranteed;
-    # use an explicit change of basis instead
-    T = Subspace((np.linalg.qr(S.basis @ _unitary(3))[0],))
-    eq, worst = subspace_equal(S, T)
-    assert eq and worst < 1e-6
-    other = image(_random_rank(6, 6, 3))
-    eq2, worst2 = subspace_equal(S, other)
-    assert not eq2
+    K = basis(kernel(M))
+    # the same span under a change of basis, scaled, passes; another
+    # 3-dimensional space fails, and the bound is never below the sine
+    assert kernel_span_bound(M, 1e3 * K @ _unitary(3)) < 1e-14
+    assert kernel_span_bound(1e-3 * M, K @ _with_values(3, 3, [2.0, 1.0, 0.5])) < 1e-13
+    other = _random_rank(6, 3, 3)
+    bound = kernel_span_bound(M, other)
+    assert bound > 1e-2 and bound >= kernel_span_sine(M, other)
 
 
 def _unitary(k):
@@ -185,10 +212,48 @@ def _unitary(k):
 
 
 def test_subspace_equal_dim_mismatch():
-    A = image(_random_rank(5, 5, 2))
-    B = image(_random_rank(5, 5, 3))
-    eq, _ = subspace_equal(A, B)
-    assert not eq
+    # a dimension mismatch reads 1.0, the sine of a right angle
+    M = _random_rank(5, 5, 2)
+    assert kernel_span_bound(M, _random_rank(5, 2, 2)) == 1.0
+    assert kernel_span_bound(M, _random_rank(5, 4, 4)) == 1.0
+
+
+@pytest.mark.parametrize("angle", (1e-12, 1e-9, 1e-5))
+def test_a_known_angle_is_bounded_from_above_and_resolved(angle):
+    # ker M is rotated by a known angle into its complement, and the
+    # spanning set is a skewed, scaled copy: the bound reads at least the
+    # angle's sine and stays within a small factor of it, far below the
+    # 1e-8 that an arccos of the cosines can show
+    m, k = 8, 3
+    M = _with_values(m, m, [3.0, 2.0, 1.5, 1.0, 0.5])
+    K, C = null(M), orth(M.conj().T)
+    turned = K.copy()
+    turned[:, 0] = math.cos(angle) * K[:, 0] + math.sin(angle) * C[:, 0]
+    B = 7.0 * turned @ _with_values(k, k, [2.0, 1.0, 0.5])
+    bound = kernel_span_bound(M, B)
+    assert math.sin(angle) <= bound < 1e3 * angle
+    assert bound >= kernel_span_sine(M, B)
+
+
+def test_kernel_span_bound_takes_a_given_cut(monkeypatch):
+    # M^H takes M's cut: only B is decomposed, one values-only SVD call
+    M = _random_rank(6, 6, 4)
+    cut = singular_cut(M)
+    svd, calls = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    B = basis(kernel(M.conj().T))
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    bound = kernel_span_bound(M.conj().T, B, m_cut=cut)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert bound < 1e-14
+    assert calls == [((1, 6, 2), False)]
+    assert singular_cut(M)[:2] == singular_rank(M)
+    rank, _, kept = singular_cut(1e5 * M)
+    assert rank == 4 and abs(kept / (1e5 * np.linalg.svd(M, compute_uv=False)[3]) - 1) < 1e-12
 
 
 def _with_values(m, n, values):
@@ -198,7 +263,7 @@ def _with_values(m, n, values):
     return U[:, :len(values)] @ np.diag(values) @ V[:, :len(values)].conj().T
 
 
-def _block_diag(blocks):
+def block_diag(blocks):
     out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)),
                    dtype=complex)
     row = col = 0
@@ -219,7 +284,7 @@ def _ragged_stack():
 
 def test_block_stack_is_certified_as_its_block_diagonal_matrix():
     blocks = _ragged_stack()
-    stacked, dense = spectrum(blocks), spectrum(_block_diag(blocks))
+    stacked, dense = spectrum(blocks), spectrum(block_diag(blocks))
     assert stacked.rank == dense.rank == 6
     assert abs(stacked.gap / dense.gap - 1) < 1e-3
     assert [B.shape[1] for B in stacked.image.blocks] == [3, 1, 2, 0]
@@ -227,7 +292,7 @@ def test_block_stack_is_certified_as_its_block_diagonal_matrix():
     for part in ("image", "kernel"):
         P = _projector(getattr(stacked, part))
         assert np.max(np.abs(P - _projector(getattr(dense, part)))) < 1e-10, part
-    for M in (blocks, _block_diag(blocks)):
+    for M in (blocks, block_diag(blocks)):
         rank, gap = singular_rank(M)
         assert rank == 6 and abs(gap / dense.gap - 1) < 1e-3
     assert svd_rank(blocks) == (stacked.rank, stacked.gap)
@@ -262,27 +327,25 @@ def _graded(*blocks):
 
 
 def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
-    A = _graded(_random_rank(4, 2, 2), _random_rank(4, 1, 1), np.zeros((4, 0)))
-    B = _graded(_random_rank(4, 3, 3), _random_rank(4, 2, 2), _random_rank(4, 1, 1))
-    dense = [Subspace((S.basis,)) for S in (A, B)]
-    assert (A.ambient_dim, A.dim) == (12, 3)
-    for op in (subspace_sum, complement_of_sum):
-        graded, flat = op([A, B]), op(dense)
-        assert graded.dim == flat.dim
-        assert subspace_equal(Subspace((graded.basis,)), flat)[0]
-    assert complement_of_sum([A, Subspace.zero(12, 3)]).dim == 12 - A.dim
-    assert [C.shape[1] for C in complement_of_sum([A]).blocks] == [2, 3, 4]
-    assert subspace_sum([A, Subspace.zero(12, 3)]).dim == A.dim
-    # equal total dims split differently over the grades differ by a right angle
-    C = _graded(_random_rank(4, 1, 1), _random_rank(4, 1, 1), _random_rank(4, 1, 1))
-    assert subspace_equal(A, C) == (False, math.pi / 2)
-    # the angles of each grade, padded with right angles where a grade of
-    # one space has no partner (grade 2 of A is zero)
-    angles = principal_angles(A, C)
-    assert len(angles) == 3 and np.all(np.diff(angles) >= 0) and angles[-1] == math.pi / 2
-    assert subspace_equal(A, _graded(*(S @ _unitary(S.shape[1]) for S in A.blocks)))[0]
-    with pytest.raises(ValueError, match="ambient"):
-        subspace_sum([A, Subspace.full(12, 4)])
+    # the rule over a grade stack is the rule over its block-diagonal
+    # matrix: the same dimensions, and a bound equal up to rounding
+    M = [_random_rank(4, 4, 2), _random_rank(4, 4, 3), np.zeros((4, 4))]
+    K = [basis(kernel(X)) for X in M]
+    A = _graded(*(X @ _unitary(X.shape[1]) for X in K))
+    assert (A.ambient_dim, A.dim) == (12, 7)
+    graded = kernel_span_bound(M, A.blocks)
+    assert graded < 1e-14 and kernel_span_bound(block_diag(M), basis(A)) < 1e-14
+    turned = [X + 1e-6 * _random_rank(4, X.shape[1], X.shape[1]) for X in A.blocks]
+    graded = kernel_span_bound(M, turned)
+    dense = block_diag(M), block_diag(turned)
+    assert abs(graded / kernel_span_bound(*dense) - 1) < 1e-10
+    assert graded >= kernel_span_sine(*dense)
+    # equal total dims split differently over the grades are far apart
+    C = [_random_rank(4, 3, 3), K[1], K[2][:, :3]]
+    assert sum(X.shape[1] for X in C) == A.dim
+    assert kernel_span_bound(M, C) > 0.1
+    with pytest.raises(ValueError, match="column counts"):
+        kernel_span_bound(M, A.blocks[:2])
 
 
 def test_exact_rank_small():

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from ellr.linalg import (
-    NonFiniteMatrixError, Subspace, svd_rank, spectrum, image, subspace_equal, subspace_sum,
-    complement_of_sum,
+    NonFiniteMatrixError, Subspace, kernel_span_bound, svd_rank, spectrum, image,
 )
 from ellr.classical import classical_w_dim
 from ellr.rmatrix import make_params, r_matrix, basis_ops
@@ -19,8 +18,8 @@ from ellr.tensorops import (
     ZERO_OPERATOR_TOL,
     ScaledOp,
     scaled_residual,
+    scaled_cut,
     scaled_rank,
-    scaled_spectrum,
     grade_index,
     pair_blocks,
     site_product,
@@ -37,8 +36,10 @@ from ellr.tensorops import (
     m_factors,
     m_op,
     embedded_copies,
+    copy_stacks,
     lattice_dims,
 )
+from test_linalg import basis, block_diag, dense_sine, kernel_span_sine
 
 P31 = make_params(3, 1)
 ZS = [0.11 + 0.02j, -0.07 + 0.05j, 0.13 - 0.03j]
@@ -121,7 +122,8 @@ def _pair(sign=1):
 
 def _projector(S):
     """The orthogonal projector onto S, from its orthonormal basis."""
-    return S.basis @ S.basis.conj().T
+    Q = basis(S)
+    return Q @ Q.conj().T
 
 
 def intersect(spaces, policy):
@@ -138,7 +140,7 @@ def _dense(S, n, d):
     """A subspace of V^(x)d given grade by grade, as one dense basis in the
     natural coordinates."""
     out = np.zeros((n ** d, S.dim), dtype=complex)
-    out[grade_index(n, d).ravel()] = S.basis
+    out[grade_index(n, d).ravel()] = basis(S)
     return Subspace((out,))
 
 
@@ -189,8 +191,7 @@ def test_scaled_rank_zero_detection():
     noise = ScaledOp(1e-14 * np.random.default_rng(0).standard_normal((2, 2, 2)), 200.0)
     rank, gap = scaled_rank(noise)
     assert rank == 0 and gap == math.inf
-    spec = scaled_spectrum(noise)
-    assert spec.rank == 0 and [B.shape for B in spec.kernel.blocks] == [(2, 2)] * 2
+    assert scaled_cut(noise) == (0, math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +508,12 @@ def test_embedded_relation_annihilates_f():
 def test_f_rank_and_kernel():
     n, d = 3, 3
     F = f_op(P31, d, -P31.tau)
-    rank, _ = scaled_rank(F, P31.ranks)
-    assert rank == comb(n + d - 1, d)
-    ker = scaled_spectrum(F, P31.ranks).kernel
-    relations = subspace_sum(embedded_copies(_pair().image, n, d), P31.ranks)
-    eq, angle = subspace_equal(ker, relations, 1e-6)
-    assert eq
+    cut = scaled_cut(F, P31.ranks)
+    assert cut[:2] == scaled_rank(F, P31.ranks) and cut[0] == comb(n + d - 1, d)
+    relations = copy_stacks(_pair().image, n, d)[0]
+    bound = kernel_span_bound(F.mat, relations, P31.ranks, cut)
+    dense = block_diag(F.mat), block_diag(relations)
+    assert kernel_span_sine(*dense) <= bound < 1e-12
 
 
 def test_f_dual_rank_and_vanishing():
@@ -525,15 +526,18 @@ def test_f_dual_rank_and_vanishing():
 
 def test_f_image_is_embedded_kernel_intersection():
     # the intersection of the embedded kernels of R(tau) is the complement
-    # of the sum of the embedded copies of im R(tau)^H = (ker R(tau))^perp
+    # of the sum of the embedded copies of im R(tau)^H = (ker R(tau))^perp,
+    # so im F = Cap is ker F^H = that sum, on F's own cut
     F = f_op(P31, 3, -P31.tau)
+    cut = scaled_cut(F, P31.ranks)
     coimage = image(pair_blocks(r_matrix(P31, P31.tau).conj().T, 3), P31.ranks)
-    cap = complement_of_sum(embedded_copies(coimage, 3, 3), P31.ranks)
-    eq, angle = subspace_equal(scaled_spectrum(F, P31.ranks).image, cap, 1e-6)
-    assert eq
+    adjoint = F.mat.conj().swapaxes(-1, -2)
+    assert kernel_span_bound(adjoint, copy_stacks(coimage, 3, 3)[0], P31.ranks, cut) < 1e-12
+    # the projector witness of the intersection is im F, by the dense reference
     witness = intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
-    assert [B.shape[1] for B in cap.blocks] == [B.shape[1] for B in witness.blocks]
-    assert subspace_equal(cap, witness, 1e-6)[0]
+    assert [B.shape[1] for B in witness.blocks] == [B.shape[1] for B in
+                                                    spectrum(F.mat, P31.ranks).image.blocks]
+    assert dense_sine(basis(witness), basis(spectrum(F.mat, P31.ranks).image)) < 1e-12
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -545,12 +549,101 @@ def test_embedded_copies_match_embedded_projector_images(sign):
         copies = embedded_copies(W, n, d)
         assert len(copies) == d - 1
         for pos, copy in enumerate(copies, start=1):
-            gram = copy.basis.conj().T @ copy.basis
+            gram = basis(copy).conj().T @ basis(copy)
             assert np.allclose(gram, np.eye(copy.dim), atol=1e-13)
             reference = image(embed_pair(_projector(_dense(W, n, 2)), pos, n, d), P31.ranks)
-            eq, angle = subspace_equal(_dense(copy, n, d), reference, 1e-6)
-            assert eq, (sign, pos, angle)
+            angle = dense_sine(basis(_dense(copy, n, d)), basis(reference))
+            assert angle < 1e-12, (sign, pos, angle)
 
+
+def test_copy_stacks_set_the_copies_side_by_side():
+    n, d = 3, 4
+    copies = embedded_copies(_pair().image, n, d)
+    stacks, starts = copy_stacks(_pair().image, n, d)
+    assert starts.shape == (d, n)
+    for g, X in enumerate(stacks):
+        assert X.shape == (n ** (d - 1), starts[-1, g])
+        for p, copy in enumerate(copies):
+            assert np.array_equal(X[:, starts[p, g]:starts[p + 1, g]], copy.blocks[g])
+
+
+def _rotation(size, angle, rng):
+    """A unitary I + O(angle): the Cayley transform of angle times a random
+    anti-Hermitian matrix of unit 2-norm."""
+    G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    K = G - G.conj().T
+    K /= np.linalg.norm(K, 2)
+    eye = np.eye(size)
+    return np.linalg.solve(eye - angle / 2 * K, eye + angle / 2 * K)
+
+
+def _f_sides(p, d, sign):
+    """F_d(-sign*tau)'s cut and both sides of the rule: (M, copies of W) for
+    the kernel, M = F, and the image, M = F^H."""
+    n = p.n
+    F = f_op(p, d, -sign * p.tau)
+    blocks = pair_blocks(r_matrix(p, sign * p.tau), n)
+    sides = [(F.mat, image(blocks, p.ranks)),
+             (F.mat.conj().swapaxes(-1, -2), image(blocks.conj().swapaxes(-1, -2), p.ranks))]
+    return scaled_cut(F, p.ranks), [(M, copy_stacks(W, n, d)) for M, W in sides]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (2, 3, 4) for d in (2, 3, 4)
+                                  if n ** d <= 256 and not (n == 2 and d > 2)])
+def test_the_bound_is_never_below_the_true_sine(n, d):
+    # over both sides, both signs and the relation copies turned by
+    # (I + angle G) on each grade, the bound is at least the sine the dense
+    # reference reads, and resolves the untouched equality far below 1e-9.
+    # At (2, 2) the bound is tight (one copy, orthonormal, and F_2 with
+    # equal kept values), so both sides agree to their rounding, ~1e-16
+    p, rng = make_params(n, 1), np.random.default_rng(n * 10 + d)
+    for sign in (1, -1):
+        cut, sides = _f_sides(p, d, sign)
+        if cut[0] == 0:
+            continue
+        for M, (B, _) in sides:
+            dense = block_diag(M)
+            for angle in (0.0, 1e-10, 1e-7, 1e-4):
+                turned = [(np.eye(len(X)) + angle * rng.standard_normal((len(X),) * 2)) @ X
+                          for X in B]
+                bound = kernel_span_bound(M, turned, p.ranks, cut)
+                sine = kernel_span_sine(dense, block_diag(turned))
+                assert bound >= sine - 1e-15, (sign, angle, bound, sine)
+                if angle == 0.0:
+                    assert bound < 1e-10
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("d", (2, 3))
+def test_a_copy_turned_by_1e_5_fails(sign, d):
+    # copy 1 of the relation space turned by a unitary 1e-5 from the
+    # identity on each grade: the rule must not pass it.  At d = 2 it is
+    # the only copy, the dimensions still agree, and the bound itself must
+    # read the turn; at d = 3 the turned copy no longer meets copy 2 as
+    # before, and the dimensions differ
+    cut, sides = _f_sides(P31, d, sign)
+    rng = np.random.default_rng(5)
+    for M, (B, starts) in sides:
+        turned = [X.copy() for X in B]
+        for g, X in enumerate(turned):
+            first = slice(starts[0, g], starts[1, g])
+            X[:, first] = _rotation(len(X), 1e-5, rng) @ X[:, first]
+        assert kernel_span_bound(M, B, P31.ranks, cut) < 1e-12
+        bound = kernel_span_bound(M, turned, P31.ranks, cut)
+        assert 1e-6 <= bound and (bound < 1e-3 if d == 2 else bound == 1.0), bound
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_the_relation_space_of_the_wrong_sign_fails(n):
+    # ker F_d(-tau) is the sum of the copies of im R(tau), not of im R(-tau)
+    p, d = make_params(n, 1), 3
+    F = f_op(p, d, -p.tau)
+    cut = scaled_cut(F, p.ranks)
+    for sign in (1, -1):
+        blocks = pair_blocks(r_matrix(p, sign * p.tau), n)
+        bound = kernel_span_bound(F.mat, copy_stacks(image(blocks, p.ranks), n, d)[0],
+                                  p.ranks, cut)
+        assert (bound < 1e-12) if sign == 1 else (bound >= 1e-6), (sign, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +717,9 @@ def _t_table_ops(p, d):
 
 def _assert_block_certificate_is_dense(op, n, d, policy):
     if op.max_abs() < ZERO_OPERATOR_TOL:
-        assert scaled_spectrum(op, policy).rank == 0
+        assert scaled_rank(op, policy)[0] == 0
         return
-    graded, dense = scaled_spectrum(op, policy), spectrum(op.matrix(), policy)
+    graded, dense = spectrum(op.mat, policy), spectrum(op.matrix(), policy)
     assert graded.rank == dense.rank
     assert scaled_rank(op, policy)[0] == dense.rank
     # the largest dropped singular value is rounding noise, which the dense
@@ -655,7 +748,7 @@ def test_ragged_grade_ranks():
     # the grades of F_d(-tau) need not have equal ranks
     for n, d, ranks in ((3, 3, [4, 3, 3]), (4, 4, [10, 8, 9, 8])):
         p = make_params(n, 1)
-        spec = scaled_spectrum(f_op(p, d, -p.tau), p.ranks)
+        spec = spectrum(f_op(p, d, -p.tau).mat, p.ranks)
         assert [B.shape[1] for B in spec.image.blocks] == ranks
         assert [B.shape[1] for B in spec.kernel.blocks] == [n ** (d - 1) - r for r in ranks]
 
@@ -674,8 +767,14 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
             Td = np.kron(Td, T)
         F = op.matrix()
         assert np.max(np.abs(Td @ F - F @ Td)) < 1e-12
-        ranks = [B.shape[1] for B in scaled_spectrum(op, p.ranks).image.blocks]
+        ranks = [B.shape[1] for B in spectrum(op.mat, p.ranks).image.blocks]
         assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
+
+
+def _sum(spaces, policy):
+    """The sum of ungraded subspaces: the certified image of their bases
+    side by side."""
+    return spectrum(np.hstack([basis(S) for S in spaces]), policy).image
 
 
 def _dense_lattice(pair, n, d, policy):
@@ -683,11 +782,11 @@ def _dense_lattice(pair, n, d, policy):
     orthonormal bases of dense Kronecker copies of ``pair``, every sum
     re-orthonormalized and every intersection the :func:`intersect`
     witness."""
-    W = _dense(pair, n, 2).basis
+    W = basis(_dense(pair, n, 2))
     copies = [Subspace((np.kron(np.kron(np.eye(n ** (p - 1)), W), np.eye(n ** (d - p - 1))),))
               for p in range(1, d)]
-    whole = Subspace.full(n ** d)
-    sig = [whole] + [subspace_sum(copies[:ell], policy) for ell in range(1, d)]
+    whole = Subspace((np.eye(n ** d, dtype=complex),))
+    sig = [whole] + [_sum(copies[:ell], policy) for ell in range(1, d)]
     cap = [whole] + [intersect(copies[d - 1 - r:], policy) for r in range(1, d)]
     # the end corners are Cap_{d-1} and Sig_{d-1} themselves (I - P of a
     # whole space is rounding noise, which no cut reads as zero)
@@ -701,8 +800,8 @@ def _dense_lattice(pair, n, d, policy):
             # Cap_{r+1} and the corner Sig_1 ^ Cap_r
             triples.append((cap[r + 1].dim, corners[1]))
             continue
-        inner = subspace_sum([sig[ell - 1], cap[r]], policy)
-        triples.append((subspace_sum([sig[ell - 1], cap[r + 1]], policy).dim,
+        inner = _sum([sig[ell - 1], cap[r]], policy)
+        triples.append((_sum([sig[ell - 1], cap[r + 1]], policy).dim,
                         intersect([sig[ell], inner], policy).dim))
     return corners, triples
 

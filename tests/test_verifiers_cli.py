@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ellr.linalg import RankPolicy, Subspace, subspace_equal
+from ellr.linalg import RankPolicy, kernel_span_bound
 from ellr.rmatrix import (
     HalfPeriodPoint, b_fn, basis_ops, f_fn, make_params, r_matrix, torsion_op, weight_op,
     weight_op_k,
@@ -51,6 +51,46 @@ def test_refusal_on_torsion_tau():
     for check in (V.qybe_check, V.transform_check, V.inverse_pair_check,
                   V.weight_family_check, V.mult_identity_check):
         assert [r.status for r in check(pt)] == ["refused"], check.__name__
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_zero_count_and_probe_are_refused_on_their_torsion_loci(n, m):
+    # at tau = 1/(m n), m n tau is on the lattice: det's zero count is
+    # refused at m = 2 (R(tau) and R(-tau) share a torsion cell) and mult's
+    # associativity probe at m = 2 and 3; every other result still runs,
+    # and none fails
+    p = make_params(n, 1, tau=1 / (m * n))
+    statuses = {r.name: r.status for r in V.det_check(p) + V.mult_identity_check(p)}
+    refused = {"mult.associativity_probe"} | ({"det.zero_count_per_cell"} if m == 2 else set())
+    assert {name for name, status in statuses.items() if status == "refused"} == refused
+    assert set(statuses.values()) == {"pass", "refused"}
+    assert len(statuses) == 6
+
+
+def test_report_on_the_half_torsion_locus_exits_zero(tmp_path):
+    # 2n tau = 3 at n = 3, tau = 0.5: the checks that exclude the locus
+    # refuse, and nothing fails
+    out = tmp_path / "r.json"
+    assert main(["report", "all", "--n", "3", "--d-max", "2", "--tau", "0.5,0",
+                 "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["fail"] == summary["ambiguous"] == 0 and summary["refused"] > 0
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_equalities_resolve_below_1e_9(n):
+    # every kernel, image and relation-space equality reads its sine bound,
+    # far below the 1e-8 floor an arccos of the cosines put under an angle
+    p = make_params(n, 1)
+    results = (V.hilbert_check(p, d_max=4) + V.dual_hilbert_check(p)
+               + V.dual_algebra_check(p))
+    equalities = [r for r in results
+                  if "_is_" in r.name or r.name == "dual_algebra.relation_space_match"]
+    assert len(equalities) >= 7
+    for r in equalities:
+        assert r.status == "pass" and r.residual < 1e-9, (r.name, r.params, r.residual)
+        assert r.expected == f"sine bound < {V.TOL_ANGLE}"
 
 
 @pytest.mark.parametrize("run", (
@@ -96,14 +136,14 @@ def test_each_check_group_is_timed_once_on_its_first_result():
 
 
 def _line_and_plane():
-    eye = np.eye(3, dtype=complex)
-    return Subspace((eye[:, :1],)), Subspace((eye[:, :2],))
+    # the kernel of diag(0, 1, 1) is the line of x_0, against the plane of x_0, x_1
+    return np.diag([0.0, 1.0, 1.0]), np.eye(3, dtype=complex)[:, :2]
 
 
 @pytest.mark.parametrize("value, tol", (
     (1e-8, 1e-8),
     (math.nan, V.TOL_LIMIT),  # limit_check's ladders read NaN at n=2
-    (subspace_equal(*_line_and_plane(), V.TOL_ANGLE)[1], V.TOL_ANGLE),
+    (kernel_span_bound(*_line_and_plane()), V.TOL_ANGLE),
 ), ids=("at_tolerance", "nan", "angle_across_dimensions"))
 def test_value_not_strictly_below_tolerance_fails(value, tol):
     res = V._within("synthetic", {}, value, tol)
