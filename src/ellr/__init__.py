@@ -19,7 +19,6 @@ from .linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
     RankPolicy,
-    Subspace,
     svd_rank,
     kernel,
     image,

@@ -18,13 +18,12 @@ with the gap taken between the smallest kept and the largest dropped value
 over all blocks.  So a stack's certificate (rank, gap) is the dense one up
 to rounding, and a block of pure noise beside a large one is cut as noise.
 
-:func:`spectrum` returns the certified rank, the gap, and the image and
-the kernel grade by grade (:class:`Subspace`) from one SVD per block;
-``svd_rank``, ``kernel`` and ``image`` read from it, and it serves the
-small pair blocks of an R-matrix.  :func:`singular_cut` certifies a rank
-from the singular values alone, with the smallest kept value, and
-:func:`svd_ranks` a batch of separate block stacks (the pair blocks of
-many R-matrices), each on its own, from one values-only SVD.
+Every rank is read from singular values alone: :func:`svd_rank` certifies
+(rank, gap), :func:`singular_cut` adds the smallest kept value, and
+:func:`svd_ranks` certifies a batch of separate block stacks (the pair
+blocks of many R-matrices), each on its own, from one SVD.  Only
+:func:`image` and :func:`kernel` take U and V, for their orthonormal
+blocks; they serve the small pair blocks of an R-matrix.
 
 Subspaces of a tensor power are never compared through bases.  The one
 equality rule, :func:`kernel_span_bound`, decides ker M = span B from two
@@ -55,8 +54,9 @@ class AmbiguousRankError(RuntimeError):
 
 
 class NonFiniteMatrixError(ValueError):
-    """A matrix handed to :func:`spectrum` has an inf or NaN entry: the
-    computation that built it overflowed, so no rank can be read from it."""
+    """A matrix whose rank or basis is asked for has an inf or NaN entry:
+    the computation that built it overflowed, so no rank can be read from
+    it."""
 
 
 @dataclass(frozen=True)
@@ -69,36 +69,6 @@ class RankPolicy:
             raise ValueError("rel_threshold must lie in (0, 1)")
         if not self.min_gap > 1:
             raise ValueError("min_gap must exceed 1")
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of C^ambient_dim given grade by grade: ``blocks[g]`` holds
-    orthonormal basis columns of its grade-g part in the coordinates of
-    grade g.  An ungraded subspace is a single block."""
-
-    blocks: tuple  # blocks[g] of shape (dim of grade g, dim of the part)
-
-    @property
-    def ambient_dim(self) -> int:
-        return sum(B.shape[0] for B in self.blocks)
-
-    @property
-    def dim(self) -> int:
-        return sum(B.shape[1] for B in self.blocks)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One certified SVD of a matrix or block stack: the rank at the
-    gap-certified cut, the gap across it (inf when nothing is dropped), and
-    orthonormal bases of the image and the kernel at that cut, block by
-    block."""
-
-    rank: int
-    gap: float
-    image: Subspace
-    kernel: Subspace
 
 
 def require_finite(values) -> None:
@@ -165,29 +135,13 @@ def _cut(values, policy: RankPolicy) -> tuple[list, float, float]:
     return ranks, gap, kept
 
 
-def spectrum(M, policy: RankPolicy | None = None) -> Spectrum:
-    """Rank, gap, image and kernel of M from one SVD per block.
-
-    M is one matrix or a stack of blocks (see the module docstring); the
-    image and kernel are given block by block.  The stack is max-abs
-    normalized first and cut by :func:`_cut`.  Raises AmbiguousRankError
-    when the gap is below ``policy.min_gap``, and NonFiniteMatrixError when
-    M has an inf or NaN entry.
-    """
-    policy = policy or RankPolicy()
-    blocks = _blocks(M)
-    svds = _svds(blocks, scale=_max_abs(blocks))
-    ranks, gap, _ = _cut([s for _, s, _ in svds], policy)
-    return Spectrum(sum(ranks), gap,
-                    Subspace(tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks))),
-                    Subspace(tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks))))
-
-
 def singular_cut(M, policy: RankPolicy | None = None) -> tuple[int, float, float]:
     """Certified (rank, gap, smallest kept singular value) of M, one matrix
-    or a block stack, from its singular values alone, through the cut of
-    :func:`spectrum`; the smallest kept value is M's own (not of M at unit
-    max-abs), and 0.0 at rank 0."""
+    or a block stack, from its singular values alone: the stack at unit
+    max-abs, cut by :func:`_cut`.  The smallest kept value is M's own (not
+    of M at unit max-abs), and 0.0 at rank 0.  Raises AmbiguousRankError
+    when the gap is below ``policy.min_gap``, and NonFiniteMatrixError when
+    M has an inf or NaN entry."""
     policy = policy or RankPolicy()
     blocks = _blocks(M)
     scale = _max_abs(blocks)
@@ -195,22 +149,16 @@ def singular_cut(M, policy: RankPolicy | None = None) -> tuple[int, float, float
     return sum(ranks), gap, kept * scale
 
 
-def singular_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
+def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
     """Certified (rank, gap) of M; see :func:`singular_cut`."""
     return singular_cut(M, policy)[:2]
-
-
-def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
-    """Certified (rank, gap) of M; see :func:`spectrum`."""
-    spec = spectrum(M, policy)
-    return spec.rank, spec.gap
 
 
 def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
     """Certified (rank, gap) of every operator of a (count, blocks, rows,
     cols) batch of block stacks, each normalized by its own max-abs and cut
-    by :func:`_cut` over its own blocks, as :func:`singular_rank` certifies
-    it alone, from one values-only ``np.linalg.svd``.  Raises
+    by :func:`_cut` over its own blocks, as :func:`svd_rank` certifies it
+    alone, from one values-only ``np.linalg.svd``.  Raises
     AmbiguousRankError at the first operator whose gap is below
     ``policy.min_gap``, and NonFiniteMatrixError when an entry is inf or NaN."""
     policy = policy or RankPolicy()
@@ -223,14 +171,28 @@ def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
     return [(sum(ranks), gap) for ranks, gap, _ in cuts]
 
 
-def kernel(M, policy: RankPolicy | None = None) -> Subspace:
-    """Orthonormal basis of the null space at the certified rank cut."""
-    return spectrum(M, policy).kernel
+def _bases(M, policy: RankPolicy | None) -> tuple[list, list]:
+    """The (U, s, Vh) of every block of M at unit max-abs and the ranks of
+    the certified cut (:func:`_cut`): the one SVD that :func:`image` and
+    :func:`kernel` read."""
+    blocks = _blocks(M)
+    svds = _svds(blocks, scale=_max_abs(blocks))
+    ranks, _, _ = _cut([s for _, s, _ in svds], policy or RankPolicy())
+    return svds, ranks
 
 
-def image(M, policy: RankPolicy | None = None) -> Subspace:
-    """Orthonormal basis of the column space at the certified rank cut."""
-    return spectrum(M, policy).image
+def image(M, policy: RankPolicy | None = None) -> tuple:
+    """Orthonormal bases of the column space at the certified rank cut, one
+    block per block of M."""
+    svds, ranks = _bases(M, policy)
+    return tuple(U[:, :r] for (U, _, _), r in zip(svds, ranks))
+
+
+def kernel(M, policy: RankPolicy | None = None) -> tuple:
+    """Orthonormal bases of the null space at the certified rank cut, one
+    block per block of M."""
+    svds, ranks = _bases(M, policy)
+    return tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks))
 
 
 def kernel_span_bound(M, B, policy: RankPolicy | None = None, m_cut=None) -> float:

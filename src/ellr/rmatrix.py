@@ -206,7 +206,8 @@ def r_matrices(params: AlgebraParams, zs) -> np.ndarray:
     build on params, which fill its cached denominators (or raise
     TorsionParameterError).  Each row of the stack equals r_matrix at its
     z exactly.  An entry that overflows complex128 is left inf or NaN
-    without a warning: linalg.spectrum refuses such a matrix.
+    without a warning: every rank and basis of ``linalg`` refuses such a
+    matrix (NonFiniteMatrixError).
     """
     n = params.n
     z = np.asarray(zs, dtype=complex).reshape(-1)

@@ -4,7 +4,7 @@ Builds operators on V^{(x)d} (V = C^n, basis x_0..x_{n-1}, row-major
 multi-index ordering): permutation operators, (anti)symmetrizers, the four
 telescoping chains of R-matrices, the cumulative operators T_d and F_d, the
 rectangular two-parameter arrays M_{a,b}; and, grade by grade, their
-certified spectra and the embedded copies from which the relation spaces
+certified ranks and the embedded copies from which the relation spaces
 of the associated quadratic algebra are built.
 
 Chains are indexed by one-based tensorand positions.  For an ascending
@@ -64,11 +64,12 @@ plain matrix.
 The embedded relation spaces are built grade by grade from the copies
 V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} taken
 from the n pair blocks of R(+-tau) or of R^H, whose images and kernels
-give W and its complement W^perp; the degree-d relation space is the sum
-of the copies of im R(tau).  Each copy is W's orthonormal pair blocks
-embedded by the site product, so the only rank decision below the copies
-is the one made on R(+-tau).  ``copy_stacks`` sets the copies side by
-side grade by grade: the spanning sets that ``linalg.kernel_span_bound``
+(``linalg.image`` and ``linalg.kernel``, the only orthonormal bases
+taken) give W and its complement W^perp; the degree-d relation space is
+the sum of the copies of im R(tau).  Each copy is W's orthonormal pair
+blocks embedded by the site product, so the only rank decision below the
+copies is the one made on R(+-tau).  ``copy_stacks`` sets the copies side
+by side grade by grade: the spanning sets that ``linalg.kernel_span_bound``
 compares with ker F_d and ker F_d^H, and from whose certified ranks
 ``lattice_dims`` reads every dimension of the lattice the copies
 generate.  No basis of a sum or an intersection is formed.
@@ -89,11 +90,10 @@ from .rmatrix import (
 )
 from .linalg import (
     RankPolicy,
-    Subspace,
     image,  # noqa: F401  (bound here for ellrbench's tracer test)
     require_finite,
     singular_cut,
-    singular_rank,
+    svd_rank,
     svd_ranks,
 )
 
@@ -450,11 +450,7 @@ def m_factors(a: int, b: int, z, xs=None, ys=None) -> tuple[list, list]:
     return rows, columns
 
 
-M_AGREEMENT_TOL = 1e-8
-
-
-def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
-         validate: bool = False) -> ScaledOp:
+def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None) -> ScaledOp:
     """Rectangular a-by-b array product M_{a,b}(z; x_1..x_{a-1}; y_1..y_{b-1}).
 
     Entry (row, col) of the array (rows top to bottom, columns left to
@@ -462,22 +458,13 @@ def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None,
     (a - row + col, a - row + col + 1); the operator is the product of the
     rows top to bottom, each row multiplied left to right.  The same value
     arises as the product of the columns left to right, each column
-    multiplied top to bottom (:func:`m_factors` gives both);
-    ``validate=True`` raises AssertionError when the two assemblies differ
-    by more than M_AGREEMENT_TOL.  M with a = 0 or b = 0 is the identity on
-    V^{(x)(a+b)}.
+    multiplied top to bottom (:func:`m_factors` gives both).  M with a = 0
+    or b = 0 is the identity on V^{(x)(a+b)}.
 
     When xs/ys are omitted every increment defaults to z itself (the
     one-argument shorthand M_{a,b}(z)).
     """
-    rows, columns = m_factors(a, b, z, xs, ys)
-    if not validate:
-        return _product(params, a + b, rows)
-    mats = factor_mats(params, rows, columns)
-    out, alt = (r_product(params.n, a + b, factors, mats) for factors in (rows, columns))
-    if scaled_residual(out, alt) > M_AGREEMENT_TOL:
-        raise AssertionError("row-wise and column-wise assemblies of M_{a,b} disagree")
-    return out
+    return _product(params, a + b, m_factors(a, b, z, xs, ys)[0])
 
 
 ZERO_OPERATOR_TOL = 1e-10
@@ -555,45 +542,41 @@ def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None
     return out
 
 
-def embedded_copies(pair: Subspace, n: int, d: int) -> list:
-    """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of a
-    subspace W = ``pair`` of V^{(x)2}, grade by grade.
+def copy_stacks(pair, n: int, d: int) -> tuple[list, np.ndarray]:
+    """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of
+    a subspace W of V^{(x)2} side by side, grade by grade: per grade the
+    copies' orthonormal columns in one matrix, and the (d, n) table of
+    column starts, row p-1 where copy p starts in each grade and row d-1
+    the widths.
 
-    ``pair`` is given by its n pair-grade blocks, as the spectrum of the
-    grade blocks of an R-matrix gives it.  Padded with zero columns to
-    (n, n, n), they are the pair blocks of an operator on V^{(x)2} whose
-    image is W, and copy p is the image of its site-product embedding at
-    (p, p+1): the nonzero columns of each grade block, for the padding
-    columns are exact zeros and the basis columns have unit norm.  Each
-    block is exactly orthonormal, so no SVD and no n^d basis is needed.
+    ``pair`` is the tuple of W's n pair-grade blocks, as :func:`image` or
+    :func:`kernel` of the pair blocks of an R-matrix gives it.  Padded with
+    zero columns to (n, n, n), they are the pair blocks of an operator on
+    V^{(x)2} whose image is W, and copy p is the image of its site-product
+    embedding at (p, p+1): the nonzero columns of each grade block, for the
+    padding columns are exact zeros and the basis columns have unit norm.
+    Each copy is exactly orthonormal, so no SVD and no n^d basis is needed.
     """
     _check_dim(n, d)
     if d < 2:
         raise ValueError("embedded copies need degree at least 2")
-    if [B.shape[0] for B in pair.blocks] != [n] * n:
+    if [B.shape[0] for B in pair] != [n] * n:
         raise ValueError("the pair subspace must be given by its n pair-grade blocks")
     padded = np.zeros((n, n, n), dtype=complex)
-    for s, B in enumerate(pair.blocks):
+    for s, B in enumerate(pair):
         padded[s, :, :B.shape[1]] = B
-    return [Subspace(tuple(B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))))
-            for p in range(1, d)]
+    copies = [[B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))]
+              for p in range(1, d)]
+    starts = np.cumsum([[0] * n] + [[B.shape[1] for B in copy] for copy in copies], axis=0)
+    return [np.hstack(grade) for grade in zip(*copies)], starts
 
 
-def copy_stacks(pair: Subspace, n: int, d: int) -> tuple[list, np.ndarray]:
-    """The d-1 copies of W = ``pair`` (:func:`embedded_copies`) side by
-    side, grade by grade: per grade the copies' blocks in one matrix, and
-    the (d, n) table of column starts, row p-1 where copy p starts in each
-    grade and row d-1 the widths."""
-    copies = embedded_copies(pair, n, d)
-    starts = np.cumsum([[0] * n] + [[B.shape[1] for B in S.blocks] for S in copies], axis=0)
-    return [np.hstack(grade) for grade in zip(*(S.blocks for S in copies))], starts
-
-
-def lattice_dims(pair: Subspace, complement: Subspace, n: int, d: int,
+def lattice_dims(pair, complement, n: int, d: int,
                  policy: RankPolicy | None = None) -> tuple[list, list]:
     """Dimensions of the lattice that the copies W_1..W_{d-1} of W = ``pair``
-    (:func:`embedded_copies`) generate in V^{(x)d}, from certified ranks of
-    grade stacks; ``complement`` is W^perp, both by their pair blocks.
+    (:func:`copy_stacks`) generate in V^{(x)d}, from certified ranks of
+    grade stacks; ``complement`` is W^perp, both the tuples of their pair
+    blocks.
 
     With B_ell the copies 1..ell of W and A_r the last r of W^perp side by
     side, Sig_ell = W_1 + ... + W_ell has dim rank B_ell, Cap_r =
@@ -607,14 +590,14 @@ def lattice_dims(pair: Subspace, complement: Subspace, n: int, d: int,
     (B, b_cols), (A, a_cols) = copy_stacks(pair, n, d), copy_stacks(complement, n, d)
     sig_sides = [[X[:, :end] for X, end in zip(B, b_cols[ell])] for ell in range(d)]
     cap_perps = [[X[:, start:] for X, start in zip(A, a_cols[d - 1 - r])] for r in range(d)]
-    sig = [0] + [singular_rank(side, policy)[0] for side in sig_sides[1:]]
-    cap = [n ** d] + [n ** d - singular_rank(side, policy)[0] for side in cap_perps[1:]]
+    sig = [0] + [svd_rank(side, policy)[0] for side in sig_sides[1:]]
+    cap = [n ** d] + [n ** d - svd_rank(side, policy)[0] for side in cap_perps[1:]]
     meets = {}
 
     def meet(ell, r):
         """dim(Sig_ell ^ Cap_r), with Sig_0 the zero space; each rank once."""
         if ell and r and (ell, r) not in meets:
-            meets[ell, r] = sig[ell] - singular_rank(
+            meets[ell, r] = sig[ell] - svd_rank(
                 [a.conj().T @ b for a, b in zip(cap_perps[r], sig_sides[ell])], policy)[0]
         return meets.get((ell, r), sig[ell])
 

@@ -52,7 +52,6 @@ from .linalg import (
     NonFiniteMatrixError,
     require_finite,
     singular_cut,
-    singular_rank,
     svd_rank,
     svd_ranks,
     image,
@@ -84,7 +83,6 @@ from .tensorops import (
     site_product,
     symmetrizer,
     antisymmetrizer,
-    M_AGREEMENT_TOL,
     f_factors,
     factor_mats,
     r_product,
@@ -103,6 +101,7 @@ TOL_DET = 1e-6
 TOL_ANGLE = 1e-6
 TOL_LIMIT = 1e-2
 TOL_THETA = 1e-10
+M_AGREEMENT_TOL = 1e-8  # row-wise against column-wise assembly of M_{a,b}
 EXCLUSION_DISTANCE = 1e-8
 YB_BATCH_ENTRIES = 2 ** 12  # per graded V^(x)3 product stack of a Yang-Baxter check
 
@@ -451,8 +450,7 @@ def nullity_table(params: AlgebraParams):
         # only an inequality is available on this locus; record, don't assert
         obs = {}
         try:
-            r_plus, _ = singular_rank(pair_blocks(r_matrix(params, params.tau), n),
-                                      params.ranks)
+            r_plus, _ = svd_rank(pair_blocks(r_matrix(params, params.tau), n), params.ranks)
             obs["nullity_at_tau"] = n * n - r_plus
         except AmbiguousRankError as exc:
             obs["nullity_at_tau"] = f"ambiguous (gap {exc.gap:.2e})"
@@ -566,9 +564,12 @@ def dual_hilbert_check(params: AlgebraParams, d_max: int | None = None):
     series of the Koszul dual), with total vanishing at d = n+1, and
     kernel/image described by R(-tau).  A degree past the dense cap (d = 6
     at n = 5) is refused before anything is built; the lower degrees still
-    run."""
+    run.  d_max defaults to n+1, and a top degree below 2 leaves no degree
+    to check: refused."""
     n = params.n
-    top = min(d_max or (n + 1), n + 1)
+    top = n + 1 if d_max is None else min(d_max, n + 1)
+    if top < 2:
+        return [_refused("dual.rank", params, "dual needs d >= 2", d_max=d_max)]
     if tau_excluded(params, top):
         return [_refused("dual.rank", params, "tau on excluded torsion locus")]
     results, _ = _f_structure(params, -1, top, "dual", "dual.kernel_is_image_sum",
@@ -812,7 +813,7 @@ def dual_algebra_check(params: AlgebraParams, seed: int = 0):
     conj_blocks = pair_blocks(R_tau.conj(), n)
     cut = singular_cut(conj_blocks, params.ranks)
     partner_kernel = kernel(pair_blocks(R_dual_tau, n).conj().swapaxes(-1, -2), params.ranks)
-    bound = kernel_span_bound(conj_blocks, partner_kernel.blocks, params.ranks, cut)
+    bound = kernel_span_bound(conj_blocks, partner_kernel, params.ranks, cut)
     return [
         _within("dual_algebra.transpose_law", _echo(params, seed=seed), worst, TOL_TRANSFORM),
         _within("dual_algebra.relation_space_match", _echo(params, partner_k=n - params.k),

@@ -11,12 +11,9 @@ from ellr.linalg import (
     AmbiguousRankError,
     NonFiniteMatrixError,
     RankPolicy,
-    Subspace,
     svd_rank,
     svd_ranks,
     singular_cut,
-    singular_rank,
-    spectrum,
     kernel,
     image,
     kernel_span_bound,
@@ -26,10 +23,15 @@ from ellr.linalg import (
 RNG = np.random.default_rng(42)
 
 
-def basis(S):
-    """Orthonormal basis columns of a graded subspace in grade-ordered
+def basis(blocks):
+    """Orthonormal basis columns of a subspace given by one block per grade
+    (as :func:`image` and :func:`kernel` give it), in grade-ordered
     coordinates (grade 0 first): its blocks placed block-diagonally."""
-    return block_diag(S.blocks)
+    return block_diag(blocks)
+
+
+def dim(blocks) -> int:
+    return sum(B.shape[1] for B in blocks)
 
 
 def _projector(S):
@@ -96,8 +98,8 @@ def test_svd_rank_ambiguous_raises():
         svd_rank(M, RankPolicy(rel_threshold=1e-9, min_gap=1e4))
 
 
-def test_svd_ranks_certifies_each_operator_as_singular_rank_does(monkeypatch):
-    # ranks and gaps equal to singular_rank's of each block stack alone, bit
+def test_svd_ranks_certifies_each_operator_as_svd_rank_does(monkeypatch):
+    # ranks and gaps equal to svd_rank's of each block stack alone, bit
     # for bit, over a batch that mixes scales, ranks, ragged block ranks and
     # a zero operator; one values-only SVD call for the whole batch
     blocks, size = 3, 4
@@ -114,7 +116,7 @@ def test_svd_ranks_certifies_each_operator_as_singular_rank_does(monkeypatch):
     found = svd_ranks(np.array(stacks))
     assert calls == [((len(stacks), blocks, size, size), False)]
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert found == [singular_rank(stack) for stack in stacks]
+    assert found == [svd_rank(stack) for stack in stacks]
 
 
 def test_svd_ranks_refuses_as_svd_rank_does():
@@ -128,10 +130,10 @@ def test_svd_ranks_refuses_as_svd_rank_does():
 def _check_kernel_and_image(M, rank):
     K, I = kernel(M), image(M)
     nrows, ncols = M.shape
-    assert (K.ambient_dim, I.ambient_dim) == (ncols, nrows)
-    assert I.dim == rank and K.dim + rank == ncols
-    assert np.allclose(basis(K).conj().T @ basis(K), np.eye(K.dim), atol=1e-12)
-    assert np.allclose(basis(I).conj().T @ basis(I), np.eye(I.dim), atol=1e-12)
+    assert [B.shape for B in K] == [(ncols, ncols - rank)]
+    assert [B.shape for B in I] == [(nrows, rank)]
+    assert np.allclose(basis(K).conj().T @ basis(K), np.eye(dim(K)), atol=1e-12)
+    assert np.allclose(basis(I).conj().T @ basis(I), np.eye(dim(I)), atol=1e-12)
     assert np.max(np.abs(M @ basis(K))) < 1e-9 * np.max(np.abs(M))
     # the image basis spans the columns of M
     resid = M - _projector(I) @ M
@@ -147,20 +149,24 @@ def test_kernel_and_image_of_tall_matrix():
     _check_kernel_and_image(_random_rank(9, 4, 2), 2)
 
 
-def test_spectrum_matches_its_readers():
-    M = _random_rank(6, 8, 3)
-    spec = spectrum(M)
-    assert (spec.rank, spec.gap) == svd_rank(M)
-    assert dense_sine(basis(spec.kernel), basis(kernel(M))) < 1e-12
-    assert dense_sine(basis(spec.image), basis(image(M))) < 1e-12
+def test_svd_rank_matches_a_dense_reference():
+    # a stack's (rank, gap) are those of a dense SVD of its block-diagonal
+    # matrix, cut at rel_threshold times the largest value, at any scale
+    blocks = _ragged_stack()
+    s = np.linalg.svd(block_diag(blocks), compute_uv=False)
+    rank = int(np.count_nonzero(s > RankPolicy().rel_threshold * s[0]))
+    for scale in (1.0, 1e-30, 1e30):
+        found, gap = svd_rank([scale * B for B in blocks])
+        assert found == rank == 6 and abs(gap / (s[rank - 1] / s[rank]) - 1) < 1e-3
 
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))
-def test_spectrum_refuses_a_non_finite_matrix(bad):
+def test_svd_rank_refuses_a_non_finite_matrix(bad):
     M = np.eye(3, dtype=complex)
     M[1, 2] = bad
-    with pytest.raises(NonFiniteMatrixError, match="overflow"):
-        spectrum(M)
+    for certify in (svd_rank, image, kernel):
+        with pytest.raises(NonFiniteMatrixError, match="overflow"):
+            certify(M)
 
 
 def test_rank_policy_validation():
@@ -173,9 +179,18 @@ def test_rank_policy_validation():
 def test_kernel_image_orthonormal_and_complementary():
     M = _random_rank(7, 7, 4)
     K, I = kernel(M), image(M)
-    assert K.dim == 3 and I.dim == 4
+    assert dim(K) == 3 and dim(I) == 4
     assert np.allclose(basis(K).conj().T @ basis(K), np.eye(3), atol=1e-12)
     assert np.max(np.abs(M @ basis(K))) < 1e-9 * np.max(np.abs(M))
+    # block by block over a stack, im M and ker M^H, and ker M and im M^H,
+    # together are orthonormal bases of the whole block's space
+    stack = _ragged_stack()
+    adjoint = [B.conj().T for B in stack]
+    for left, right in ((image(stack), kernel(adjoint)), (kernel(stack), image(adjoint))):
+        for B, X, Y in zip(stack, left, right):
+            Q = np.hstack([X, Y])
+            assert Q.shape[0] == Q.shape[1] in B.shape
+            assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
 
 
 def test_kernel_span_bound_at_the_zero_and_the_whole_space():
@@ -251,7 +266,7 @@ def test_kernel_span_bound_takes_a_given_cut(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     assert bound < 1e-14
     assert calls == [((1, 6, 2), False)]
-    assert singular_cut(M)[:2] == singular_rank(M)
+    assert singular_cut(M)[:2] == svd_rank(M)
     rank, _, kept = singular_cut(1e5 * M)
     assert rank == 4 and abs(kept / (1e5 * np.linalg.svd(M, compute_uv=False)[3]) - 1) < 1e-12
 
@@ -284,46 +299,46 @@ def _ragged_stack():
 
 def test_block_stack_is_certified_as_its_block_diagonal_matrix():
     blocks = _ragged_stack()
-    stacked, dense = spectrum(blocks), spectrum(block_diag(blocks))
-    assert stacked.rank == dense.rank == 6
-    assert abs(stacked.gap / dense.gap - 1) < 1e-3
-    assert [B.shape[1] for B in stacked.image.blocks] == [3, 1, 2, 0]
-    assert [B.shape[1] for B in stacked.kernel.blocks] == [2, 4, 4, 5]
-    for part in ("image", "kernel"):
-        P = _projector(getattr(stacked, part))
-        assert np.max(np.abs(P - _projector(getattr(dense, part)))) < 1e-10, part
-    for M in (blocks, block_diag(blocks)):
-        rank, gap = singular_rank(M)
-        assert rank == 6 and abs(gap / dense.gap - 1) < 1e-3
-    assert svd_rank(blocks) == (stacked.rank, stacked.gap)
+    (rank, gap), (dense_rank, dense_gap) = svd_rank(blocks), svd_rank(block_diag(blocks))
+    assert rank == dense_rank == 6
+    assert abs(gap / dense_gap - 1) < 1e-3
+    assert [B.shape[1] for B in image(blocks)] == [3, 1, 2, 0]
+    assert [B.shape[1] for B in kernel(blocks)] == [2, 4, 4, 5]
+    for part in (image, kernel):
+        P = _projector(part(blocks))
+        assert np.max(np.abs(P - _projector(part(block_diag(blocks))))) < 1e-10, part
 
 
 def test_one_cut_is_shared_by_every_block():
     # a block of pure noise beside a large one is cut as noise: a cut
     # relative to each block's own largest value would count it full rank
     noise = 1e-14 * (RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
-    spec = spectrum([_random_rank(4, 4, 2), noise])
-    assert spec.rank == 2 and [B.shape[1] for B in spec.image.blocks] == [2, 0]
-    with pytest.raises(AmbiguousRankError):
-        spectrum([np.diag([1.0, 1e-8]), np.diag([1e-10, 0.0])])
-    with pytest.raises(NonFiniteMatrixError):
-        spectrum([np.eye(2), np.diag([1.0, np.nan])])
+    stack = [_random_rank(4, 4, 2), noise]
+    assert svd_rank(stack)[0] == 2 and [B.shape[1] for B in image(stack)] == [2, 0]
+    for certify in (svd_rank, image, kernel):
+        with pytest.raises(AmbiguousRankError):
+            certify([np.diag([1.0, 1e-8]), np.diag([1e-10, 0.0])])
+        with pytest.raises(NonFiniteMatrixError):
+            certify([np.eye(2), np.diag([1.0, np.nan])])
 
 
 def test_one_svd_call_per_block_shape(monkeypatch):
-    svd, shapes = np.linalg.svd, []
+    # and only image and kernel take U and V
+    svd, calls = np.linalg.svd, []
 
     def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    spectrum(_ragged_stack())
-    assert sorted(shapes) == [(1, 4, 6), (3, 5, 5)]
+    for certify, compute_uv in ((svd_rank, False), (image, True), (kernel, True)):
+        calls.clear()
+        certify(_ragged_stack())
+        assert sorted(calls) == [((1, 4, 6), compute_uv), ((3, 5, 5), compute_uv)]
 
 
 def _graded(*blocks):
-    return Subspace(tuple(np.linalg.qr(B)[0] if B.shape[1] else B for B in blocks))
+    return tuple(np.linalg.qr(B)[0] if B.shape[1] else B for B in blocks)
 
 
 def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
@@ -332,20 +347,20 @@ def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
     M = [_random_rank(4, 4, 2), _random_rank(4, 4, 3), np.zeros((4, 4))]
     K = [basis(kernel(X)) for X in M]
     A = _graded(*(X @ _unitary(X.shape[1]) for X in K))
-    assert (A.ambient_dim, A.dim) == (12, 7)
-    graded = kernel_span_bound(M, A.blocks)
+    assert (basis(A).shape[0], dim(A)) == (12, 7)
+    graded = kernel_span_bound(M, A)
     assert graded < 1e-14 and kernel_span_bound(block_diag(M), basis(A)) < 1e-14
-    turned = [X + 1e-6 * _random_rank(4, X.shape[1], X.shape[1]) for X in A.blocks]
+    turned = [X + 1e-6 * _random_rank(4, X.shape[1], X.shape[1]) for X in A]
     graded = kernel_span_bound(M, turned)
     dense = block_diag(M), block_diag(turned)
     assert abs(graded / kernel_span_bound(*dense) - 1) < 1e-10
     assert graded >= kernel_span_sine(*dense)
     # equal total dims split differently over the grades are far apart
     C = [_random_rank(4, 3, 3), K[1], K[2][:, :3]]
-    assert sum(X.shape[1] for X in C) == A.dim
+    assert dim(C) == dim(A)
     assert kernel_span_bound(M, C) > 0.1
     with pytest.raises(ValueError, match="column counts"):
-        kernel_span_bound(M, A.blocks[:2])
+        kernel_span_bound(M, A[:2])
 
 
 def test_exact_rank_small():

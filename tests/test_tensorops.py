@@ -9,9 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ellr.linalg import (
-    NonFiniteMatrixError, Subspace, kernel_span_bound, svd_rank, spectrum, image,
-)
+from ellr.linalg import NonFiniteMatrixError, kernel_span_bound, svd_rank, image, kernel
 from ellr.classical import classical_w_dim
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
@@ -35,11 +33,11 @@ from ellr.tensorops import (
     f_factors,
     m_factors,
     m_op,
-    embedded_copies,
     copy_stacks,
     lattice_dims,
 )
-from test_linalg import basis, block_diag, dense_sine, kernel_span_sine
+from ellr.verifiers import M_AGREEMENT_TOL
+from test_linalg import basis, block_diag, dense_sine, dim, kernel_span_sine
 
 P31 = make_params(3, 1)
 ZS = [0.11 + 0.02j, -0.07 + 0.05j, 0.13 - 0.03j]
@@ -115,9 +113,18 @@ def _graded_columns(stack, n, d, cols):
 
 
 def _pair(sign=1):
-    """Spectrum of R(sign*tau) from its pair-grade blocks, whose image and
-    kernel the relation spaces embed."""
-    return spectrum(pair_blocks(r_matrix(P31, sign * P31.tau), 3), P31.ranks)
+    """Image and kernel of R(sign*tau), each one orthonormal block per pair
+    grade: the subspaces the relation spaces embed."""
+    blocks = pair_blocks(r_matrix(P31, sign * P31.tau), 3)
+    return image(blocks, P31.ranks), kernel(blocks, P31.ranks)
+
+
+def _copies(W, n, d):
+    """The d-1 embedded copies of W, each grade by grade, cut out of
+    :func:`copy_stacks` at its column starts."""
+    stacks, starts = copy_stacks(W, n, d)
+    return [tuple(X[:, starts[p, g]:starts[p + 1, g]] for g, X in enumerate(stacks))
+            for p in range(d - 1)]
 
 
 def _projector(S):
@@ -132,16 +139,16 @@ def intersect(spaces, policy):
     the vertically stacked complements, grade by grade at one cut.  The
     dense witness the complements and the rank-only lattice are tested on."""
     stacks = [np.vstack([np.eye(len(B)) - B @ B.conj().T for B in grade])
-              for grade in zip(*(S.blocks for S in spaces))]
-    return spectrum(stacks, policy).kernel
+              for grade in zip(*spaces)]
+    return kernel(stacks, policy)
 
 
 def _dense(S, n, d):
     """A subspace of V^(x)d given grade by grade, as one dense basis in the
     natural coordinates."""
-    out = np.zeros((n ** d, S.dim), dtype=complex)
+    out = np.zeros((n ** d, dim(S)), dtype=complex)
     out[grade_index(n, d).ravel()] = basis(S)
-    return Subspace((out,))
+    return (out,)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +350,9 @@ def test_chain_products_form_no_embedding(monkeypatch):
             assert build(p, d, d, 1, ts).mat.shape == shape
         t_op(p, d, ts)
         f_op(p, d, -p.tau)
-        m_op(p, 2, 2, 0.13 + 0.02j, validate=True)
+        m_op(p, 2, 2, 0.13 + 0.02j)
+        for factors in m_factors(2, 2, 0.13 + 0.02j):
+            _chain(p, 4, factors)
 
 
 def test_chain_trivial_and_errors():
@@ -400,9 +409,13 @@ def test_m_op_hand_expansion_2x3():
 
 
 def test_m_op_row_column_assemblies_agree():
-    # validate=True compares the row-wise and column-wise products
-    m_op(P31, 2, 2, 0.13 + 0.02j, xs=[0.07 - 0.01j], ys=[-0.04 + 0.03j],
-         validate=True)
+    # m_op is the row-wise product, and the column-wise one agrees with it
+    # within the tolerance mult_identity_check holds the two to
+    z, xs, ys = 0.13 + 0.02j, [0.07 - 0.01j], [-0.04 + 0.03j]
+    rows, columns = m_factors(2, 2, z, xs, ys)
+    M = m_op(P31, 2, 2, z, xs=xs, ys=ys)
+    assert scaled_residual(M, _chain(P31, 4, rows)) == 0.0
+    assert scaled_residual(M, _chain(P31, 4, columns)) < M_AGREEMENT_TOL
 
 
 def test_m_factors_give_both_assemblies():
@@ -417,16 +430,6 @@ def test_m_factors_give_both_assemblies():
     assert m_factors(0, 2, z) == m_factors(2, 0, z) == ([], [])
     with pytest.raises(ValueError):
         m_factors(2, 2, z, xs=[])
-
-
-def test_m_op_validate_raises_when_the_assemblies_disagree(monkeypatch):
-    import ellr.tensorops
-
-    z = 0.13 + 0.02j
-    wrong = m_factors(2, 2, z)[0], m_factors(2, 2, 2 * z)[1]
-    monkeypatch.setattr(ellr.tensorops, "m_factors", lambda *args: wrong)
-    with pytest.raises(AssertionError, match="disagree"):
-        m_op(P31, 2, 2, z, validate=True)
 
 
 def test_m_op_default_increments_are_z():
@@ -510,7 +513,7 @@ def test_f_rank_and_kernel():
     F = f_op(P31, d, -P31.tau)
     cut = scaled_cut(F, P31.ranks)
     assert cut[:2] == scaled_rank(F, P31.ranks) and cut[0] == comb(n + d - 1, d)
-    relations = copy_stacks(_pair().image, n, d)[0]
+    relations = copy_stacks(_pair()[0], n, d)[0]
     bound = kernel_span_bound(F.mat, relations, P31.ranks, cut)
     dense = block_diag(F.mat), block_diag(relations)
     assert kernel_span_sine(*dense) <= bound < 1e-12
@@ -534,37 +537,40 @@ def test_f_image_is_embedded_kernel_intersection():
     adjoint = F.mat.conj().swapaxes(-1, -2)
     assert kernel_span_bound(adjoint, copy_stacks(coimage, 3, 3)[0], P31.ranks, cut) < 1e-12
     # the projector witness of the intersection is im F, by the dense reference
-    witness = intersect(embedded_copies(_pair().kernel, 3, 3), P31.ranks)
-    assert [B.shape[1] for B in witness.blocks] == [B.shape[1] for B in
-                                                    spectrum(F.mat, P31.ranks).image.blocks]
-    assert dense_sine(basis(witness), basis(spectrum(F.mat, P31.ranks).image)) < 1e-12
+    witness = intersect(_copies(_pair()[1], 3, 3), P31.ranks)
+    im_f = image(F.mat, P31.ranks)
+    assert [B.shape[1] for B in witness] == [B.shape[1] for B in im_f]
+    assert dense_sine(basis(witness), basis(im_f)) < 1e-12
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 def test_embedded_copies_match_embedded_projector_images(sign):
     # reference: the image of the embedded orthogonal projector onto W
     n, d = 3, 4
-    pair = _pair(sign)
-    for W in (pair.image, pair.kernel):
-        copies = embedded_copies(W, n, d)
+    for W in _pair(sign):
+        copies = _copies(W, n, d)
         assert len(copies) == d - 1
         for pos, copy in enumerate(copies, start=1):
             gram = basis(copy).conj().T @ basis(copy)
-            assert np.allclose(gram, np.eye(copy.dim), atol=1e-13)
+            assert np.allclose(gram, np.eye(dim(copy)), atol=1e-13)
             reference = image(embed_pair(_projector(_dense(W, n, 2)), pos, n, d), P31.ranks)
             angle = dense_sine(basis(_dense(copy, n, d)), basis(reference))
             assert angle < 1e-12, (sign, pos, angle)
 
 
 def test_copy_stacks_set_the_copies_side_by_side():
+    # a copy V^(p-1) (x) W (x) V^(d-p-1) meets grade g in dim W * n^(d-3)
+    # columns: the d-2 other digits take every sum mod n equally often
     n, d = 3, 4
-    copies = embedded_copies(_pair().image, n, d)
-    stacks, starts = copy_stacks(_pair().image, n, d)
-    assert starts.shape == (d, n)
-    for g, X in enumerate(stacks):
-        assert X.shape == (n ** (d - 1), starts[-1, g])
-        for p, copy in enumerate(copies):
-            assert np.array_equal(X[:, starts[p, g]:starts[p + 1, g]], copy.blocks[g])
+    for W in _pair():
+        stacks, starts = copy_stacks(W, n, d)
+        assert starts.shape == (d, n) and not starts[0].any()
+        assert np.all(np.diff(starts, axis=0) == dim(W) * n ** (d - 3))
+        assert [X.shape for X in stacks] == [(n ** (d - 1), width) for width in starts[-1]]
+    with pytest.raises(ValueError, match="degree at least 2"):
+        copy_stacks(_pair()[0], n, 1)
+    with pytest.raises(ValueError, match="pair-grade blocks"):
+        copy_stacks(_pair()[0][:2], n, d)
 
 
 def _rotation(size, angle, rng):
@@ -719,15 +725,15 @@ def _assert_block_certificate_is_dense(op, n, d, policy):
     if op.max_abs() < ZERO_OPERATOR_TOL:
         assert scaled_rank(op, policy)[0] == 0
         return
-    graded, dense = spectrum(op.mat, policy), spectrum(op.matrix(), policy)
-    assert graded.rank == dense.rank
-    assert scaled_rank(op, policy)[0] == dense.rank
+    (rank, gap), (dense_rank, dense_gap) = svd_rank(op.mat, policy), svd_rank(op.matrix(), policy)
+    assert rank == dense_rank
+    assert scaled_rank(op, policy)[0] == dense_rank
     # the largest dropped singular value is rounding noise, which the dense
     # and the block SVDs round differently: only its decade is reproducible
-    assert graded.gap == dense.gap or abs(math.log10(graded.gap / dense.gap)) < 1
-    for part in ("image", "kernel"):
-        P = _projector(_dense(getattr(graded, part), n, d))
-        assert np.max(np.abs(P - _projector(getattr(dense, part)))) < 1e-10, part
+    assert gap == dense_gap or abs(math.log10(gap / dense_gap)) < 1
+    for part in (image, kernel):
+        P = _projector(_dense(part(op.mat, policy), n, d))
+        assert np.max(np.abs(P - _projector(part(op.matrix(), policy)))) < 1e-10, part
 
 
 @pytest.mark.parametrize("n, d", NDS)
@@ -748,9 +754,9 @@ def test_ragged_grade_ranks():
     # the grades of F_d(-tau) need not have equal ranks
     for n, d, ranks in ((3, 3, [4, 3, 3]), (4, 4, [10, 8, 9, 8])):
         p = make_params(n, 1)
-        spec = spectrum(f_op(p, d, -p.tau).mat, p.ranks)
-        assert [B.shape[1] for B in spec.image.blocks] == ranks
-        assert [B.shape[1] for B in spec.kernel.blocks] == [n ** (d - 1) - r for r in ranks]
+        F = f_op(p, d, -p.tau).mat
+        assert [B.shape[1] for B in image(F, p.ranks)] == ranks
+        assert [B.shape[1] for B in kernel(F, p.ranks)] == [n ** (d - 1) - r for r in ranks]
 
 
 @pytest.mark.parametrize("n, d", NDS)
@@ -767,14 +773,14 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
             Td = np.kron(Td, T)
         F = op.matrix()
         assert np.max(np.abs(Td @ F - F @ Td)) < 1e-12
-        ranks = [B.shape[1] for B in spectrum(op.mat, p.ranks).image.blocks]
+        ranks = [B.shape[1] for B in image(op.mat, p.ranks)]
         assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
 
 
 def _sum(spaces, policy):
     """The sum of ungraded subspaces: the certified image of their bases
     side by side."""
-    return spectrum(np.hstack([basis(S) for S in spaces]), policy).image
+    return image(np.hstack([basis(S) for S in spaces]), policy)
 
 
 def _dense_lattice(pair, n, d, policy):
@@ -783,32 +789,32 @@ def _dense_lattice(pair, n, d, policy):
     re-orthonormalized and every intersection the :func:`intersect`
     witness."""
     W = basis(_dense(pair, n, 2))
-    copies = [Subspace((np.kron(np.kron(np.eye(n ** (p - 1)), W), np.eye(n ** (d - p - 1))),))
+    copies = [(np.kron(np.kron(np.eye(n ** (p - 1)), W), np.eye(n ** (d - p - 1))),)
               for p in range(1, d)]
-    whole = Subspace((np.eye(n ** d, dtype=complex),))
+    whole = (np.eye(n ** d, dtype=complex),)
     sig = [whole] + [_sum(copies[:ell], policy) for ell in range(1, d)]
     cap = [whole] + [intersect(copies[d - 1 - r:], policy) for r in range(1, d)]
     # the end corners are Cap_{d-1} and Sig_{d-1} themselves (I - P of a
     # whole space is rounding noise, which no cut reads as zero)
-    corners = [cap[d - 1].dim] + [intersect([sig[ell], cap[d - 1 - ell]], policy).dim
-                                  for ell in range(1, d - 1)] + [sig[d - 1].dim]
+    corners = [dim(cap[d - 1])] + [dim(intersect([sig[ell], cap[d - 1 - ell]], policy))
+                                   for ell in range(1, d - 1)] + [dim(sig[d - 1])]
     triples = []
     for ell in range(1, d - 1):
         r = d - 1 - ell
         if ell == 1:
             # inside the triple Sig_0 is the zero space: the sides are
             # Cap_{r+1} and the corner Sig_1 ^ Cap_r
-            triples.append((cap[r + 1].dim, corners[1]))
+            triples.append((dim(cap[r + 1]), corners[1]))
             continue
         inner = _sum([sig[ell - 1], cap[r]], policy)
-        triples.append((_sum([sig[ell - 1], cap[r + 1]], policy).dim,
-                        intersect([sig[ell], inner], policy).dim))
+        triples.append((dim(_sum([sig[ell - 1], cap[r + 1]], policy)),
+                        dim(intersect([sig[ell], inner], policy))))
     return corners, triples
 
 
 def _complement(pair):
     """The orthogonal complement of a pair subspace, block by block."""
-    return Subspace(tuple(np.linalg.qr(B, mode="complete")[0][:, B.shape[1]:] for B in pair.blocks))
+    return tuple(np.linalg.qr(B, mode="complete")[0][:, B.shape[1]:] for B in pair)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n, d in NDS if d > 2])
@@ -818,8 +824,8 @@ def test_graded_koszul_dims_match_the_dense_ones(n, d):
     # ones, and equal the exact oracle at the corners
     p = make_params(n, 1)
     blocks = pair_blocks(r_matrix(p, p.tau), n)
-    pair = spectrum(blocks, p.ranks).image
-    complement = spectrum(blocks.conj().swapaxes(-1, -2), p.ranks).kernel
+    pair = image(blocks, p.ranks)
+    complement = kernel(blocks.conj().swapaxes(-1, -2), p.ranks)
     corners, triples = lattice_dims(pair, complement, n, d, p.ranks)
     assert (corners, triples) == _dense_lattice(pair, n, d, p.ranks)
     assert corners == [classical_w_dim(n, d, ell, d - 1 - ell) for ell in range(d)]
@@ -835,9 +841,8 @@ def test_random_lattices_break_the_modular_triple(n, d, dims, sides):
     # a random graded W generates a lattice that is not distributive: a
     # triple rule that always read equal sides would miss it
     rng = np.random.default_rng(7)
-    pair = Subspace(tuple(
-        np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
-        for k in dims))
+    pair = tuple(np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+                 for k in dims)
     corners, triples = lattice_dims(pair, _complement(pair), n, d, P31.ranks)
     assert (corners, triples) == _dense_lattice(pair, n, d, P31.ranks)
     assert sides in triples

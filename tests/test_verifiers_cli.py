@@ -119,6 +119,26 @@ def test_no_matrix_is_decomposed_twice(monkeypatch, run):
     assert not repeated, [(k[0], c) for k, c in repeated.items()]
 
 
+def test_only_pair_blocks_take_u_and_v(monkeypatch):
+    # every SVD that builds U and V decomposes pair blocks of an R-matrix,
+    # both sides at most n; every other rank, the frobenius pairing rows of
+    # n^n columns included, is read from singular values alone
+    svd, sides = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            sides.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for n, run in ((3, lambda: V.run_suite(make_params(3, 1), V.ALL_CHECKS, d_max=4)),
+                   (4, lambda: V.frobenius_check(make_params(4, 1)))):
+        sides.clear()
+        assert {r.status for r in run()} <= {"pass", "fail"}
+        assert all(max(shape) <= n for shape in sides), sorted(set(sides))
+    assert not sides
+
+
 def test_each_check_group_is_timed_once_on_its_first_result():
     groups = ["hilbert", "koszul", "t_table", "qybe", "shuffle"]
     results = V.run_suite(P31, groups, d_max=3)
@@ -346,12 +366,13 @@ def test_each_identity_check_takes_few_theta_series(monkeypatch, nk):
 
 def _warm_builds(monkeypatch, p, name) -> Counter:
     """The r_matrices calls ("builds") and theta series ("series") of one
-    invocation of check group ``name``, its caches filled by a first one."""
+    invocation of check group ``name`` at d_max = 3, its caches filled by a
+    first one.  The counts do not depend on the degree."""
     import ellr.rmatrix
     import ellr.tensorops
     import ellr.theta
 
-    V.run_suite(p, [name])
+    V.run_suite(p, [name], d_max=3)
     series, build, calls = ellr.theta._series, ellr.rmatrix.r_matrices, Counter()
 
     def counted(fn, key):
@@ -363,7 +384,7 @@ def _warm_builds(monkeypatch, p, name) -> Counter:
     monkeypatch.setattr(ellr.theta, "_series", counted(series, "series"))
     for module in (ellr.rmatrix, ellr.tensorops, V):
         monkeypatch.setattr(module, "r_matrices", counted(build, "builds"))
-    V.run_suite(p, [name])
+    V.run_suite(p, [name], d_max=3)
     monkeypatch.undo()
     return calls
 
@@ -1020,6 +1041,17 @@ def test_cli_koszul_below_degree_three_is_refused(tmp_path, capsys, d_max):
     assert "summary: 0 pass, 0 fail, 0 ambiguous, 1 refused" in capsys.readouterr().out
     (result,) = json.loads(out.read_text())["results"]
     assert result["status"] == "refused" and "d >= 3" in result["expected"]
+
+
+@pytest.mark.parametrize("d_max", (0, 1))
+def test_dual_below_degree_two_is_refused(d_max):
+    # only None means the default top degree n+1: d_max 0 and 1 leave no
+    # degree to check, and dual refuses rather than returning nothing
+    for results, echoed in ((V.dual_hilbert_check(P31, d_max=d_max), d_max),
+                            (V.run_suite(P31, ["dual"], d_max=d_max - 1), d_max)):
+        (result,) = results
+        assert (result.name, result.status) == ("dual.rank", "refused")
+        assert result.expected == "dual needs d >= 2" and result.params["d_max"] == echoed
 
 
 def test_cli_hilbert_below_degree_two_is_refused(tmp_path, capsys):
