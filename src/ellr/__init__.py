@@ -10,7 +10,6 @@ from .theta import (
     ThetaContext,
     theta1,
     theta_alpha,
-    jacobi_theta,
     theta_char,
     factor_constant,
     nearest_lattice_distance,
@@ -32,10 +31,7 @@ from .rmatrix import (
     r_matrix,
     r_matrices,
     sym_op,
-    r_plus_limit,
-    weight_op,
     weight_ops,
-    weight_op_k,
     det_closed_form,
 )
 from .tensorops import (
@@ -46,8 +42,6 @@ from .tensorops import (
     symmetrizer,
     antisymmetrizer,
     t_op,
-    f_op,
-    m_op,
 )
 from .classical import classical_w_dim, shuffle_identity_check
 from .verifiers import CheckResult, Report, run_suite, ALL_CHECKS, VERSION

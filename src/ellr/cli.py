@@ -24,11 +24,10 @@ import json
 import sys
 
 from .rmatrix import DEFAULT_ETA, DEFAULT_TAU_OF_ETA, make_params
-from . import verifiers
-from .verifiers import CheckResult, Report, run_suite, ALL_CHECKS, VERSION
+from . import classical
+from .verifiers import Report, run_suite, ALL_CHECKS, VERSION
 
-MAX_N = 5
-MAX_D = 5
+MAX_N = 8
 
 # every config key with its default; a flag of the same name overrides both
 DEFAULTS = {
@@ -124,8 +123,9 @@ def resolve_config(args) -> dict:
         if val is not None:
             cfg[key] = val
     # the desk envelope and the config's types, checked before any
-    # parameters are built; a bool is not an integer here
-    for key, low, high in (("n", 2, MAX_N), ("d_max", 1, MAX_D)):
+    # parameters are built; a bool is not an integer here.  d_max is bounded
+    # by the exact oracle's degree, read at call time
+    for key, low, high in (("n", 2, MAX_N), ("d_max", 1, classical.MAX_CLASSICAL_DEGREE)):
         if type(cfg[key]) is not int or not low <= cfg[key] <= high:
             raise UsageError(f"{key} must lie in {low}..{high}")
     for key in ("k", "seed"):
@@ -201,17 +201,6 @@ def emit(report: Report, fmt: str = "json", keep_times: bool = False) -> str:
             ])
         return buf.getvalue()
     raise UsageError(f"unknown format {fmt!r}")
-
-
-def parse_report(text: str) -> Report:
-    """Inverse of emit(fmt='json')."""
-    data = json.loads(text)
-    results = [
-        CheckResult(r["name"], r["params"], r["expected"], r["observed"],
-                    r["residual"], r["status"], r["wall_time"])
-        for r in data["results"]
-    ]
-    return Report(data["version"], data["config"], results)
 
 
 def _header(cfg, checks) -> str:

@@ -108,7 +108,7 @@ class AlgebraParams:
         torsion."""
         if self.tau_is_torsion():
             raise TorsionParameterError(
-                "tau lies on (1/n)Lambda; use r_plus_limit for the limiting operators"
+                "tau lies on (1/n)Lambda, where the R-matrix formula degenerates"
             )
         th_t, th_0 = rows[-2:]
         return th_t * np.prod(th_0[1:])
@@ -264,25 +264,6 @@ def f_fn(params: AlgebraParams, z, zeta: HalfPeriodPoint) -> complex:
     )
 
 
-def r_plus_limit(params: AlgebraParams, zeta: HalfPeriodPoint, sign: int) -> np.ndarray:
-    """The limit operators R_±(zeta) = lim_{tau→0} R_tau(±tau + zeta).
-
-    Computed exactly via the conjugation formula
-    R_±(zeta) = f(0, zeta, 0) (I ⊗ C^{-1}) sym_{±1} (C ⊗ I),  C = T^b S^{ka},
-    never by epsilon-extrapolation.  R_+(0) = sym_1 and R_-(0) = sym_{-1}.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = params.n
-    a, b = zeta.a, zeta.b
-    eta = params.eta
-    f0 = e_fn((b + a * (n - 1)) / 2 - b * (n + b) * eta / 2)  # f(0, zeta, 0)
-    C = torsion_op(params, a, b)
-    Cinv = np.linalg.inv(C)
-    eye = np.eye(n, dtype=complex)
-    return f0 * np.kron(eye, Cinv) @ sym_op(sign, n) @ np.kron(C, eye)
-
-
 # ---------------------------------------------------------------------------
 # Weight-function operator family
 # ---------------------------------------------------------------------------
@@ -325,21 +306,6 @@ def weight_ops(params: AlgebraParams, zs, step: int = 1) -> np.ndarray:
     total = np.zeros((z.size, n ** 4), dtype=complex)
     total[:, pos] = (w @ phases)[:, a, m]
     return total.reshape(z.size, n * n, n * n)
-
-
-def weight_op(params: AlgebraParams, z) -> np.ndarray:
-    """S(z) = sum_{(a,b) in Z_n^2} w_{(a,b)}(z) I_{(a,b)} ⊗ I_{(a,b)}^{-1}:
-    the one-point stack of :func:`weight_ops`."""
-    return weight_ops(params, [z])[0]
-
-
-def weight_op_k(params: AlgebraParams, z) -> np.ndarray:
-    """S_k(z) = sum_{(a,b)} w_{(a,b)}(z) J ⊗ J^{-1} with J = I_{(-k' a, b)},
-    i.e. J x_i = omega^{i b} x_{i + k' a}: the one-point stack of
-    :func:`weight_ops` at step -k'.  Satisfies
-    S_k(-n z) = n e(n(n+1) z / 2) P R_{n,k,tau}(z).
-    """
-    return weight_ops(params, [z], -params.k_prime)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ one site product with the batch on a leading axis and one ``svd_ranks``
 call.  The Yang-Baxter checks on V^{(x)3} use (1, 2), (2, 3) and (1, 3).
 Each distinct factor is checked once: an entry between two pair grades,
 or an inf or NaN entry, is refused.  No n^d x n^d array is formed on these
-paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 (read at call time, one
-rule for the builders and the checks that refuse: ``beyond_cap``).
+paths; n^d is still capped at MAX_TENSOR_DIM = 5^5 by one size rule,
+``beyond_cap`` (read at call time): every builder past it raises
+:class:`BeyondCapError`, whose message is the rule's note, and the checks
+refuse that error, or consult the rule per degree.
 
 Chain products can span an enormous dynamic range (individual R factors
 reach 1e100 at desk scale), so every chain builder returns a
@@ -57,9 +59,8 @@ need the stack's singular values, read block by block (``scaled_cut``,
 ``scaled_rank``) at a cost about n^2 below a dense SVD; products and
 identities between chain products run block by block after matching the
 log scales (F_a (x) F_b is itself one product, the factors of F_a and then
-those of F_b moved by a); and
-``.matrix()`` / ``.dense()`` scatter the stack for the few readers of a
-plain matrix.
+those of F_b moved by a); and ``.matrix()`` scatters the stack for the few
+readers of a plain matrix.
 
 The embedded relation spaces are built grade by grade from the copies
 V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} taken
@@ -68,11 +69,12 @@ from the n pair blocks of R(+-tau) or of R^H, whose images and kernels
 taken) give W and its complement W^perp; the degree-d relation space is
 the sum of the copies of im R(tau).  Each copy is W's orthonormal pair
 blocks embedded by the site product, so the only rank decision below the
-copies is the one made on R(+-tau).  ``copy_stacks`` sets the copies side
-by side grade by grade: the spanning sets that ``linalg.kernel_span_bound``
-compares with ker F_d and ker F_d^H, and from whose certified ranks
-``lattice_dims`` reads every dimension of the lattice the copies
-generate.  No basis of a sum or an intersection is formed.
+copies is the one made on R(+-tau).  ``copy_stacks`` writes the copies side
+by side grade by grade, each straight into its columns: the spanning sets
+that ``linalg.kernel_span_bound`` compares with ker F_d and ker F_d^H, and
+from whose certified ranks ``lattice_dims`` reads every dimension of the
+lattice the copies generate.  No basis of a sum or an intersection is
+formed.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class ScaledOp:
         out[idx[:, :, None], idx[:, None, :]] = self.mat
         return out
 
-    def dense(self) -> np.ndarray:
-        return math.exp(self.log_scale) * self.matrix()
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
 
@@ -153,9 +152,14 @@ def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> floa
     return float(np.max(np.abs(lm - rm)) / denom)
 
 
+class BeyondCapError(ValueError):
+    """A tensor power past the dense cap; the message is the
+    :func:`beyond_cap` note."""
+
+
 def beyond_cap(n: int, d: int) -> str | None:
     """The refusal note when n^d exceeds the dense cap MAX_TENSOR_DIM (read
-    at call time), else None."""
+    at call time), else None: the one size rule of every builder."""
     over = n ** d > MAX_TENSOR_DIM
     return f"n^d = {n ** d} exceeds the dense cap {MAX_TENSOR_DIM}" if over else None
 
@@ -164,7 +168,7 @@ def _check_dim(n: int, d: int):
     if d < 0:
         raise ValueError("tensor degree must be non-negative")
     if note := beyond_cap(n, d):
-        raise ValueError(f"tensor space dimension {note}")
+        raise BeyondCapError(note)
 
 
 def perm_op(sigma, n: int, d: int) -> np.ndarray:
@@ -375,12 +379,6 @@ def factor_mats(params: AlgebraParams, *lists) -> dict:
     return dict(zip(args, r_matrices(params, args)))
 
 
-def _product(params: AlgebraParams, d: int, factors) -> ScaledOp:
-    """The :func:`r_product` of (arg, pos) ``factors`` over their
-    :func:`factor_mats`."""
-    return r_product(params.n, d, factors, factor_mats(params, factors))
-
-
 def _unit(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """An R at unit max-abs and the log of the scale removed; a zero or
     non-finite R is left as it is (log scale 0), for the product to treat
@@ -413,7 +411,8 @@ def _t_factors(d: int, zs, shift: int = 0) -> list:
 def t_op(params: AlgebraParams, d: int, zs) -> ScaledOp:
     """Cumulative chain product T_d(z_1, ..., z_{d-1}), formed as one running
     product (see :func:`_t_factors`).  T_0 and T_1 are the identity."""
-    return _product(params, d, _t_factors(d, zs))
+    factors = _t_factors(d, zs)
+    return r_product(params.n, d, factors, factor_mats(params, factors))
 
 
 def f_factors(d: int, z, shift: int = 0) -> list:
@@ -422,16 +421,17 @@ def f_factors(d: int, z, shift: int = 0) -> list:
     return _t_factors(d, [z] * max(d - 1, 0), shift)
 
 
-def f_op(params: AlgebraParams, d: int, z) -> ScaledOp:
-    """F_d(z) = T_d(z, ..., z)."""
-    return t_op(params, d, [z] * max(d - 1, 0))
-
-
 def m_factors(a: int, b: int, z, xs=None, ys=None) -> tuple[list, list]:
-    """The (argument, position) factors of both assemblies of M_{a,b}(z;
-    xs; ys) (see :func:`m_op`): the rows top to bottom, each left to right,
-    and the columns left to right, each top to bottom.  Both are empty when
-    a = 0 or b = 0; omitted increments default to z."""
+    """The (argument, position) factors of both assemblies of the
+    rectangular a-by-b array product M_{a,b}(z; x_1..x_{a-1}; y_1..y_{b-1}).
+
+    Entry (row, col) of the array (rows top to bottom, columns left to
+    right) is R(z + x_1+..+x_row + y_1+..+y_col) acting at positions
+    (a - row + col, a - row + col + 1).  M is the product of the rows top to
+    bottom, each left to right (the first list), and equally of the columns
+    left to right, each top to bottom (the second).  Both are empty when
+    a = 0 or b = 0, where M is the identity; omitted increments default to
+    z (the one-argument shorthand M_{a,b}(z))."""
     d = a + b
     xs = list(xs) if xs is not None else [z] * max(a - 1, 0)
     ys = list(ys) if ys is not None else [z] * max(b - 1, 0)
@@ -448,23 +448,6 @@ def m_factors(a: int, b: int, z, xs=None, ys=None) -> tuple[list, list]:
                for factor in _chain_factors(d, 1 + idx, a + 1 + idx,
                                             ([z + sum(ys[:idx])] + xs)[::-1], True, True)]
     return rows, columns
-
-
-def m_op(params: AlgebraParams, a: int, b: int, z, xs=None, ys=None) -> ScaledOp:
-    """Rectangular a-by-b array product M_{a,b}(z; x_1..x_{a-1}; y_1..y_{b-1}).
-
-    Entry (row, col) of the array (rows top to bottom, columns left to
-    right) is R(z + x_1+..+x_row + y_1+..+y_col) acting at positions
-    (a - row + col, a - row + col + 1); the operator is the product of the
-    rows top to bottom, each row multiplied left to right.  The same value
-    arises as the product of the columns left to right, each column
-    multiplied top to bottom (:func:`m_factors` gives both).  M with a = 0
-    or b = 0 is the identity on V^{(x)(a+b)}.
-
-    When xs/ys are omitted every increment defaults to z itself (the
-    one-argument shorthand M_{a,b}(z)).
-    """
-    return _product(params, a + b, m_factors(a, b, z, xs, ys)[0])
 
 
 ZERO_OPERATOR_TOL = 1e-10
@@ -553,8 +536,10 @@ def copy_stacks(pair, n: int, d: int) -> tuple[list, np.ndarray]:
     :func:`kernel` of the pair blocks of an R-matrix gives it.  Padded with
     zero columns to (n, n, n), they are the pair blocks of an operator on
     V^{(x)2} whose image is W, and copy p is the image of its site-product
-    embedding at (p, p+1): the nonzero columns of each grade block, for the
-    padding columns are exact zeros and the basis columns have unit norm.
+    embedding at (p, p+1): the columns whose digit p, i, is below the width
+    of W's block in the pair grade s of digits (p, p+1), for the others
+    hold only padding.  So every width is known before anything is built,
+    and each copy's kept columns are written straight into the stacks.
     Each copy is exactly orthonormal, so no SVD and no n^d basis is needed.
     """
     _check_dim(n, d)
@@ -562,13 +547,19 @@ def copy_stacks(pair, n: int, d: int) -> tuple[list, np.ndarray]:
         raise ValueError("embedded copies need degree at least 2")
     if [B.shape[0] for B in pair] != [n] * n:
         raise ValueError("the pair subspace must be given by its n pair-grade blocks")
+    widths = np.array([B.shape[1] for B in pair])
     padded = np.zeros((n, n, n), dtype=complex)
     for s, B in enumerate(pair):
         padded[s, :, :B.shape[1]] = B
-    copies = [[B[:, np.any(B, axis=0)] for B in _embed(n, d, padded, (p, p + 1))]
-              for p in range(1, d)]
-    starts = np.cumsum([[0] * n] + [[B.shape[1] for B in copy] for copy in copies], axis=0)
-    return [np.hstack(grade) for grade in zip(*copies)], starts
+    idx = grade_index(n, d)
+    digits = [idx // n ** (d - p) % n for p in range(1, d + 1)]  # digit p of each index
+    keeps = [digits[p - 1] < widths[(digits[p - 1] + digits[p]) % n] for p in range(1, d)]
+    starts = np.cumsum([[0] * n] + [keep.sum(axis=1) for keep in keeps], axis=0)
+    out = [np.empty((idx.shape[1], width), dtype=complex) for width in starts[-1]]
+    for p, keep in enumerate(keeps, start=1):
+        for g, B in enumerate(_embed(n, d, padded, (p, p + 1))):
+            out[g][:, starts[p - 1, g]:starts[p, g]] = B[:, keep[g]]
+    return out, starts
 
 
 def lattice_dims(pair, complement, n: int, d: int,

@@ -213,17 +213,13 @@ def theta_alpha(alpha: int, z, ctx: ThetaContext):
     return complex(theta_alpha_rows([z], ctx)[0, alpha % ctx.n])
 
 
-def jacobi_theta(z, eta):
-    """Jacobi theta: sum_m e(mz + m^2 eta / 2), with argument reduction.
-    Elementwise over an array z."""
-    return _out(_series(z, complex(eta), _window(eta), 0))
-
-
 def theta_char(a, b, z, eta):
     """Theta function with characteristics a, b:
 
     sum_m e((a+m)(z+b) + (a+m)^2 eta / 2)
-      = e(a(z+b) + a^2 eta / 2) * jacobi_theta(z + a*eta + b).
+      = e(a(z+b) + a^2 eta / 2) * theta(z + a*eta + b),
+
+    theta(z) = sum_m e(mz + m^2 eta / 2) the Jacobi theta ([0; 0]).
 
     Periodicity: [a+1; b] = [a; b] and [a; b+1] = e(a) [a; b].
     Vanishes iff z in (1+eta)/2 - (a*eta + b) + Lambda.

@@ -74,6 +74,7 @@ from .rmatrix import (
     transpose_residual,
 )
 from .tensorops import (
+    BeyondCapError,
     beyond_cap,
     scaled_residual,
     scaled_cut,
@@ -254,9 +255,12 @@ def _guard(fn):
     """Turn an exception escaping a check into a single result: an
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
     SingularParameterError (tau on a locus the statements exclude), a
-    NonFiniteMatrixError (an overflowed matrix, no rank to read) or an
-    OverflowError (a scalar factor such as e(z) past the float range) into a
-    refused status."""
+    NonFiniteMatrixError (an overflowed matrix, no rank to read), a
+    BeyondCapError (a tensor power past the dense cap; its note names n^d)
+    or an OverflowError (a scalar factor such as e(z) past the float range)
+    into a refused status.  So no check ends past the cap in a traceback;
+    only a check that spans several degrees consults :func:`beyond_cap`
+    itself, to refuse per degree and still run the lower ones."""
 
     def wrapper(params, *args, **kwargs):
         try:
@@ -264,7 +268,8 @@ def _guard(fn):
         except AmbiguousRankError as exc:
             return [CheckResult(fn.__name__, _echo(params), "certified rank",
                                 f"gap {exc.gap:.3e}", None, "ambiguous")]
-        except (TorsionParameterError, SingularParameterError, NonFiniteMatrixError) as exc:
+        except (TorsionParameterError, SingularParameterError, NonFiniteMatrixError,
+                BeyondCapError) as exc:
             return [_refused(fn.__name__, params, str(exc))]
         except OverflowError as exc:
             return [_refused(fn.__name__, params, f"overflow: {exc}")]
@@ -500,12 +505,12 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     im R(sign*tau)^H, both by :func:`kernel_span_bound` over the grade
     blocks, from the pair blocks of R(sign*tau) and R^H.  F_d takes one
     values-only SVD, shared by both sides.  A degree past the dense cap is
-    refused before anything is built, and a degree expected to vanish is
-    compared with nothing.  R(sign*tau) and the R's of every F_d inside the
-    cap come from one build.  Returns the results and the rank per degree
-    (None where refused)."""
+    refused before its product is built, and a degree expected to vanish is
+    compared with nothing.  R(sign*tau) and the R's of every F_d come from
+    one build.  Returns the results and the rank per degree (None where
+    refused)."""
     n, policy, tau = params.n, params.ranks, sign * params.tau
-    factors = {d: f_factors(d, -tau) for d in range(2, top + 1) if not beyond_cap(n, d)}
+    factors = {d: f_factors(d, -tau) for d in range(2, top + 1)}
     mats = factor_mats(params, [(tau, 1)], *factors.values())
     blocks = pair_blocks(mats[tau], n)
     pair = image(blocks, policy)
@@ -680,9 +685,11 @@ def mult_identity_check(params: AlgebraParams,
     signs s, plus an associativity probe of the induced product on the
     images of F.  Every R of the check comes from one build.  A pair whose
     row-wise and column-wise assemblies of M differ by more than
-    M_AGREEMENT_TOL fails with that difference as its residual.  The probe
-    multiplies over R(m*tau), m up to 3, and is refused where some
-    m*n*tau, m <= 3, is on the lattice; the identities still run."""
+    M_AGREEMENT_TOL fails with that difference as its residual, and a pair
+    whose degree a+b is past the dense cap is refused.  The probe
+    multiplies over R(m*tau), m up to 3, in degree 4, and is refused where
+    some m*n*tau, m <= 3, is on the lattice or where degree 4 is past the
+    cap; the other results still run."""
     n, tau = params.n, params.tau
     a, b, c = 1, 2, 1  # the probe's split
     # per pair and sign: both assemblies of M_{b,a}, F_a (x) F_b (the
@@ -691,14 +698,18 @@ def mult_identity_check(params: AlgebraParams,
                             f_factors(p, s * tau) + f_factors(q, s * tau, p),
                             f_factors(p + q, s * tau))
                 for p, q in pairs for s in (1, -1)}
-    probe = not tau_excluded(params, 3)
-    images = {x: f_factors(x, -tau) for x in (a, b, c)} if probe else {}
-    products = {(x, y): m_factors(y, x, -tau)[0] for x, y in ((a, b), (a + b, c), (b, c),
-                                                              (a, b + c))} if probe else {}
+    probe_note = ("tau on excluded torsion locus" if tau_excluded(params, 3)
+                  else beyond_cap(n, a + b + c))
+    images = {} if probe_note else {x: f_factors(x, -tau) for x in (a, b, c)}
+    products = {} if probe_note else {(x, y): m_factors(y, x, -tau)[0] for x, y in (
+        (a, b), (a + b, c), (b, c), (a, b + c))}
     mats = factor_mats(params, *(fs for group in identity.values() for fs in group),
                        *images.values(), *products.values())
     results = []
     for p, q in pairs:
+        if note := beyond_cap(n, p + q):
+            results.append(_refused("mult.identity", params, note, a=p, b=q))
+            continue
         worst = agree = 0.0
         for s in (1, -1):
             M, alt, pair, whole = (r_product(n, p + q, fs, mats) for fs in identity[p, q, s])
@@ -706,9 +717,9 @@ def mult_identity_check(params: AlgebraParams,
             worst = max(worst, scaled_residual(M @ pair, whole))
         results.append(_within("mult.identity", _echo(params, a=p, b=q),
                                agree if agree > M_AGREEMENT_TOL else worst, TOL_RESIDUAL))
-    if not probe:
-        return results + [_refused("mult.associativity_probe", params,
-                                   "tau on excluded torsion locus", split=[a, b, c])]
+    if probe_note:
+        return results + [_refused("mult.associativity_probe", params, probe_note,
+                                   split=[a, b, c])]
     # associativity of the induced product u*v = M_{b,a}(-tau)(u (x) v)
     rng = np.random.default_rng(seed)
 
@@ -761,14 +772,14 @@ def frobenius_check(params: AlgebraParams):
 
     F_n(tau) has rank one and F_{n+1}(tau) vanishes; writing
     F_n(tau)(v_j (x) w_k) = c_{jk} F_n(tau)(x) for a reference x, the
-    coefficient matrix for the split i | n-i has rank C(n,i).  The
-    vanishing is refused when n^(n+1) exceeds the dense cap.  Both F come
-    from one build."""
+    coefficient matrix for the split i | n-i has rank C(n,i).  Both F come
+    from one build.  The vanishing is refused when n^(n+1) is past the
+    dense cap (n = 5), and the whole check when n^n is (n >= 6)."""
     n = params.n
     if tau_excluded(params, n + 1):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
-    factors = {d: f_factors(d, params.tau) for d in (n, n + 1) if not beyond_cap(n, d)}
+    factors = {d: f_factors(d, params.tau) for d in (n, n + 1)}
     mats = factor_mats(params, *factors.values())
     Fs = r_product(n, n, factors[n], mats)
     rank, _ = scaled_rank(Fs, params.ranks)

@@ -28,9 +28,6 @@ from ellr.rmatrix import (
     sym_op,
     b_fn,
     f_fn,
-    r_plus_limit,
-    weight_op,
-    weight_op_k,
     weight_ops,
     det_closed_form,
     transpose_residual,
@@ -197,6 +194,27 @@ def test_sym_op():
     P = basis_ops(make_params(3, 1))["P"]
     assert np.allclose(S1, np.eye(9) - P)
     assert np.allclose(sym_op(-1, 3), np.eye(9) + P)
+
+
+def r_plus_limit(params, zeta, sign):
+    """The limit operators R_+-(zeta) = lim_{tau->0} R_tau(+-tau + zeta), exactly:
+    R_+-(zeta) = f(0, zeta, 0) (I (x) C^{-1}) sym_{+-1} (C (x) I), C = T^b S^{ka}."""
+    n, a, b, eta = params.n, zeta.a, zeta.b, params.eta
+    f0 = e_fn((b + a * (n - 1)) / 2 - b * (n + b) * eta / 2)  # f(0, zeta, 0)
+    C = torsion_op(params, a, b)
+    eye = np.eye(n, dtype=complex)
+    return f0 * np.kron(eye, np.linalg.inv(C)) @ sym_op(sign, n) @ np.kron(C, eye)
+
+
+def weight_op(params, z):
+    """S(z), the one-point stack of ``weight_ops``."""
+    return weight_ops(params, [z])[0]
+
+
+def weight_op_k(params, z):
+    """S_k(z), the one-point stack of ``weight_ops`` at step -k', with
+    S_k(-n z) = n e(n(n+1) z / 2) P R_{n,k,tau}(z)."""
+    return weight_ops(params, [z], -params.k_prime)[0]
 
 
 def test_r_plus_limit_matches_extrapolation():

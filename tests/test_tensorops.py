@@ -14,6 +14,8 @@ from ellr.classical import classical_w_dim
 from ellr.rmatrix import make_params, r_matrix, basis_ops
 from ellr.tensorops import (
     ZERO_OPERATOR_TOL,
+    BeyondCapError,
+    beyond_cap,
     ScaledOp,
     scaled_residual,
     scaled_cut,
@@ -29,10 +31,8 @@ from ellr.tensorops import (
     factor_mats,
     r_product,
     t_op,
-    f_op,
     f_factors,
     m_factors,
-    m_op,
     copy_stacks,
     lattice_dims,
 )
@@ -56,6 +56,22 @@ def embed_pair(op, pos, n, d):
 def _chain(params, d, factors):
     """The product of the (argument, position) ``factors`` on V^(x)d."""
     return r_product(params.n, d, factors, factor_mats(params, factors))
+
+
+def dense(op):
+    """The plain matrix of a scaled operator, exp(log_scale) * matrix()."""
+    return math.exp(op.log_scale) * op.matrix()
+
+
+def f_op(params, d, z):
+    """F_d(z) = T_d(z, ..., z)."""
+    return t_op(params, d, [z] * max(d - 1, 0))
+
+
+def m_op(params, a, b, z, xs=None, ys=None):
+    """The rectangular array product M_{a,b}(z; xs; ys), its rows top to
+    bottom (see ``m_factors``)."""
+    return _chain(params, a + b, m_factors(a, b, z, xs, ys)[0])
 
 
 def f_pair_op(params, a, b, z):
@@ -269,13 +285,13 @@ def test_chain_pins_d3():
     # all four chain variants over positions 1..3 with distinct arguments
     t1, t2 = ZS[0], ZS[1]
     R = lambda w: r_matrix(P31, w)
-    asc = chain_asc(P31, 3, 1, 3, [t1, t2]).dense()
+    asc = dense(chain_asc(P31, 3, 1, 3, [t1, t2]))
     assert _rel(asc, _E(R(t1 + t2), 1) @ _E(R(t2), 2)) < 1e-12
-    asc_r = chain_asc_rev(P31, 3, 1, 3, [t1, t2]).dense()
+    asc_r = dense(chain_asc_rev(P31, 3, 1, 3, [t1, t2]))
     assert _rel(asc_r, _E(R(t1), 1) @ _E(R(t1 + t2), 2)) < 1e-12
-    desc = chain_desc(P31, 3, 3, 1, [t1, t2]).dense()
+    desc = dense(chain_desc(P31, 3, 3, 1, [t1, t2]))
     assert _rel(desc, _E(R(t1 + t2), 2) @ _E(R(t2), 1)) < 1e-12
-    desc_r = chain_desc_rev(P31, 3, 3, 1, [t1, t2]).dense()
+    desc_r = dense(chain_desc_rev(P31, 3, 3, 1, [t1, t2]))
     assert _rel(desc_r, _E(R(t1), 2) @ _E(R(t1 + t2), 1)) < 1e-12
 
 
@@ -356,7 +372,7 @@ def test_chain_products_form_no_embedding(monkeypatch):
 
 
 def test_chain_trivial_and_errors():
-    assert np.allclose(chain_asc(P31, 3, 2, 2, []).dense(), np.eye(27))
+    assert np.allclose(dense(chain_asc(P31, 3, 2, 2, [])), np.eye(27))
     with pytest.raises(ValueError):
         chain_asc(P31, 3, 1, 3, [0.1])  # wrong argument count
     with pytest.raises(ValueError):
@@ -367,25 +383,25 @@ def test_t3_pin():
     z1, z2 = ZS[0], ZS[1]
     R = lambda w: r_matrix(P31, w)
     expect = _E(R(z1), 1) @ _E(R(z1 + z2), 2) @ _E(R(z2), 1)
-    assert _rel(t_op(P31, 3, [z1, z2]).dense(), expect) < 1e-12
+    assert _rel(dense(t_op(P31, 3, [z1, z2])), expect) < 1e-12
 
 
 def test_f_op_is_t_op_with_equal_args():
     z = 0.21 - 0.04j
-    assert np.allclose(f_op(P31, 3, z).dense(), t_op(P31, 3, [z, z]).dense())
+    assert np.allclose(dense(f_op(P31, 3, z)), dense(t_op(P31, 3, [z, z])))
 
 
 def test_t_factorizations():
     d = 4
     zs = ZS
     I1 = np.eye(3)
-    T = t_op(P31, d, zs).dense()
-    Tl = t_op(P31, d - 1, zs[:-1]).dense()
-    Tr = t_op(P31, d - 1, zs[1:]).dense()
-    v1 = np.kron(Tl, I1) @ chain_desc(P31, d, d, 1, zs).dense()
-    v2 = np.kron(I1, Tr) @ chain_asc(P31, d, 1, d, zs[::-1]).dense()
-    v3 = chain_asc_rev(P31, d, 1, d, zs).dense() @ np.kron(Tr, I1)
-    v4 = chain_desc_rev(P31, d, d, 1, zs[::-1]).dense() @ np.kron(I1, Tl)
+    T = dense(t_op(P31, d, zs))
+    Tl = dense(t_op(P31, d - 1, zs[:-1]))
+    Tr = dense(t_op(P31, d - 1, zs[1:]))
+    v1 = np.kron(Tl, I1) @ dense(chain_desc(P31, d, d, 1, zs))
+    v2 = np.kron(I1, Tr) @ dense(chain_asc(P31, d, 1, d, zs[::-1]))
+    v3 = dense(chain_asc_rev(P31, d, 1, d, zs)) @ np.kron(Tr, I1)
+    v4 = dense(chain_desc_rev(P31, d, d, 1, zs[::-1])) @ np.kron(I1, Tl)
     for v in (v1, v2, v3, v4):
         assert _rel(T, v) < 1e-12
 
@@ -405,7 +421,7 @@ def test_m_op_hand_expansion_2x3():
     hand = (E(R(z), 2) @ E(R(z + y[0]), 3) @ E(R(z + y[0] + y[1]), 4)
             @ E(R(z + x[0]), 1) @ E(R(z + x[0] + y[0]), 2)
             @ E(R(z + x[0] + y[0] + y[1]), 3))
-    assert _rel(m_op(P31, a, b, z, xs=x, ys=y).dense(), hand) < 1e-12
+    assert _rel(dense(m_op(P31, a, b, z, xs=x, ys=y)), hand) < 1e-12
 
 
 def test_m_op_row_column_assemblies_agree():
@@ -434,12 +450,12 @@ def test_m_factors_give_both_assemblies():
 
 def test_m_op_default_increments_are_z():
     z = 0.19 - 0.03j
-    assert np.allclose(m_op(P31, 2, 2, z).dense(), m_op(P31, 2, 2, z, xs=[z], ys=[z]).dense())
+    assert np.allclose(dense(m_op(P31, 2, 2, z)), dense(m_op(P31, 2, 2, z, xs=[z], ys=[z])))
 
 
 def test_m_op_degenerate_is_identity():
-    assert np.allclose(m_op(P31, 0, 2, 0.1).dense(), np.eye(9))
-    assert np.allclose(m_op(P31, 2, 0, 0.1).dense(), np.eye(9))
+    assert np.allclose(dense(m_op(P31, 0, 2, 0.1)), np.eye(9))
+    assert np.allclose(dense(m_op(P31, 2, 0, 0.1)), np.eye(9))
 
 
 def test_tmt_identity():
@@ -449,10 +465,10 @@ def test_tmt_identity():
     x = [0.11 + 0.02j, -0.07 + 0.05j]
     y = [0.13 - 0.03j]
     z = 0.09 + 0.04j
-    T = t_op(p, a + b, x + [z] + y).dense()
-    M = m_op(p, a, b, z, xs=x[::-1], ys=y).dense()
-    rhs = (M @ np.kron(np.eye(n ** b), t_op(p, a, x).dense())
-           @ np.kron(t_op(p, b, y).dense(), np.eye(n ** a)))
+    T = dense(t_op(p, a + b, x + [z] + y))
+    M = dense(m_op(p, a, b, z, xs=x[::-1], ys=y))
+    rhs = (M @ np.kron(np.eye(n ** b), dense(t_op(p, a, x)))
+           @ np.kron(dense(t_op(p, b, y)), np.eye(n ** a)))
     assert _rel(T, rhs) < 1e-12
 
 
@@ -462,14 +478,14 @@ def test_t_m_commutation_laws():
     x = [0.11 + 0.02j, -0.07 + 0.05j]
     y = [0.13 - 0.03j]
     z = 0.09 + 0.04j
-    M = m_op(p, a, b, z, xs=x[::-1], ys=y).dense()
-    TLa = np.kron(t_op(p, a, x).dense(), np.eye(n ** b))
-    TRa = np.kron(np.eye(n ** b), t_op(p, a, x).dense())
-    lhs1 = TLa @ m_op(p, a, b, z + sum(x), xs=[-v for v in x], ys=y).dense()
+    M = dense(m_op(p, a, b, z, xs=x[::-1], ys=y))
+    TLa = np.kron(dense(t_op(p, a, x)), np.eye(n ** b))
+    TRa = np.kron(np.eye(n ** b), dense(t_op(p, a, x)))
+    lhs1 = TLa @ dense(m_op(p, a, b, z + sum(x), xs=[-v for v in x], ys=y))
     assert _rel(lhs1, M @ TRa) < 1e-12
-    TLb = np.kron(t_op(p, b, y).dense(), np.eye(n ** a))
-    TRb = np.kron(np.eye(n ** a), t_op(p, b, y).dense())
-    lhs2 = TRb @ m_op(p, a, b, z + sum(y), xs=x[::-1], ys=[-v for v in y][::-1]).dense()
+    TLb = np.kron(dense(t_op(p, b, y)), np.eye(n ** a))
+    TRb = np.kron(np.eye(n ** a), dense(t_op(p, b, y)))
+    lhs2 = TRb @ dense(m_op(p, a, b, z + sum(y), xs=x[::-1], ys=[-v for v in y][::-1]))
     assert _rel(lhs2, M @ TLb) < 1e-12
 
 
@@ -478,8 +494,8 @@ def test_f_pair_op_is_the_kronecker_product_of_f():
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
         pair = f_pair_op(P31, a, b, z)
         assert pair.mat.shape == (3, 3 ** (a + b - 1), 3 ** (a + b - 1))
-        assert _rel(np.kron(f_op(P31, a, z).dense(), f_op(P31, b, z).dense()),
-                    pair.dense()) < 1e-12
+        assert _rel(np.kron(dense(f_op(P31, a, z)), dense(f_op(P31, b, z))),
+                    dense(pair)) < 1e-12
 
 
 def test_multiplication_identity():
@@ -499,7 +515,7 @@ def test_multiplication_identity():
 
 
 def test_embedded_relation_annihilates_f():
-    F = f_op(P31, 3, -P31.tau).dense()
+    F = dense(f_op(P31, 3, -P31.tau))
     Rt = r_matrix(P31, P31.tau)
     scale = np.max(np.abs(Rt)) * np.max(np.abs(F))
     for pos in (1, 2):
@@ -571,6 +587,18 @@ def test_copy_stacks_set_the_copies_side_by_side():
         copy_stacks(_pair()[0], n, 1)
     with pytest.raises(ValueError, match="pair-grade blocks"):
         copy_stacks(_pair()[0][:2], n, d)
+
+
+def test_every_builder_past_the_cap_raises_the_typed_refusal():
+    # one size rule: a builder past the cap raises BeyondCapError, a
+    # ValueError whose message is the beyond_cap note the checks refuse with
+    note = beyond_cap(8, 4)
+    assert note == "n^d = 4096 exceeds the dense cap 3125" and beyond_cap(8, 3) is None
+    for build in (lambda: site_product(8, 4, []), lambda: copy_stacks(_pair()[0], 8, 4),
+                  lambda: symmetrizer(8, 4)):
+        with pytest.raises(BeyondCapError) as exc:
+            build()
+        assert isinstance(exc.value, ValueError) and str(exc.value) == note
 
 
 def _rotation(size, angle, rng):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ellr.theta import (
     TWO_PI_I,
+    _out,
     _series,
     _window,
     e_fn,
@@ -17,7 +18,6 @@ from ellr.theta import (
     theta1,
     theta_alpha,
     theta_alpha_rows,
-    jacobi_theta,
     theta_char,
     theta_char_shift_check,
     factor_constant,
@@ -27,6 +27,12 @@ from ellr.theta import (
 from ellr.rmatrix import DEFAULT_TAU_OF_ETA
 
 ETA = 0.31 + 1.37j
+
+
+def jacobi_theta(z, eta):
+    """Jacobi theta: sum_m e(mz + m^2 eta / 2), with argument reduction,
+    elementwise over an array z."""
+    return _out(_series(z, complex(eta), _window(eta), 0))
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from ellr.linalg import RankPolicy, kernel_span_bound
-from ellr.rmatrix import (
-    HalfPeriodPoint, b_fn, basis_ops, f_fn, make_params, r_matrix, torsion_op, weight_op,
-    weight_op_k,
-)
+from ellr.rmatrix import HalfPeriodPoint, b_fn, basis_ops, f_fn, make_params, r_matrix, torsion_op
 from ellr import verifiers as V
-from ellr.cli import main, emit, parse_report, build_report, resolve_config, UsageError
+from ellr.cli import main, emit, build_report, resolve_config, UsageError
+from test_rmatrix import weight_op, weight_op_k
+from test_tensorops import f_op
 
 
 P31 = make_params(3, 1)
@@ -196,6 +195,37 @@ def test_degrees_past_the_dense_cap_are_refused_up_front(monkeypatch):
     assert {r.status for r in hilbert} == {"pass", "refused"}
 
 
+CAP_NOTE_8_4 = "n^d = 4096 exceeds the dense cap 3125"
+
+
+def test_frobenius_past_the_cap_is_refused():
+    # F_6 at n = 6 is past the dense cap: the check is refused with the
+    # cap's note, where it once read a missing F_n (KeyError)
+    (res,) = V.frobenius_check(make_params(6, 1))
+    assert (res.name, res.status) == ("frobenius_check", "refused")
+    assert res.expected == "n^d = 46656 exceeds the dense cap 3125"
+
+
+def test_single_degree_checks_past_the_cap_are_refused_with_its_note():
+    # at (8, 3) degree 4 is past the cap and degree 3 is not
+    p = make_params(8, 3)
+    for check in (V.t_rank_table, V.koszul_check):
+        (res,) = check(p, 4)
+        assert (res.name, res.status, res.expected) == (check.__name__, "refused", CAP_NOTE_8_4)
+    table = V.t_rank_table(p, 3)
+    assert len(table) == 10 and {r.status for r in table} == {"pass"}
+
+
+def test_mult_refuses_only_the_pairs_and_the_probe_past_the_cap():
+    results = V.mult_identity_check(make_params(8, 3))
+    pairs = {(r.params["a"], r.params["b"]): r for r in results if r.name == "mult.identity"}
+    assert {pair: r.status for pair, r in pairs.items()} == {
+        (1, 1): "pass", (1, 2): "pass", (2, 1): "pass", (2, 2): "refused"}
+    (probe,) = [r for r in results if r.name == "mult.associativity_probe"]
+    assert [r.expected for r in (pairs[2, 2], probe)] == [CAP_NOTE_8_4] * 2
+    assert probe.status == "refused" and probe.params["split"] == [1, 2, 1]
+
+
 def test_tensor_checks_refuse_torsion_tau_off_the_excluded_locus():
     # dist(3 tau) = 1.5e-8: tau is torsion (distance / n < 1e-8) but not on
     # the excluded locus (distance >= EXCLUSION_DISTANCE), so every check
@@ -305,7 +335,6 @@ def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
     # one call per r_matrices call, its [-z, -z + tau] rows followed by
     # [tau, 0] when the denominators of its params are not yet cached
     import ellr.rmatrix
-    from ellr.tensorops import f_op
 
     p = make_params(3, 1)
     V.r_matrix(p, 0.1)  # caches the denominators of p
@@ -768,6 +797,15 @@ class _Args:
     which = "qybe"
 
 
+def parse_report(text: str) -> V.Report:
+    """The inverse of emit(fmt='json')."""
+    data = json.loads(text)
+    results = [V.CheckResult(r["name"], r["params"], r["expected"], r["observed"],
+                             r["residual"], r["status"], r["wall_time"])
+               for r in data["results"]]
+    return V.Report(data["version"], data["config"], results)
+
+
 def test_json_round_trip():
     rep = _small_report()
     text = emit(rep, "json")
@@ -870,13 +908,43 @@ def test_cli_rejects_n_outside_the_desk_envelope(tmp_path, monkeypatch, capsys):
         raise AssertionError("parameters built for an out-of-range n")
 
     monkeypatch.setattr("ellr.cli.make_params", refuse)
-    assert main(["check", "qybe", "--n", "6"]) == 2
+    assert main(["check", "qybe", "--n", "9"]) == 2
     assert main(["check", "qybe", "--n", "1"]) == 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 6}))
+    cfg.write_text(json.dumps({"n": 9}))
     assert main(["check", "qybe", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: n must lie in 2..5"] * 3
+    assert err == ["error: n must lie in 2..8"] * 3
+
+
+@pytest.mark.parametrize("n, k", ((6, 5), (7, 3), (8, 3)))
+def test_cli_takes_every_n_up_to_8(n, k, monkeypatch):
+    # the envelope's only n limit is at the CLI boundary: past it the checks
+    # refuse what the dense cap excludes, one degree at a time
+    built = []
+
+    def record(params, checks, d_max, seed):
+        built.append((params.n, params.k))
+        return []
+
+    monkeypatch.setattr("ellr.cli.run_suite", record)
+    assert main(["report", "all", "--n", str(n), "--k", str(k)]) == 0
+    assert built == [(n, k)]
+
+
+def test_cli_bounds_d_max_by_the_oracle_degree(monkeypatch, capsys):
+    # one degree limit: the exact oracle's, read at call time
+    import ellr.classical
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters built for an out-of-range d_max")
+
+    monkeypatch.setattr("ellr.cli.make_params", refuse)
+    assert main(["check", "qybe", "--d-max", "6"]) == 2
+    monkeypatch.setattr(ellr.classical, "MAX_CLASSICAL_DEGREE", 4)
+    assert main(["check", "qybe", "--d-max", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: d_max must lie in 1..5", "error: d_max must lie in 1..4"]
 
 
 @pytest.mark.parametrize("config, message", [
