@@ -17,6 +17,12 @@ shared by every block, relative to the largest singular value of the stack,
 with the gap taken between the smallest kept and the largest dropped value
 over all blocks.  So a stack's certificate (rank, gap) is the dense one up
 to rounding, and a block of pure noise beside a large one is cut as noise.
+A stack may hold one block per orbit of a symmetry that carries blocks
+onto each other (the grade orbits of ``tensorops.grade_orbits``): with
+``copies`` = c, every block stands for c blocks with its singular values,
+so each rank counts c times and :func:`kernel_span_bound` weights each
+block's Frobenius norm by c, while the top, the gap and the smallest kept
+value, taken over the distinct blocks, are those of the whole stack.
 
 Every rank is read from singular values alone: :func:`svd_rank` certifies
 (rank, gap), :func:`singular_cut` adds the smallest kept value, and
@@ -115,14 +121,15 @@ def _svds(blocks, compute_uv: bool = True, scale: float = 1.0) -> list:
     return out
 
 
-def _cut(values, policy: RankPolicy) -> tuple[list, float, float]:
+def _cut(values, policy: RankPolicy, copies: int = 1) -> tuple[list, float, float]:
     """Ranks per block, the gap of one cut shared by every block, and the
     smallest kept value (0.0 when nothing is kept).
 
     A block's rank counts its singular values above ``policy.rel_threshold``
     times the largest of the whole stack; the gap is the ratio of the
     smallest kept to the largest dropped value over all blocks.  Raises
-    AmbiguousRankError when gap < policy.min_gap."""
+    AmbiguousRankError, with the rank of the ``copies``-fold stack, when
+    gap < policy.min_gap."""
     top = max((float(s[0]) for s in values if s.size), default=0.0)
     if top == 0.0:
         return [0] * len(values), math.inf, 0.0
@@ -131,44 +138,47 @@ def _cut(values, policy: RankPolicy) -> tuple[list, float, float]:
     dropped = max((s[r] for s, r in zip(values, ranks) if r < s.size), default=0.0)
     gap = float(kept / dropped) if dropped > 0.0 else math.inf
     if gap < policy.min_gap:
-        raise AmbiguousRankError(sum(ranks), gap, policy.min_gap)
+        raise AmbiguousRankError(copies * sum(ranks), gap, policy.min_gap)
     return ranks, gap, kept
 
 
-def singular_cut(M, policy: RankPolicy | None = None) -> tuple[int, float, float]:
+def singular_cut(M, policy: RankPolicy | None = None,
+                 copies: int = 1) -> tuple[int, float, float]:
     """Certified (rank, gap, smallest kept singular value) of M, one matrix
-    or a block stack, from its singular values alone: the stack at unit
-    max-abs, cut by :func:`_cut`.  The smallest kept value is M's own (not
-    of M at unit max-abs), and 0.0 at rank 0.  Raises AmbiguousRankError
-    when the gap is below ``policy.min_gap``, and NonFiniteMatrixError when
-    M has an inf or NaN entry."""
+    or a block stack whose every block counts ``copies`` times, from its
+    singular values alone: the stack at unit max-abs, cut by :func:`_cut`.
+    The smallest kept value is M's own (not of M at unit max-abs), and 0.0
+    at rank 0.  Raises AmbiguousRankError when the gap is below
+    ``policy.min_gap``, and NonFiniteMatrixError when M has an inf or NaN
+    entry."""
     policy = policy or RankPolicy()
     blocks = _blocks(M)
     scale = _max_abs(blocks)
-    ranks, gap, kept = _cut(_svds(blocks, compute_uv=False, scale=scale), policy)
-    return sum(ranks), gap, kept * scale
+    ranks, gap, kept = _cut(_svds(blocks, compute_uv=False, scale=scale), policy, copies)
+    return copies * sum(ranks), gap, kept * scale
 
 
-def svd_rank(M, policy: RankPolicy | None = None) -> tuple[int, float]:
+def svd_rank(M, policy: RankPolicy | None = None, copies: int = 1) -> tuple[int, float]:
     """Certified (rank, gap) of M; see :func:`singular_cut`."""
-    return singular_cut(M, policy)[:2]
+    return singular_cut(M, policy, copies)[:2]
 
 
-def svd_ranks(stacks, policy: RankPolicy | None = None) -> list:
+def svd_ranks(stacks, policy: RankPolicy | None = None, copies: int = 1) -> list:
     """Certified (rank, gap) of every operator of a (count, blocks, rows,
-    cols) batch of block stacks, each normalized by its own max-abs and cut
-    by :func:`_cut` over its own blocks, as :func:`svd_rank` certifies it
-    alone, from one values-only ``np.linalg.svd``.  Raises
-    AmbiguousRankError at the first operator whose gap is below
-    ``policy.min_gap``, and NonFiniteMatrixError when an entry is inf or NaN."""
+    cols) batch of block stacks, each block counted ``copies`` times, each
+    operator normalized by its own max-abs and cut by :func:`_cut` over its
+    own blocks, as :func:`svd_rank` certifies it alone, from one values-only
+    ``np.linalg.svd``.  Raises AmbiguousRankError at the first operator
+    whose gap is below ``policy.min_gap``, and NonFiniteMatrixError when an
+    entry is inf or NaN."""
     policy = policy or RankPolicy()
     stacks = np.asarray(stacks, dtype=complex)
     scales = np.max(np.abs(stacks), axis=(1, 2, 3))
     require_finite(scales)
     values = np.linalg.svd(stacks / np.where(scales > 0, scales, 1.0)[:, None, None, None],
                            compute_uv=False)
-    cuts = [_cut(list(blocks), policy) for blocks in values]
-    return [(sum(ranks), gap) for ranks, gap, _ in cuts]
+    cuts = [_cut(list(blocks), policy, copies) for blocks in values]
+    return [(copies * sum(ranks), gap) for ranks, gap, _ in cuts]
 
 
 def _bases(M, policy: RankPolicy | None) -> tuple[list, list]:
@@ -195,7 +205,8 @@ def kernel(M, policy: RankPolicy | None = None) -> tuple:
     return tuple(Vh[r:].conj().T for (_, _, Vh), r in zip(svds, ranks))
 
 
-def kernel_span_bound(M, B, policy: RankPolicy | None = None, m_cut=None) -> float:
+def kernel_span_bound(M, B, policy: RankPolicy | None = None, m_cut=None,
+                      copies: int = 1) -> float:
     """The equality rule ker M = span B: an upper bound on the sine of the
     largest principal angle between the two, or 1.0, the sine of a right
     angle, when their dimensions differ.
@@ -210,17 +221,19 @@ def kernel_span_bound(M, B, policy: RankPolicy | None = None, m_cut=None) -> flo
     change when M or B is scaled.  A zero M has the whole space as its
     kernel and a B of rank 0 spans the zero space, so equal dimensions
     there read 0.0.  ``m_cut`` is M's :func:`singular_cut` when the caller
-    has it already (M^H takes M's, for its singular values are M's)."""
+    has it already (M^H takes M's, for its singular values are M's).  With
+    ``copies`` every pair of blocks stands for that many, in the
+    dimensions and in the Frobenius sum."""
     Ms, Bs = _blocks(M), _blocks(B)
     if [X.shape[1] for X in Ms] != [Y.shape[0] for Y in Bs]:
         raise ValueError("B needs one block per grade of M, with M's column counts as rows")
-    m_rank, _, s_m = m_cut or singular_cut(Ms, policy)
-    b_rank, _, s_b = singular_cut(Bs, policy)
-    if sum(X.shape[1] for X in Ms) - m_rank != b_rank:
+    m_rank, _, s_m = m_cut or singular_cut(Ms, policy, copies)
+    b_rank, _, s_b = singular_cut(Bs, policy, copies)
+    if copies * sum(X.shape[1] for X in Ms) - m_rank != b_rank:
         return 1.0
     if not (m_rank and b_rank):
         return 0.0
-    norm = math.sqrt(sum(np.linalg.norm(X @ Y) ** 2 for X, Y in zip(Ms, Bs)))
+    norm = math.sqrt(copies * sum(np.linalg.norm(X @ Y) ** 2 for X, Y in zip(Ms, Bs)))
     return min(1.0, norm / (s_m * s_b))
 
 

@@ -24,12 +24,23 @@ the Z_n x Z_n symmetry), so every product of R's keeps the total grade,
 the digit sum mod n, and is block-diagonal with n blocks of size n^(d-1).
 ``grade_index`` lists the indices of each grade: the first d-1 digits of
 an index are its position in its block, and the grade fixes the last.
+R(z) also commutes with T (x) T (the other half), so T^{(x)d} maps block
+coordinate q of grade h to q+1 (every digit +1) of grade h+d: the grades
+fall into g = gcd(n, d) orbits of n/g (``grade_orbits``), and the blocks
+of one orbit have the same singular values.  A rank certificate (the rank
+path: F_d in hilbert, dual and frobenius, T_d in ``t_ranks``, the copies
+and ``lattice_dims``) therefore builds the representative grades 0..g-1
+alone and counts each block n/g times (the ``copies`` of the ``linalg``
+rank functions); the symmetry is certified on every factor, not assumed
+(``certify_shift``, SYMMETRY_TOL), and a factor that breaks it raises
+SymmetryError.  The identity checks build every grade: their residuals
+are the evidence for the identities.
 
 Every multi-site operator is one site product: an ordered list of
 two-site factors (matrix, (p, q)), p < q, evaluated by ``site_product``
-straight into the (..., n, n^(d-1), n^(d-1)) stack of its grade blocks,
-with optional leading batch axes on the factors (a batch of Yang-Baxter
-trials at once).  A factor at (p, q) with q < d acts on the
+straight into the (..., n, n^(d-1), n^(d-1)) stack of its grade blocks
+(on the rank path, the g representatives alone), with optional leading
+batch axes on the factors (a batch of Yang-Baxter trials at once).  A factor at (p, q) with q < d acts on the
 block coordinates, n^(p-1) GEMMs through a view of the rows.  A factor at
 (p, d) moves digit p alone: the other digits of a row fix the pair grade s
 of (digit p, last digit), and the pair block R^(s)[a, i] =
@@ -59,8 +70,7 @@ need the stack's singular values, read block by block (``scaled_cut``,
 ``scaled_rank``) at a cost about n^2 below a dense SVD; products and
 identities between chain products run block by block after matching the
 log scales (F_a (x) F_b is itself one product, the factors of F_a and then
-those of F_b moved by a); and ``.matrix()`` scatters the stack for the few
-readers of a plain matrix.
+those of F_b moved by a).  No reader scatters a stack into a plain matrix.
 
 The embedded relation spaces are built grade by grade from the copies
 V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)} of a subspace W of V^{(x)2} taken
@@ -101,35 +111,29 @@ from .linalg import (
 
 MAX_TENSOR_DIM = 5 ** 5
 T_BATCH_ENTRIES = 2 ** 20  # per batched product stack of t_ranks
+SYMMETRY_TOL = 1e-12  # relative, between a rank factor's pair blocks and their shift
 
 
 class ScaledOp:
     """An operator on V^{(x)d} that keeps the total grade, as exp(log_scale)
-    times ``mat``, its (n, n^(d-1), n^(d-1)) grade stack (see
-    :func:`grade_index`).  mat is kept at unit max-abs so long products
-    never overflow; products and residuals run block by block."""
+    times ``mat``, its (grades, n^(d-1), n^(d-1)) grade stack (see
+    :func:`grade_index`): all n grades, or on the rank path the
+    representatives 0..g-1 (:func:`grade_orbits`).  mat is kept at unit
+    max-abs so long products never overflow; products and residuals run
+    block by block."""
 
     __slots__ = ("mat", "log_scale")
 
     def __init__(self, mat: np.ndarray, log_scale: float = 0.0):
         self.mat = np.asarray(mat, dtype=complex)
         if self.mat.ndim != 3:
-            raise ValueError("a ScaledOp holds an (n, n^(d-1), n^(d-1)) grade stack")
+            raise ValueError("a ScaledOp holds a (grades, n^(d-1), n^(d-1)) grade stack")
         self.log_scale = float(log_scale)
 
     def __matmul__(self, other: "ScaledOp") -> "ScaledOp":
         # products are not renormalized: a tiny .mat after multiplying
         # unit-scale factors is real cancellation and must stay visible
         return ScaledOp(self.mat @ other.mat, self.log_scale + other.log_scale)
-
-    def matrix(self) -> np.ndarray:
-        """mat scattered through :func:`grade_index` into one matrix, every
-        entry between two grades zero."""
-        n, size = self.mat.shape[:2]
-        idx = grade_index(n, round(math.log(size, n)) + 1)
-        out = np.zeros((n * size,) * 2, dtype=complex)
-        out[idx[:, :, None], idx[:, None, :]] = self.mat
-        return out
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
@@ -154,7 +158,11 @@ def scaled_residual(left: ScaledOp, right: ScaledOp, floor: float = 1.0) -> floa
 
 class BeyondCapError(ValueError):
     """A tensor power past the dense cap; the message is the
-    :func:`beyond_cap` note."""
+    :func:`beyond_cap` note, and ``d`` the degree refused."""
+
+    def __init__(self, note: str, d: int):
+        super().__init__(note)
+        self.d = d
 
 
 def beyond_cap(n: int, d: int) -> str | None:
@@ -168,7 +176,45 @@ def _check_dim(n: int, d: int):
     if d < 0:
         raise ValueError("tensor degree must be non-negative")
     if note := beyond_cap(n, d):
-        raise BeyondCapError(note)
+        raise BeyondCapError(note, d)
+
+
+class SymmetryError(ValueError):
+    """A factor of a rank product whose pair blocks break the T (x) T
+    symmetry by more than SYMMETRY_TOL, so its grades need not carry each
+    other's ranks."""
+
+
+def grade_orbits(n: int, d: int) -> tuple[int, int]:
+    """(g, n/g), g = gcd(n, d): T^{(x)d} maps block coordinate q of grade h
+    to q+1 (every digit +1 mod n) of grade h+d, so the grade orbits are the
+    cosets of gZ_n, the grades 0..g-1 meet each once, and each orbit has n/g
+    grades with one set of singular values."""
+    g = math.gcd(n, d)
+    return g, n // g
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_index(n: int) -> np.ndarray:
+    """The flat position of R^(s+2)[a+1, i+1] in (n, n, n) pair blocks, for
+    every (s, a, i).  Read-only, built once per n."""
+    s, a, i = np.ogrid[:n, :n, :n]
+    flat = (((s + 2) % n * n + (a + 1) % n) * n + (i + 1) % n).ravel()
+    flat.setflags(write=False)
+    return flat
+
+
+def certify_shift(blocks) -> None:
+    """Raise SymmetryError unless every operator of the (..., n, n, n) pair
+    blocks commutes with T (x) T, R^(s+2)[a+1, i+1] = R^(s)[a, i], to
+    SYMMETRY_TOL relative to its own max-abs."""
+    flat = blocks.reshape(*blocks.shape[:-3], -1)
+    scale = np.max(np.abs(flat), axis=-1)
+    shifted = flat[..., _shift_index(blocks.shape[-1])]
+    residual = np.max(np.abs(shifted - flat), axis=-1) / np.where(scale > 0, scale, 1.0)
+    if np.max(residual) > SYMMETRY_TOL:
+        raise SymmetryError(f"a factor breaks the T (x) T symmetry: its shifted pair blocks "
+                            f"differ by {np.max(residual):.1e} relative, above {SYMMETRY_TOL}")
 
 
 def perm_op(sigma, n: int, d: int) -> np.ndarray:
@@ -282,17 +328,17 @@ def pair_blocks(mats, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _embed_index(n: int, d: int, sites) -> tuple:
-    """The flat positions in the grade stack of the entries of one factor at
-    ``sites``, and the flat position in its (n, n, n) pair blocks that each
-    one reads.  Read-only, built once."""
+def _embed_index(n: int, d: int, sites, grades: int) -> tuple:
+    """The flat positions in the stack of grades 0..grades-1 of the entries
+    of one factor at ``sites``, and the flat position in its (n, n, n) pair
+    blocks that each one reads.  Read-only, built once."""
     p, q = sites
     size = n ** (d - 1)
     if q < d:
         # row (l, i, m, j, t) of every grade meets column (l, i', m, j', t)
         # with j' = s - i', s = i + j the pair grade
         lead, gap, trail = n ** (p - 1), n ** (q - p - 1), n ** (d - 1 - q)
-        g, l, i, m, j, t, i2 = np.ogrid[:n, :lead, :n, :gap, :n, :trail, :n]
+        g, l, i, m, j, t, i2 = np.ogrid[:grades, :lead, :n, :gap, :n, :trail, :n]
         s = (i + j) % n
         row = (((l * n + i) * gap + m) * n + j) * trail + t
         col = (((l * n + i2) * gap + m) * n + (s - i2) % n) * trail + t
@@ -301,8 +347,8 @@ def _embed_index(n: int, d: int, sites) -> tuple:
         # row (l, a, t) meets column (l, i, t): digit p moves by the pair
         # block of the grade s of (digit p, last digit)
         lead, trail = n ** (p - 1), n ** (d - 1 - p)
-        g, l, t, a, i2 = np.ogrid[:n, :lead, :trail, :n, :n]
-        s = _pair_grade_table(n, d, p)[..., None, None]
+        g, l, t, a, i2 = np.ogrid[:grades, :lead, :trail, :n, :n]
+        s = _pair_grade_table(n, d, p)[:grades, ..., None, None]
         row, col = (l * n + a) * trail + t, (l * n + i2) * trail + t
     target = (g * size + row) * size + col
     index = (target.ravel(), np.broadcast_to((s * n + a) * n + i2, target.shape).ravel())
@@ -311,19 +357,19 @@ def _embed_index(n: int, d: int, sites) -> tuple:
     return index
 
 
-def _embed(n: int, d: int, blocks, sites) -> np.ndarray:
-    """The grade stack (..., n, n^(d-1), n^(d-1)) of one two-site factor,
-    written from its pair blocks into zeros."""
-    target, source = _embed_index(n, d, _sites(d, sites))
+def _embed(n: int, d: int, blocks, sites, grades: int) -> np.ndarray:
+    """The stack (..., grades, n^(d-1), n^(d-1)) of grades 0..grades-1 of
+    one two-site factor, written from its pair blocks into zeros."""
+    target, source = _embed_index(n, d, _sites(d, sites), grades)
     batch, size = blocks.shape[:-3], n ** (d - 1)
-    out = np.zeros(batch + (n * size * size,), dtype=complex)
+    out = np.zeros(batch + (grades * size * size,), dtype=complex)
     out[..., target] = blocks.reshape(batch + (-1,))[..., source]
-    return out.reshape(batch + (n, size, size))
+    return out.reshape(batch + (grades, size, size))
 
 
 def _apply(n: int, d: int, mat, blocks, sites, X: np.ndarray) -> np.ndarray:
-    """One two-site factor (``blocks`` its pair blocks) times the grade stack
-    X (..., n, n^(d-1), cols)."""
+    """One two-site factor (``blocks`` its pair blocks) times the stack X
+    (..., grades, n^(d-1), cols) of grades 0..grades-1."""
     p, q = _sites(d, sites)
     *head, size, cols = X.shape
     if q < d:
@@ -337,13 +383,17 @@ def _apply(n: int, d: int, mat, blocks, sites, X: np.ndarray) -> np.ndarray:
     # (l, a, t) -> (l, t, a): an n x n pair block per (grade, l, t)
     lead, trail = n ** (p - 1), n ** (d - 1 - p)
     view = X.reshape(*head, lead, n, trail, cols).swapaxes(-2, -3)
-    out = np.matmul(blocks[..., _pair_grade_table(n, d, p), :, :], view).swapaxes(-2, -3)
+    table = _pair_grade_table(n, d, p)[:head[-1]]
+    out = np.matmul(blocks[..., table, :, :], view).swapaxes(-2, -3)
     return out.reshape(*out.shape[:-4], size, cols)
 
 
-def site_product(n: int, d: int, factors) -> np.ndarray:
+def site_product(n: int, d: int, factors, grades: int | None = None) -> np.ndarray:
     """The left-to-right product of two-site operators on V^{(x)d}, as its
-    (..., n, n^(d-1), n^(d-1)) grade stack (see :func:`grade_index`).
+    (..., n, n^(d-1), n^(d-1)) grade stack (see :func:`grade_index`), or
+    on the rank path, when ``grades`` is given, the stack of grades
+    0..grades-1 alone, every distinct factor first certified to commute
+    with T (x) T (:func:`certify_shift`, which raises SymmetryError).
 
     ``factors`` is an ordered list of (matrix, (p, q)): a (..., n^2, n^2)
     stack of operators that keep the pair grade, acting on tensorands
@@ -359,13 +409,16 @@ def site_product(n: int, d: int, factors) -> np.ndarray:
     entry NonFiniteMatrixError.
     """
     _check_dim(n, d)
-    size = grade_index(n, d).shape[1]
+    size, count = grade_index(n, d).shape[1], grades or n
     if not factors:
-        return np.broadcast_to(np.eye(size, dtype=complex), (n, size, size)).copy()
+        return np.broadcast_to(np.eye(size, dtype=complex), (count, size, size)).copy()
     blocks = {id(mat): mat for mat, _ in factors}
     blocks = {key: pair_blocks(mat, n) for key, mat in blocks.items()}
+    if grades:
+        for B in blocks.values():
+            certify_shift(B)
     *rest, (mat, sites) = factors
-    out = _embed(n, d, blocks[id(mat)], sites)
+    out = _embed(n, d, blocks[id(mat)], sites, count)
     for mat, sites in reversed(rest):
         out = _apply(n, d, mat, blocks[id(mat)], sites, out)
     return out
@@ -387,13 +440,14 @@ def _unit(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return (mat / scale, math.log(scale)) if 0.0 < scale < math.inf else (mat, 0.0)
 
 
-def r_product(n: int, d: int, factors, mats: dict) -> ScaledOp:
+def r_product(n: int, d: int, factors, mats: dict, grades: int | None = None) -> ScaledOp:
     """The left-to-right product of R(arg)_{pos,pos+1} over (arg, pos)
     ``factors``, R(arg) given as ``mats[arg]``: one :func:`site_product` of
     the factors at unit max-abs (:func:`_unit`, once per distinct argument),
-    with their log scales summed."""
+    over ``grades`` as it takes them, with their log scales summed."""
     unit = {arg: _unit(mats[arg]) for arg in dict.fromkeys(arg for arg, _ in factors)}
-    return ScaledOp(site_product(n, d, [(unit[arg][0], (pos, pos + 1)) for arg, pos in factors]),
+    return ScaledOp(site_product(n, d, [(unit[arg][0], (pos, pos + 1)) for arg, pos in factors],
+                                 grades),
                     sum(unit[arg][1] for arg, _ in factors))
 
 
@@ -478,10 +532,13 @@ def grade_index(n: int, d: int) -> np.ndarray:
     return idx
 
 
-def scaled_cut(op: ScaledOp, policy: RankPolicy | None = None) -> tuple[int, float, float]:
+def scaled_cut(op: ScaledOp, policy: RankPolicy | None = None,
+               copies: int = 1) -> tuple[int, float, float]:
     """Certified (rank, gap, smallest kept singular value) of a scaled chain
     product from the singular values of its grade blocks
-    (:func:`linalg.singular_cut` of ``op.mat``).
+    (:func:`linalg.singular_cut` of ``op.mat``), each block counted
+    ``copies`` times: n/g for the representative grades of
+    :func:`grade_orbits`.
 
     Factors enter chains at unit max-abs, so a product whose matrix part
     has cancelled below ``ZERO_OPERATOR_TOL`` is the zero operator, rank 0;
@@ -490,13 +547,13 @@ def scaled_cut(op: ScaledOp, policy: RankPolicy | None = None) -> tuple[int, flo
     """
     if op.max_abs() < ZERO_OPERATOR_TOL:
         return 0, math.inf, 0.0
-    return singular_cut(op.mat, policy)
+    return singular_cut(op.mat, policy, copies)
 
 
-def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None):
+def scaled_rank(op: ScaledOp, policy: RankPolicy | None = None, copies: int = 1):
     """Certified (rank, gap) of a scaled chain product; see
     :func:`scaled_cut`."""
-    return scaled_cut(op, policy)[:2]
+    return scaled_cut(op, policy, copies)[:2]
 
 
 def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None) -> list:
@@ -506,31 +563,37 @@ def t_ranks(params: AlgebraParams, d: int, zss, policy: RankPolicy | None = None
     Every T_d has the factor positions of :func:`_t_factors`, so the lists
     run as one batch: their distinct arguments in one :func:`r_matrices`
     call, each R at unit max-abs (:func:`_unit`), one
-    :func:`site_product` with the lists on a leading batch axis, a product
-    below ZERO_OPERATOR_TOL the zero operator, and one :func:`svd_ranks`
-    over the others.  The batch runs in slices of at most T_BATCH_ENTRIES
-    product entries, which bounds its memory (13 lists a slice at n^d = 5^4)."""
+    :func:`site_product` of the representative grades (:func:`grade_orbits`)
+    with the lists on a leading batch axis, a product below
+    ZERO_OPERATOR_TOL the zero operator, and one :func:`svd_ranks` over the
+    others, each block counted n/g times.  The batch runs in slices of at
+    most T_BATCH_ENTRIES product entries as built, which bounds its memory
+    (all 13 lists in one slice at n^d = 5^4)."""
     n, lists = params.n, [_t_factors(d, zs) for zs in zss]
     mats = factor_mats(params, *lists)
     unit = {arg: _unit(mat)[0] for arg, mat in mats.items()}
-    step = max(1, T_BATCH_ENTRIES // n ** (2 * d - 1))
+    grades, copies = grade_orbits(n, d)
+    step = max(1, T_BATCH_ENTRIES // (grades * n ** (2 * d - 2)))
     out = []
     for start in range(0, len(lists), step):
         batch = lists[start:start + step]
         stack = site_product(n, d, [(np.stack([unit[factors[i][0]] for factors in batch]),
-                                     (pos, pos + 1)) for i, (_, pos) in enumerate(batch[0])])
+                                     (pos, pos + 1)) for i, (_, pos) in enumerate(batch[0])],
+                             grades)
         live = np.max(np.abs(stack), axis=(-3, -2, -1)) >= ZERO_OPERATOR_TOL
-        certified = iter(svd_ranks(stack[live], policy) if live.any() else [])
+        certified = iter(svd_ranks(stack[live], policy, copies) if live.any() else [])
         out += [next(certified) if alive else (0, math.inf) for alive in live]
     return out
 
 
-def copy_stacks(pair, n: int, d: int) -> tuple[list, np.ndarray]:
+def copy_stacks(pair, n: int, d: int, grades: int | None = None) -> tuple[list, np.ndarray]:
     """The d-1 copies V^{(x)(p-1)} (x) W (x) V^{(x)(d-p-1)}, p = 1..d-1, of
     a subspace W of V^{(x)2} side by side, grade by grade: per grade the
-    copies' orthonormal columns in one matrix, and the (d, n) table of
+    copies' orthonormal columns in one matrix, and the (d, grades) table of
     column starts, row p-1 where copy p starts in each grade and row d-1
-    the widths.
+    the widths.  ``grades`` limits them to the grades 0..grades-1 (all n by
+    default), for a W that commutes with T (x) T, as the image or kernel of
+    an R certified by :func:`certify_shift` does.
 
     ``pair`` is the tuple of W's n pair-grade blocks, as :func:`image` or
     :func:`kernel` of the pair blocks of an R-matrix gives it.  Padded with
@@ -547,27 +610,29 @@ def copy_stacks(pair, n: int, d: int) -> tuple[list, np.ndarray]:
         raise ValueError("embedded copies need degree at least 2")
     if [B.shape[0] for B in pair] != [n] * n:
         raise ValueError("the pair subspace must be given by its n pair-grade blocks")
-    widths = np.array([B.shape[1] for B in pair])
+    widths, count = np.array([B.shape[1] for B in pair]), grades or n
     padded = np.zeros((n, n, n), dtype=complex)
     for s, B in enumerate(pair):
         padded[s, :, :B.shape[1]] = B
-    idx = grade_index(n, d)
+    idx = grade_index(n, d)[:count]
     digits = [idx // n ** (d - p) % n for p in range(1, d + 1)]  # digit p of each index
     keeps = [digits[p - 1] < widths[(digits[p - 1] + digits[p]) % n] for p in range(1, d)]
-    starts = np.cumsum([[0] * n] + [keep.sum(axis=1) for keep in keeps], axis=0)
+    starts = np.cumsum([[0] * count] + [keep.sum(axis=1) for keep in keeps], axis=0)
     out = [np.empty((idx.shape[1], width), dtype=complex) for width in starts[-1]]
     for p, keep in enumerate(keeps, start=1):
-        for g, B in enumerate(_embed(n, d, padded, (p, p + 1))):
+        for g, B in enumerate(_embed(n, d, padded, (p, p + 1), count)):
             out[g][:, starts[p - 1, g]:starts[p, g]] = B[:, keep[g]]
     return out, starts
 
 
-def lattice_dims(pair, complement, n: int, d: int,
-                 policy: RankPolicy | None = None) -> tuple[list, list]:
+def lattice_dims(pair, complement, n: int, d: int, policy: RankPolicy | None = None,
+                 grades: int | None = None) -> tuple[list, list]:
     """Dimensions of the lattice that the copies W_1..W_{d-1} of W = ``pair``
     (:func:`copy_stacks`) generate in V^{(x)d}, from certified ranks of
     grade stacks; ``complement`` is W^perp, both the tuples of their pair
-    blocks.
+    blocks.  With ``grades`` (g of :func:`grade_orbits`, for a W that
+    commutes with T (x) T) the stacks hold the grades 0..g-1 alone and each
+    block counts n/g times.
 
     With B_ell the copies 1..ell of W and A_r the last r of W^perp side by
     side, Sig_ell = W_1 + ... + W_ell has dim rank B_ell, Cap_r =
@@ -578,18 +643,19 @@ def lattice_dims(pair, complement, n: int, d: int,
     Sig_{ell-1} + Cap_{r+1} = Sig_ell ^ (Sig_{ell-1} + Cap_r), r = d-1-ell,
     with Sig_0 the zero space: by dim(X + Y) = dim X + dim Y - dim(X ^ Y),
     the right side being Sig_{ell-1} + (Sig_ell ^ Cap_r)."""
-    (B, b_cols), (A, a_cols) = copy_stacks(pair, n, d), copy_stacks(complement, n, d)
+    copies = n // (grades or n)
+    (B, b_cols), (A, a_cols) = (copy_stacks(W, n, d, grades) for W in (pair, complement))
     sig_sides = [[X[:, :end] for X, end in zip(B, b_cols[ell])] for ell in range(d)]
     cap_perps = [[X[:, start:] for X, start in zip(A, a_cols[d - 1 - r])] for r in range(d)]
-    sig = [0] + [svd_rank(side, policy)[0] for side in sig_sides[1:]]
-    cap = [n ** d] + [n ** d - svd_rank(side, policy)[0] for side in cap_perps[1:]]
+    sig = [0] + [svd_rank(side, policy, copies)[0] for side in sig_sides[1:]]
+    cap = [n ** d] + [n ** d - svd_rank(side, policy, copies)[0] for side in cap_perps[1:]]
     meets = {}
 
     def meet(ell, r):
         """dim(Sig_ell ^ Cap_r), with Sig_0 the zero space; each rank once."""
         if ell and r and (ell, r) not in meets:
             meets[ell, r] = sig[ell] - svd_rank(
-                [a.conj().T @ b for a, b in zip(cap_perps[r], sig_sides[ell])], policy)[0]
+                [a.conj().T @ b for a, b in zip(cap_perps[r], sig_sides[ell])], policy, copies)[0]
         return meets.get((ell, r), sig[ell])
 
     corners = [cap[d - 1]] + [meet(ell, d - 1 - ell) for ell in range(1, d)]

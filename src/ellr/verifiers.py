@@ -75,7 +75,10 @@ from .rmatrix import (
 )
 from .tensorops import (
     BeyondCapError,
+    SymmetryError,
     beyond_cap,
+    certify_shift,
+    grade_orbits,
     scaled_residual,
     scaled_cut,
     scaled_rank,
@@ -256,11 +259,14 @@ def _guard(fn):
     AmbiguousRankError into an ambiguous status, a TorsionParameterError or
     SingularParameterError (tau on a locus the statements exclude), a
     NonFiniteMatrixError (an overflowed matrix, no rank to read), a
-    BeyondCapError (a tensor power past the dense cap; its note names n^d)
-    or an OverflowError (a scalar factor such as e(z) past the float range)
-    into a refused status.  So no check ends past the cap in a traceback;
-    only a check that spans several degrees consults :func:`beyond_cap`
-    itself, to refuse per degree and still run the lower ones."""
+    SymmetryError (a factor of a rank product that breaks the T (x) T
+    symmetry its representative grades rest on), a BeyondCapError (a tensor
+    power past the dense cap; its note names n^d, and its degree is echoed
+    as d) or an OverflowError (a scalar factor such as e(z) past the float
+    range) into a refused status.  So no check ends past the cap in a
+    traceback; only a check that spans several degrees consults
+    :func:`beyond_cap` itself, to refuse per degree and still run the lower
+    ones."""
 
     def wrapper(params, *args, **kwargs):
         try:
@@ -268,8 +274,10 @@ def _guard(fn):
         except AmbiguousRankError as exc:
             return [CheckResult(fn.__name__, _echo(params), "certified rank",
                                 f"gap {exc.gap:.3e}", None, "ambiguous")]
+        except BeyondCapError as exc:
+            return [_refused(fn.__name__, params, str(exc), d=exc.d)]
         except (TorsionParameterError, SingularParameterError, NonFiniteMatrixError,
-                BeyondCapError) as exc:
+                SymmetryError) as exc:
             return [_refused(fn.__name__, params, str(exc))]
         except OverflowError as exc:
             return [_refused(fn.__name__, params, f"overflow: {exc}")]
@@ -503,16 +511,19 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
     ``kernel_name``), image equal to the intersection of its embedded
     kernels, that is ker F_d^H equal to the sum of the copies of
     im R(sign*tau)^H, both by :func:`kernel_span_bound` over the grade
-    blocks, from the pair blocks of R(sign*tau) and R^H.  F_d takes one
-    values-only SVD, shared by both sides.  A degree past the dense cap is
-    refused before its product is built, and a degree expected to vanish is
-    compared with nothing.  R(sign*tau) and the R's of every F_d come from
-    one build.  Returns the results and the rank per degree (None where
-    refused)."""
+    blocks, from the pair blocks of R(sign*tau) and R^H.  Every product,
+    copy stack and rank holds the representative grades of
+    :func:`grade_orbits` alone, R(sign*tau) and the factors of F_d certified
+    to commute with T (x) T.  F_d takes one values-only SVD, shared by both
+    sides.  A degree past the dense cap is refused before its product is
+    built, and a degree expected to vanish is compared with nothing.
+    R(sign*tau) and the R's of every F_d come from one build.  Returns the
+    results and the rank per degree (None where refused)."""
     n, policy, tau = params.n, params.ranks, sign * params.tau
     factors = {d: f_factors(d, -tau) for d in range(2, top + 1)}
     mats = factor_mats(params, [(tau, 1)], *factors.values())
     blocks = pair_blocks(mats[tau], n)
+    certify_shift(blocks)
     pair = image(blocks, policy)
     coimage = image(blocks.conj().swapaxes(-1, -2), policy)
     results, ranks = [], []
@@ -521,8 +532,9 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
             results.append(_refused(f"{label}.rank", params, note, d=d))
             ranks.append(None)
             continue
-        F = r_product(n, d, factors[d], mats)
-        cut = scaled_cut(F, policy)
+        grades, copies = grade_orbits(n, d)
+        F = r_product(n, d, factors[d], mats, grades)
+        cut = scaled_cut(F, policy, copies)
         expected = expected_rank(d)
         results.append(_equals(f"{label}.rank", _echo(params, d=d), expected, cut[0]))
         ranks.append(cut[0])
@@ -532,7 +544,7 @@ def _f_structure(params: AlgebraParams, sign: int, top: int, label: str,
         for name, adjoint, W in ((kernel_name, False, pair),
                                  (f"{label}.image_is_kernel_intersection", True, coimage)):
             M = F.mat.conj().swapaxes(-1, -2) if adjoint else F.mat
-            bound = kernel_span_bound(M, copy_stacks(W, n, d)[0], policy, cut)
+            bound = kernel_span_bound(M, copy_stacks(W, n, d, grades)[0], policy, cut, copies)
             results.append(_within(name, _echo(params, d=d), bound, TOL_ANGLE, "sine bound"))
     return results, ranks
 
@@ -687,9 +699,10 @@ def mult_identity_check(params: AlgebraParams,
     row-wise and column-wise assemblies of M differ by more than
     M_AGREEMENT_TOL fails with that difference as its residual, and a pair
     whose degree a+b is past the dense cap is refused.  The probe
-    multiplies over R(m*tau), m up to 3, in degree 4, and is refused where
-    some m*n*tau, m <= 3, is on the lattice or where degree 4 is past the
-    cap; the other results still run."""
+    multiplies over R(m*tau), m up to 3, in degree 4, each product applied
+    to its vector's grade blocks, and is refused where some m*n*tau,
+    m <= 3, is on the lattice or where degree 4 is past the cap; the other
+    results still run."""
     n, tau = params.n, params.tau
     a, b, c = 1, 2, 1  # the probe's split
     # per pair and sign: both assemblies of M_{b,a}, F_a (x) F_b (the
@@ -723,14 +736,21 @@ def mult_identity_check(params: AlgebraParams,
     # associativity of the induced product u*v = M_{b,a}(-tau)(u (x) v)
     rng = np.random.default_rng(seed)
 
+    def apply(op, x, vec):
+        """op's grade blocks on vec's: gathered through grade_index, one
+        batched matvec, scattered back, with no n^x x n^x matrix."""
+        idx, out = grade_index(n, x), np.empty(n ** x, dtype=complex)
+        out[idx] = (op.mat @ vec[idx][..., None])[..., 0]
+        return out
+
     def rand_image(x):
-        F = r_product(n, x, images[x], mats)
-        v = F.matrix() @ (rng.standard_normal(n ** x) + 1j * rng.standard_normal(n ** x))
+        v = apply(r_product(n, x, images[x], mats), x,
+                  rng.standard_normal(n ** x) + 1j * rng.standard_normal(n ** x))
         return v / np.linalg.norm(v)
 
     def product(u, x, v, y):
         M = r_product(n, x + y, products[x, y], mats)
-        return M.matrix() @ np.kron(u, v), M.log_scale
+        return apply(M, x + y, np.kron(u, v)), M.log_scale
 
     u, v, w = rand_image(a), rand_image(b), rand_image(c)
     uv, l1 = product(u, a, v, b)
@@ -752,13 +772,17 @@ def koszul_check(params: AlgebraParams, d: int):
     the embedded images of R(tau)) must equal the exact classical oracle
     value, and the two sides of each modular triple must have equal
     dimensions, every one read from certified ranks (:func:`lattice_dims`)
-    with (im R)^perp = ker R^H from the pair blocks of R^H."""
+    with (im R)^perp = ker R^H from the pair blocks of R^H, over the
+    representative grades of :func:`grade_orbits`, R(tau) certified to
+    commute with T (x) T."""
     if tau_excluded(params, d):
         return [_refused("koszul.corner_dim", params, "tau on excluded torsion locus", d=d)]
     n, policy = params.n, params.ranks
     blocks = pair_blocks(r_matrix(params, params.tau), n)
+    certify_shift(blocks)
     corners, triples = lattice_dims(image(blocks, policy),
-                                    kernel(blocks.conj().swapaxes(-1, -2), policy), n, d, policy)
+                                    kernel(blocks.conj().swapaxes(-1, -2), policy), n, d, policy,
+                                    grade_orbits(n, d)[0])
     return [_equals("koszul.corner_dim", _echo(params, d=d, ell=ell, r=d - 1 - ell),
                     classical_w_dim(n, d, ell, d - 1 - ell), dim)
             for ell, dim in enumerate(corners)] + [
@@ -773,21 +797,25 @@ def frobenius_check(params: AlgebraParams):
     F_n(tau) has rank one and F_{n+1}(tau) vanishes; writing
     F_n(tau)(v_j (x) w_k) = c_{jk} F_n(tau)(x) for a reference x, the
     coefficient matrix for the split i | n-i has rank C(n,i).  Both F come
-    from one build.  The vanishing is refused when n^(n+1) is past the
-    dense cap (n = 5), and the whole check when n^n is (n >= 6)."""
+    from one build, F_{n+1} on its gcd(n, n+1) = 1 representative grade.
+    The vanishing is refused when n^(n+1) is past the dense cap (n = 5),
+    and the whole check when n^n is (n >= 6)."""
     n = params.n
     if tau_excluded(params, n + 1):
         return [_refused("frobenius.pairing_rank", params, "tau on excluded torsion locus")]
     results = []
     factors = {d: f_factors(d, params.tau) for d in (n, n + 1)}
     mats = factor_mats(params, *factors.values())
-    Fs = r_product(n, n, factors[n], mats)
+    # gcd(n, n) = n: every grade of F_n, which the pairing below reads
+    Fs = r_product(n, n, factors[n], mats, n)
     rank, _ = scaled_rank(Fs, params.ranks)
     results.append(_equals("frobenius.top_rank_one", _echo(params), 1, rank))
     if note := beyond_cap(n, n + 1):
         results.append(_refused("frobenius.vanishing_above_top", params, note, d=n + 1))
     else:
-        rank1, _ = scaled_rank(r_product(n, n + 1, factors[n + 1], mats), params.ranks)
+        grades, copies = grade_orbits(n, n + 1)
+        rank1, _ = scaled_rank(r_product(n, n + 1, factors[n + 1], mats, grades),
+                               params.ranks, copies)
         results.append(_equals("frobenius.vanishing_above_top", _echo(params, d=n + 1),
                                0, rank1))
     # the reference u = F x is the column of largest norm, in grade block g;

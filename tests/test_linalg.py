@@ -363,6 +363,24 @@ def test_graded_subspace_arithmetic_matches_the_block_diagonal_one():
         kernel_span_bound(M, A[:2])
 
 
+def test_copies_count_each_block_as_the_repeated_stack_does():
+    # a stack of one block per orbit, each counted c times, is certified
+    # as the stack with every block repeated c times
+    c, blocks = 3, _ragged_stack()
+    repeated = blocks * c
+    assert singular_cut(blocks, copies=c) == singular_cut(repeated)
+    assert svd_rank(blocks, copies=c) == svd_rank(repeated)
+    stacks = np.array([[_random_rank(4, 4, 2), _random_rank(4, 4, 1)]] * 2)
+    assert svd_ranks(stacks, copies=c) == svd_ranks(np.concatenate([stacks] * c, axis=1))
+    M = [_random_rank(4, 4, 2), _random_rank(4, 4, 3)]
+    B = [basis(kernel(X)) + 1e-7 * _random_rank(4, 4 - r, 4 - r) for X, r in zip(M, (2, 3))]
+    assert abs(kernel_span_bound(M, B, copies=c) / kernel_span_bound(M * c, B * c) - 1) < 1e-12
+    assert kernel_span_bound(M, B[:1] + [B[1][:, :0]], copies=c) == 1.0
+    with pytest.raises(AmbiguousRankError) as exc:
+        svd_rank([np.diag([1.0, 1e-8]), np.diag([1e-10, 0.0])], copies=c)
+    assert exc.value.rank == 2 * c
+
+
 def test_exact_rank_small():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[1, 0], [0, 1]]) == 2

@@ -58,9 +58,19 @@ def _chain(params, d, factors):
     return r_product(params.n, d, factors, factor_mats(params, factors))
 
 
+def matrix(op):
+    """The full grade stack of a scaled operator scattered through
+    grade_index into one matrix, every entry between two grades zero."""
+    n, size = op.mat.shape[:2]
+    idx = grade_index(n, round(math.log(size, n)) + 1)
+    out = np.zeros((n * size,) * 2, dtype=complex)
+    out[idx[:, :, None], idx[:, None, :]] = op.mat
+    return out
+
+
 def dense(op):
-    """The plain matrix of a scaled operator, exp(log_scale) * matrix()."""
-    return math.exp(op.log_scale) * op.matrix()
+    """The plain matrix of a scaled operator, exp(log_scale) * matrix(op)."""
+    return math.exp(op.log_scale) * matrix(op)
 
 
 def f_op(params, d, z):
@@ -723,8 +733,8 @@ def test_products_are_block_diagonal_in_the_total_grade(n, d, monkeypatch):
 
     built = []
 
-    def recorded(n, d, factors):
-        built.append((factors, site_product(n, d, factors)))
+    def recorded(n, d, factors, grades=None):
+        built.append((factors, site_product(n, d, factors, grades)))
         return built[-1][1]
 
     monkeypatch.setattr(ellr.tensorops, "site_product", recorded)
@@ -753,7 +763,7 @@ def _assert_block_certificate_is_dense(op, n, d, policy):
     if op.max_abs() < ZERO_OPERATOR_TOL:
         assert scaled_rank(op, policy)[0] == 0
         return
-    (rank, gap), (dense_rank, dense_gap) = svd_rank(op.mat, policy), svd_rank(op.matrix(), policy)
+    (rank, gap), (dense_rank, dense_gap) = svd_rank(op.mat, policy), svd_rank(matrix(op), policy)
     assert rank == dense_rank
     assert scaled_rank(op, policy)[0] == dense_rank
     # the largest dropped singular value is rounding noise, which the dense
@@ -761,7 +771,7 @@ def _assert_block_certificate_is_dense(op, n, d, policy):
     assert gap == dense_gap or abs(math.log10(gap / dense_gap)) < 1
     for part in (image, kernel):
         P = _projector(_dense(part(op.mat, policy), n, d))
-        assert np.max(np.abs(P - _projector(part(op.matrix(), policy)))) < 1e-10, part
+        assert np.max(np.abs(P - _projector(part(matrix(op), policy)))) < 1e-10, part
 
 
 @pytest.mark.parametrize("n, d", NDS)
@@ -799,10 +809,109 @@ def test_grade_ranks_of_f_agree_along_the_shift_orbits(n, d):
         Td = T
         for _ in range(d - 1):
             Td = np.kron(Td, T)
-        F = op.matrix()
+        F = matrix(op)
         assert np.max(np.abs(Td @ F - F @ Td)) < 1e-12
         ranks = [B.shape[1] for B in image(op.mat, p.ranks)]
         assert all(ranks[g] == ranks[(g + d) % n] for g in range(n)), ranks
+
+
+@pytest.mark.parametrize("n, k, top", [(2, 1, 5), (3, 1, 5), (4, 1, 5), (5, 1, 4), (7, 3, 3)])
+def test_representative_grades_certify_what_every_grade_does(n, k, top, monkeypatch):
+    # the rank path builds grades 0..g-1, g = gcd(n, d), and counts each
+    # n/g times; the witness runs the same code on every grade, and gives
+    # the same statuses, ranks, lattice dims and t_table ranks, and sine
+    # bounds within 1e-12, at every degree up to top (n^d within the cap;
+    # at (5, 5) g = n, so both paths are one)
+    import ellr.tensorops
+    import ellr.verifiers as V
+
+    p = make_params(n, k)
+
+    def results():
+        out = V.hilbert_check(p, d_max=top) + V.dual_hilbert_check(p, d_max=top)
+        for d in range(3, top + 1):
+            out += V.koszul_check(p, d) + (V.t_rank_table(p, d) if d <= 4 else [])
+        return out
+
+    representative = results()
+    for module in (ellr.tensorops, V):
+        monkeypatch.setattr(module, "grade_orbits", lambda n, d: (n, 1))
+    every = results()
+    assert [(r.name, r.params, r.status) for r in representative] == [
+        (r.name, r.params, r.status) for r in every]
+    assert {r.status for r in representative} == {"pass"}
+    for rep, full in zip(representative, every):
+        if rep.residual is None:
+            assert rep.observed == full.observed, rep
+        else:
+            assert abs(rep.residual - full.residual) < 1e-12, (rep, full)
+
+
+def test_rank_svds_of_degree_4_see_one_grade_block(monkeypatch):
+    # at (3, 1) gcd(3, 4) = 1: every values-only SVD of a degree-4 rank sees
+    # one grade block, and at gcd(3, 3) = 3 every degree-3 one sees three
+    import ellr.linalg
+    import ellr.verifiers as V
+
+    seen, svds, ranks = [], ellr.linalg._svds, ellr.tensorops.svd_ranks
+
+    def spy_svds(blocks, compute_uv=True, scale=1.0):
+        if not compute_uv:  # U and V are taken of the n x n pair blocks alone
+            seen.append((len(blocks), blocks[0].shape[0]))
+        return svds(blocks, compute_uv, scale)
+
+    def spy_ranks(stacks, policy=None, copies=1):
+        seen.append(stacks.shape[-3:-1])
+        return ranks(stacks, policy, copies)
+
+    monkeypatch.setattr(ellr.linalg, "_svds", spy_svds)
+    monkeypatch.setattr(ellr.tensorops, "svd_ranks", spy_ranks)
+    p = make_params(3, 1)
+    for d, count in ((3, 3), (4, 1)):
+        seen.clear()
+        assert {r.status for r in V.koszul_check(p, d) + V.t_rank_table(p, d)} == {"pass"}
+        assert seen and {blocks for blocks, _ in seen} == {count}, (d, seen)
+    # hilbert's ranks are of F_d, F_d^H and copy stacks, all n^(d-1) rows
+    seen.clear()
+    assert {r.status for r in V.hilbert_check(p, d_max=4)} == {"pass"}
+    assert {rows: {b for b, r in seen if r == rows} for rows in (9, 27)} == {9: {3}, 27: {1}}
+
+
+def _shift_broken(real):
+    """r_matrices with entry (0, 0) of every R moved by 1e-6 of its max-abs:
+    R^(0)[0, 0] no longer equals R^(2)[1, 1], and R keeps the pair grade."""
+
+    def broken(params, zs):
+        mats = np.array(real(params, zs))
+        mats[..., 0, 0] += 1e-6 * np.max(np.abs(mats), axis=(-2, -1))
+        return mats
+
+    return broken
+
+
+def test_a_factor_that_breaks_the_shift_symmetry_is_refused(monkeypatch):
+    # the orbit rule is certified on every factor, not assumed: R's pair
+    # blocks commute exactly with the digit shift, and one that is off by
+    # 1e-6 refuses every rank check that rests on its representative grades
+    import ellr.rmatrix
+    import ellr.verifiers as V
+    from ellr.tensorops import SYMMETRY_TOL, SymmetryError, certify_shift
+
+    for n, k in ((2, 1), (3, 1), (5, 2), (7, 3)):
+        blocks = pair_blocks(r_matrix(make_params(n, k), 0.1 + 0.05j), n)
+        assert np.array_equal(np.roll(blocks, (-2, -1, -1), axis=(-3, -2, -1)), blocks)
+    p = make_params(3, 1)
+    broken = _shift_broken(ellr.rmatrix.r_matrices)
+    with pytest.raises(SymmetryError):
+        certify_shift(pair_blocks(broken(p, [p.tau]), 3))
+    certify_shift(pair_blocks(broken(p, [p.tau]) * 0, 3))
+    assert SYMMETRY_TOL < 1e-6
+    for module in (ellr.rmatrix, ellr.tensorops):
+        monkeypatch.setattr(module, "r_matrices", broken)
+    for check in (lambda: V.hilbert_check(p, d_max=4), lambda: V.t_rank_table(p, 4),
+                  lambda: V.koszul_check(p, 4)):
+        (res,) = check()
+        assert res.status == "refused" and "T (x) T symmetry" in res.expected, res
 
 
 def _sum(spaces, policy):

@@ -216,6 +216,20 @@ def test_single_degree_checks_past_the_cap_are_refused_with_its_note():
     assert len(table) == 10 and {r.status for r in table} == {"pass"}
 
 
+def test_cap_refusals_echo_their_degree():
+    # a refusal through the check runner carries the degree the cap
+    # refused, so two degrees of one check differ in their params and a
+    # report sorts them by degree
+    p = make_params(8, 3)
+    refused = {d: V.koszul_check(p, d)[0] for d in (4, 5)}
+    assert {d: (r.status, r.params["d"]) for d, r in refused.items()} == {
+        4: ("refused", 4), 5: ("refused", 5)}
+    assert V.t_rank_table(p, 4)[0].params["d"] == 4
+    assert V.frobenius_check(make_params(6, 1))[0].params["d"] == 6
+    report = V.Report("0", {}, [refused[5], refused[4]]).finalize()
+    assert [r.params["d"] for r in report.results] == [4, 5]
+
+
 def test_mult_refuses_only_the_pairs_and_the_probe_past_the_cap():
     results = V.mult_identity_check(make_params(8, 3))
     pairs = {(r.params["a"], r.params["b"]): r for r in results if r.name == "mult.identity"}
@@ -311,23 +325,54 @@ def test_r_matrix_certificates_are_taken_from_pair_blocks(monkeypatch, nk):
             check.__name__, shapes)
 
 
-def test_mult_identity_reads_no_product_as_a_matrix(monkeypatch):
-    # F_a (x) F_b is one graded product and M_{b,a} times it a blockwise
-    # one: the identity pairs add no ScaledOp.matrix call to the
-    # associativity probe's
-    import ellr.tensorops
+def test_mult_identity_reads_no_product_as_a_matrix():
+    # the identity pairs compare grade stacks, and the associativity probe
+    # applies each degree-4 product to its vector's grade blocks: at (7,3)
+    # no 7^4 x 7^4 matrix (92 MB) is formed, where a dense scatter read a
+    # 101 MiB tracemalloc peak for the probe alone
+    import tracemalloc
 
-    matrix, calls = ellr.tensorops.ScaledOp.matrix, []
+    p = make_params(7, 3)
+    tracemalloc.start()
+    try:
+        (probe,) = V.mult_identity_check(p, pairs=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe.status == "pass" and peak < 40 * 2 ** 20, peak
 
-    def recorded(self):
-        calls.append(self.mat.shape)
-        return matrix(self)
 
-    monkeypatch.setattr(ellr.tensorops.ScaledOp, "matrix", recorded)
-    assert [r.status for r in V.mult_identity_check(P31, pairs=())] == ["pass"]
-    probe = len(calls)
-    assert [r.status for r in V.mult_identity_check(P31)] == ["pass"] * 5
-    assert probe and len(calls) == 2 * probe
+@pytest.mark.parametrize("nk", [(3, 1), (5, 2)])
+def test_mult_probe_equals_its_dense_witness(nk):
+    # the blockwise probe against the dense one it replaced: every product
+    # scattered into an n^d x n^d matrix and applied to the whole vector
+    from ellr.tensorops import f_factors, factor_mats, m_factors, r_product
+    from test_tensorops import matrix
+
+    p = make_params(*nk)
+    n, tau, rng = p.n, p.tau, np.random.default_rng(0)
+    images = {x: f_factors(x, -tau) for x in (1, 2)}
+    products = {(x, y): m_factors(y, x, -tau)[0] for x, y in ((1, 2), (3, 1), (2, 1), (1, 3))}
+    mats = factor_mats(p, *images.values(), *products.values())
+
+    def rand_image(x):
+        v = matrix(r_product(n, x, images[x], mats)) @ (
+            rng.standard_normal(n ** x) + 1j * rng.standard_normal(n ** x))
+        return v / np.linalg.norm(v)
+
+    def product(u, x, v, y):
+        M = r_product(n, x + y, products[x, y], mats)
+        return matrix(M) @ np.kron(u, v), M.log_scale
+
+    u, v, w = rand_image(1), rand_image(2), rand_image(1)
+    uv, l1 = product(u, 1, v, 2)
+    lhs, l2 = product(uv, 3, w, 1)
+    vw, r1 = product(v, 2, w, 1)
+    rhs, r2 = product(u, 1, vw, 3)
+    rhs = rhs * math.exp((r1 + r2) - (l1 + l2))
+    witness = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    (probe,) = V.mult_identity_check(p, pairs=())
+    assert probe.status == "pass" and abs(probe.residual - witness) < 1e-12, (probe, witness)
 
 
 def test_each_statement_instance_assembles_its_matrices_once(monkeypatch):
